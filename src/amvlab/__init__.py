@@ -8,7 +8,6 @@ experiments with extrapolated limits, and a discrete Dirichlet solver.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED, backend_name
 from .carnot import CarnotStep2, Gauge, ProfileGauge, heisenberg
 from .experiments import ExperimentReport
 from .integrate import Estimate, GridScheme, MCScheme, SeedSpec
@@ -36,12 +35,10 @@ __all__ = [
     "HalfSpace",
     "InputError",
     "MCScheme",
-    "NUMBA_ENABLED",
     "NumericError",
     "ProfileGauge",
     "Region",
     "SeedSpec",
-    "backend_name",
     "heisenberg",
     "parse_space",
     "__version__",

@@ -1,12 +1,12 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot numeric kernels on numpy and scipy.
 
-The backend is chosen once at import time.  Set the environment variable
-``AMVLAB_NUMBA=0`` to force the numpy fallback; anything else (or an
-unavailable numba installation falling back automatically) selects the
-compiled path.  Every kernel has a numpy twin that performs the same
-floating-point operations in the same order, so the two backends agree
-bitwise; ``tests/test_backend.py`` asserts this and
-``benchmarks/bench_kernels.py`` times both.
+Every self-distance kernel is exactly symmetric by construction: swapping
+the two point sets performs the same floating-point operations on each pair,
+up to exact negations, so d(x, y) == d(y, x) bitwise and d(x, x) == 0.
+Finite spaces require both, so no mirror pass is needed.  For the Carnot
+kernel this rests on writing the bracket term of y^-1 * x over i < j as
+(1/2) b[k,i,j] (y1_i x1_j - y1_j x1_i), which swapping x and y negates
+exactly.
 
 Reductions that could depend on execution layout are avoided here: kernels
 are elementwise or row-parallel with disjoint output slices, which is what
@@ -16,28 +16,10 @@ makes the ``threads`` argument a no-op for the produced bits.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-_flag = os.environ.get("AMVLAB_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
-
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
+from scipy.spatial.distance import cdist
 
 # Row-chunk size is a fixed constant: chunk boundaries must not depend on the
 # thread count, or outputs could differ between --threads settings.
@@ -55,187 +37,93 @@ def _run_rowchunks(n_rows: int, threads: int, body) -> None:
         list(pool.map(lambda span: body(*span), spans))
 
 
-# ---------------------------------------------------------------------------
-# numpy twins
-# ---------------------------------------------------------------------------
-
-
-def _gauge_fourth_numpy(z1, z2, beta, out, start, stop):
-    a = z1[start:stop]
-    b = z2[start:stop]
-    s = a[..., 0] * a[..., 0]
-    for i in range(1, a.shape[-1]):
-        s = s + a[..., i] * a[..., i]
-    acc = s * s
-    for k in range(b.shape[-1]):
-        w = b[..., k]
-        acc = acc + (beta * w) * w
-    out[start:stop] = acc
-
-
-def _euclid_dist_numpy(pts_a, pts_b, out, start, stop):
-    a = pts_a[start:stop]
-    d0 = a[:, None, 0] - pts_b[None, :, 0]
-    s = d0 * d0
-    for i in range(1, a.shape[-1]):
-        d = a[:, None, i] - pts_b[None, :, i]
-        s = s + d * d
-    out[start:stop] = np.sqrt(s)
-
-
-def _carnot_dist_numpy(x1, x2, y1, y2, bracket, beta, out, start, stop):
-    a1 = x1[start:stop]
-    a2 = x2[start:stop]
-    v1 = a1.shape[-1]
-    d0 = a1[:, None, 0] - y1[None, :, 0]
-    s = d0 * d0
-    for i in range(1, v1):
-        d = a1[:, None, i] - y1[None, :, i]
-        s = s + d * d
-    acc = s * s
-    for k in range(a2.shape[-1]):
-        w = a2[:, None, k] - y2[None, :, k]
-        for i in range(v1):
-            for j in range(v1):
-                c = bracket[k, i, j]
-                if c != 0.0:
-                    w = w - ((0.5 * c) * y1[None, :, i]) * a1[:, None, j]
-        acc = acc + (beta * w) * w
-    out[start:stop] = np.sqrt(np.sqrt(acc))
-
-
-def _cone_dist_numpy(rho_a, phi_a, rho_b, phi_b, theta_c, out, start, stop):
-    ra = rho_a[start:stop, None]
-    pa = phi_a[start:stop, None]
-    dphi = np.abs(pa - phi_b[None, :])
-    delta = np.minimum(dphi, theta_c - dphi)
-    q = ra * ra + rho_b[None, :] * rho_b[None, :] - ((2.0 * ra) * rho_b[None, :]) * np.cos(delta)
-    direct = np.sqrt(np.maximum(q, 0.0))
-    out[start:stop] = np.where(delta <= math.pi, direct, ra + rho_b[None, :])
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _gauge_fourth_numba(z1, z2, beta, out, start, stop):  # pragma: no cover
-        v1 = z1.shape[1]
-        v2 = z2.shape[1]
-        for n in range(start, stop):
-            s = z1[n, 0] * z1[n, 0]
-            for i in range(1, v1):
-                s = s + z1[n, i] * z1[n, i]
-            acc = s * s
-            for k in range(v2):
-                w = z2[n, k]
-                acc = acc + (beta * w) * w
-            out[n] = acc
-
-    @njit(cache=True, nogil=True)
-    def _euclid_dist_numba(pts_a, pts_b, out, start, stop):  # pragma: no cover
-        dim = pts_a.shape[1]
-        nb = pts_b.shape[0]
-        for n in range(start, stop):
-            for m in range(nb):
-                d = pts_a[n, 0] - pts_b[m, 0]
-                s = d * d
-                for i in range(1, dim):
-                    d = pts_a[n, i] - pts_b[m, i]
-                    s = s + d * d
-                out[n, m] = math.sqrt(s)
-
-    @njit(cache=True, nogil=True)
-    def _carnot_dist_numba(x1, x2, y1, y2, bracket, beta, out, start, stop):  # pragma: no cover
-        v1 = x1.shape[1]
-        v2 = x2.shape[1]
-        ny = y1.shape[0]
-        for n in range(start, stop):
-            for m in range(ny):
-                d = x1[n, 0] - y1[m, 0]
-                s = d * d
-                for i in range(1, v1):
-                    d = x1[n, i] - y1[m, i]
-                    s = s + d * d
-                acc = s * s
-                for k in range(v2):
-                    w = x2[n, k] - y2[m, k]
-                    for i in range(v1):
-                        for j in range(v1):
-                            c = bracket[k, i, j]
-                            if c != 0.0:
-                                w = w - ((0.5 * c) * y1[m, i]) * x1[n, j]
-                    acc = acc + (beta * w) * w
-                out[n, m] = math.sqrt(math.sqrt(acc))
-
-    @njit(cache=True, nogil=True)
-    def _cone_dist_numba(rho_a, phi_a, rho_b, phi_b, theta_c, out, start, stop):  # pragma: no cover
-        nb = rho_b.shape[0]
-        for n in range(start, stop):
-            for m in range(nb):
-                dphi = abs(phi_a[n] - phi_b[m])
-                delta = min(dphi, theta_c - dphi)
-                if delta <= math.pi:
-                    q = rho_a[n] * rho_a[n] + rho_b[m] * rho_b[m] - ((2.0 * rho_a[n]) * rho_b[m]) * math.cos(delta)
-                    if q < 0.0:
-                        q = 0.0
-                    out[n, m] = math.sqrt(q)
-                else:
-                    out[n, m] = rho_a[n] + rho_b[m]
-
-
-_GAUGE = _gauge_fourth_numba if NUMBA_ENABLED else _gauge_fourth_numpy
-_EUCLID = _euclid_dist_numba if NUMBA_ENABLED else _euclid_dist_numpy
-_CARNOT = _carnot_dist_numba if NUMBA_ENABLED else _carnot_dist_numpy
-_CONE = _cone_dist_numba if NUMBA_ENABLED else _cone_dist_numpy
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
+def _f64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def gauge_fourth(z1: np.ndarray, z2: np.ndarray, beta: float, threads: int = 1) -> np.ndarray:
     """Fourth power of the gauge: (|z1|^2)^2 + beta*|z2|^2, row-wise."""
-    z1 = np.ascontiguousarray(z1, dtype=np.float64)
-    z2 = np.ascontiguousarray(z2, dtype=np.float64)
-    n = z1.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    _run_rowchunks(n, threads, lambda s, e: _GAUGE(z1, z2, float(beta), out, s, e))
+    z1, z2, beta = _f64(z1), _f64(z2), float(beta)
+    out = np.empty(z1.shape[0], dtype=np.float64)
+
+    def rows(start, stop):
+        a = z1[start:stop]
+        b = z2[start:stop]
+        s = a[..., 0] * a[..., 0]
+        for i in range(1, a.shape[-1]):
+            s = s + a[..., i] * a[..., i]
+        acc = s * s
+        for k in range(b.shape[-1]):
+            w = b[..., k]
+            acc = acc + (beta * w) * w
+        out[start:stop] = acc
+
+    _run_rowchunks(z1.shape[0], threads, rows)
     return out
 
 
 def euclid_dist_matrix(pts_a: np.ndarray, pts_b: np.ndarray, threads: int = 1) -> np.ndarray:
-    pts_a = np.ascontiguousarray(pts_a, dtype=np.float64)
-    pts_b = np.ascontiguousarray(pts_b, dtype=np.float64)
+    pts_a, pts_b = _f64(pts_a), _f64(pts_b)
     out = np.empty((pts_a.shape[0], pts_b.shape[0]), dtype=np.float64)
-    _run_rowchunks(pts_a.shape[0], threads, lambda s, e: _EUCLID(pts_a, pts_b, out, s, e))
+    _run_rowchunks(
+        pts_a.shape[0], threads, lambda s, e: cdist(pts_a[s:e], pts_b, "euclidean", out=out[s:e])
+    )
     return out
 
 
 def carnot_dist_matrix(x1, x2, y1, y2, bracket, beta: float, threads: int = 1) -> np.ndarray:
     """Pairwise gauge distances d(x_n, y_m) = gauge(y_m^-1 * x_n)."""
-    x1 = np.ascontiguousarray(x1, dtype=np.float64)
-    x2 = np.ascontiguousarray(x2, dtype=np.float64)
-    y1 = np.ascontiguousarray(y1, dtype=np.float64)
-    y2 = np.ascontiguousarray(y2, dtype=np.float64)
-    bracket = np.ascontiguousarray(bracket, dtype=np.float64)
+    x1, x2, y1, y2, bracket = map(_f64, (x1, x2, y1, y2, bracket))
+    beta = float(beta)
+    v1 = x1.shape[-1]
     out = np.empty((x1.shape[0], y1.shape[0]), dtype=np.float64)
-    _run_rowchunks(
-        x1.shape[0], threads, lambda s, e: _CARNOT(x1, x2, y1, y2, bracket, float(beta), out, s, e)
-    )
+
+    # The sum accumulates in the output rows; in-place updates keep three
+    # row-chunk buffers (buf, w, one temporary) without changing a bit.
+    def rows(start, stop):
+        a1 = x1[start:stop, None, :]
+        a2 = x2[start:stop, None, :]
+        acc = out[start:stop]
+        buf = a1[..., 0] - y1[None, :, 0]
+        np.multiply(buf, buf, out=acc)
+        for i in range(1, v1):
+            np.subtract(a1[..., i], y1[None, :, i], out=buf)
+            buf *= buf
+            acc += buf
+        acc *= acc
+        for k in range(a2.shape[-1]):
+            w = a2[..., k] - y2[None, :, k]
+            for i in range(v1):
+                for j in range(i + 1, v1):
+                    c = bracket[k, i, j]
+                    if c != 0.0:
+                        np.multiply(y1[None, :, i], a1[..., j], out=buf)
+                        buf -= y1[None, :, j] * a1[..., i]
+                        buf *= 0.5 * c
+                        w -= buf
+            np.multiply(w, beta, out=buf)
+            buf *= w
+            acc += buf
+        np.sqrt(acc, out=acc)
+        np.sqrt(acc, out=acc)
+
+    _run_rowchunks(x1.shape[0], threads, rows)
     return out
 
 
 def cone_dist_matrix(rho_a, phi_a, rho_b, phi_b, theta_c: float, threads: int = 1) -> np.ndarray:
-    rho_a = np.ascontiguousarray(rho_a, dtype=np.float64)
-    phi_a = np.ascontiguousarray(phi_a, dtype=np.float64)
-    rho_b = np.ascontiguousarray(rho_b, dtype=np.float64)
-    phi_b = np.ascontiguousarray(phi_b, dtype=np.float64)
+    rho_a, phi_a, rho_b, phi_b = map(_f64, (rho_a, phi_a, rho_b, phi_b))
+    theta_c = float(theta_c)
     out = np.empty((rho_a.shape[0], rho_b.shape[0]), dtype=np.float64)
-    _run_rowchunks(
-        rho_a.shape[0], threads, lambda s, e: _CONE(rho_a, phi_a, rho_b, phi_b, float(theta_c), out, s, e)
-    )
+
+    def rows(start, stop):
+        ra = rho_a[start:stop, None]
+        pa = phi_a[start:stop, None]
+        dphi = np.abs(pa - phi_b[None, :])
+        delta = np.minimum(dphi, theta_c - dphi)
+        q = ra * ra + rho_b[None, :] * rho_b[None, :] - ((2.0 * ra) * rho_b[None, :]) * np.cos(delta)
+        direct = np.sqrt(np.maximum(q, 0.0))
+        out[start:stop] = np.where(delta <= math.pi, direct, ra + rho_b[None, :])
+
+    _run_rowchunks(rho_a.shape[0], threads, rows)
     return out

@@ -224,14 +224,25 @@ def distance(group: CarnotStep2, gauge: Gauge, x, y) -> np.ndarray | float:
 
 
 def distance_matrix(group: CarnotStep2, gauge: Gauge, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-    """Pairwise gauge distances; the quartic kinds go through the fused kernel."""
+    """Pairwise gauge distances; the quartic kinds go through the fused kernel.
+
+    With pts_b omitted the result is the self-distance matrix, exactly
+    symmetric with a zero diagonal.
+    """
     pts_a = group._check(np.atleast_2d(pts_a))
-    pts_b = pts_a if pts_b is None else group._check(np.atleast_2d(pts_b))
+    self_dist = pts_b is None
+    pts_b = pts_a if self_dist else group._check(np.atleast_2d(pts_b))
     if gauge.kind == "profile":
+        # A user profile need not be even, so a self-distance matrix is
+        # built from its strict lower triangle and mirrored.
         inv_b = group.inverse(pts_b)
-        out = np.empty((pts_a.shape[0], pts_b.shape[0]))
+        out = np.zeros((pts_a.shape[0], pts_b.shape[0]))
         for i in range(pts_a.shape[0]):
-            out[i] = gauge.value(group, group.multiply(inv_b, pts_a[i]))
+            cols = slice(0, i) if self_dist else slice(None)
+            out[i, cols] = gauge.value(group, group.multiply(inv_b[cols], pts_a[i]))
+        if self_dist:
+            upper = np.triu_indices(pts_a.shape[0], 1)
+            out[upper] = out.T[upper]
         return out
     return _kernels.carnot_dist_matrix(
         pts_a[:, : group.v1],

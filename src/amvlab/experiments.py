@@ -305,8 +305,8 @@ def weak_amv_sweep(
     discretization."""
     radii = check_radii(radii)
     pts = np.asarray(pts, dtype=np.float64)
-    u_vals = mmspace.as_field(cloud, u.value(pts) if hasattr(u, "value") else u(pts))
-    phi_vals = mmspace.as_field(cloud, phi.value(pts) if hasattr(phi, "value") else phi(pts))
+    u_vals = mmspace.as_field(cloud, u(pts))
+    phi_vals = mmspace.as_field(cloud, phi(pts))
     _check_support_margin(pts, phi_vals, meta, radii[0])
     estimates = [
         Estimate(mmspace.weak_pairing(cloud, phi_vals, u_vals, r), 0.0, cloud.n, "cloud")
@@ -335,8 +335,8 @@ def sym_vs_plain_sweep(
     mm-boundary fingerprint of the discretized space."""
     radii = check_radii(radii)
     pts = np.asarray(pts, dtype=np.float64)
-    u_vals = mmspace.as_field(cloud, u.value(pts) if hasattr(u, "value") else u(pts))
-    phi_vals = mmspace.as_field(cloud, phi.value(pts) if hasattr(phi, "value") else phi(pts))
+    u_vals = mmspace.as_field(cloud, u(pts))
+    phi_vals = mmspace.as_field(cloud, phi(pts))
     _check_support_margin(pts, phi_vals, meta, radii[0])
     estimates = []
     for r in radii:

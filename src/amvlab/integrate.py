@@ -208,9 +208,30 @@ def sample_ball(space: ModelSpace, x, r, n: int, seed: SeedSpec, threads: int = 
     return space.sample_ball(x, float(r), n, seed.generator(), threads)
 
 
-def _values(u, pts) -> np.ndarray:
-    vals = u.value(pts) if hasattr(u, "value") else u(pts)
-    return np.asarray(vals, dtype=np.float64)
+def _mc_moments(space: ModelSpace, f, x, r, scheme: MCScheme, threads: int = 1):
+    """Streaming Monte Carlo mean and standard error of f over B_r(x).
+
+    f maps a batch of sample points to one value per point, or to a row of
+    values per point.  Batches are merged by their centred moments (Chan,
+    Golub and LeVeque), never by E[v^2] - E[v]^2, which cancels to a zero
+    variance once the mean dwarfs the spread.
+    """
+    rng = scheme.seed.generator()
+    mean = 0.0
+    m2 = 0.0
+    done = 0
+    while done < scheme.n:
+        m = min(_BATCH, scheme.n - done)
+        vals = np.asarray(f(space.sample_ball(x, r, m, rng, threads)), dtype=np.float64)
+        batch_mean = np.mean(vals, axis=0)
+        sq_dev = vals - batch_mean
+        sq_dev *= sq_dev
+        delta = batch_mean - mean
+        total = done + m
+        mean = mean + delta * (m / total)
+        m2 = m2 + np.sum(sq_dev, axis=0) + (delta * delta) * (done * m / total)
+        done = total
+    return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n)
 
 
 def mean_over_ball(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
@@ -225,32 +246,24 @@ def mean_over_ball(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Esti
             pts = space.group.multiply(np.asarray(x, dtype=np.float64), nodes)
         else:
             raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
-        vals = _values(u, pts)
+        vals = np.asarray(u(pts), dtype=np.float64)
         return Estimate(float(np.sum(weights * vals) / np.sum(weights)), 0.0, weights.size, "grid")
     if isinstance(scheme, MCScheme):
-        rng = scheme.seed.generator()
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < scheme.n:
-            m = min(_BATCH, scheme.n - done)
-            pts = space.sample_ball(x, r, m, rng, threads)
-            vals = _values(u, pts)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            done += m
-        mean = total / scheme.n
-        var = max(total_sq / scheme.n - mean * mean, 0.0)
-        return Estimate(mean, math.sqrt(var / scheme.n), scheme.n, "mc")
+        mean, std_error = _mc_moments(space, u, x, r, scheme, threads)
+        return Estimate(float(mean), float(std_error), scheme.n, "mc")
     raise InputError(f"unknown scheme {scheme!r}")
 
 
 def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
-    """(mean over B_r(x) - u(x)) / r^2."""
+    """Mean of u(y) - u(x) over y in B_r(x), divided by r^2.
+
+    Averaging the difference centres the samples on u(x), so the mean keeps
+    its digits when |u(x)| dwarfs the spread of u over the ball.
+    """
     r = float(r)
-    est = mean_over_ball(space, u, x, r, scheme, threads)
-    ux = float(_values(u, np.asarray(x, dtype=np.float64)[None, :])[0])
-    return Estimate((est.value - ux) / r**2, est.std_error / r**2, est.n, est.method)
+    ux = float(u(np.asarray(x, dtype=np.float64)[None, :])[0])
+    est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme, threads)
+    return Estimate(est.value / r**2, est.std_error / r**2, est.n, est.method)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +343,12 @@ def isotropy_check(
         vals = weights @ (proj * proj) / total_w
         return [Estimate(float(v), 0.0, weights.size, "grid") for v in vals]
     if isinstance(scheme, MCScheme):
-        rng = scheme.seed.generator()
-        total = np.zeros(k)
-        total_sq = np.zeros(k)
-        done = 0
-        while done < scheme.n:
-            m = min(_BATCH, scheme.n - done)
-            pts = space.sample_ball(origin, 1.0, m, rng, threads)
+
+        def squared_projections(pts):
             proj = pts[:, : group.v1] @ directions.T
-            sq = proj * proj
-            total += sq.sum(axis=0)
-            total_sq += (sq * sq).sum(axis=0)
-            done += m
-        mean = total / scheme.n
-        var = np.maximum(total_sq / scheme.n - mean * mean, 0.0)
-        serr = np.sqrt(var / scheme.n)
+            return proj * proj
+
+        mean, serr = _mc_moments(space, squared_projections, origin, 1.0, scheme, threads)
         return [Estimate(float(mean[i]), float(serr[i]), scheme.n, "mc") for i in range(k)]
     raise InputError(f"unknown scheme {scheme!r}")
 

@@ -48,17 +48,6 @@ def _check_r(r) -> float:
     return r
 
 
-def _symmetrized(d: np.ndarray) -> np.ndarray:
-    """Mirror the strict lower triangle of a self-distance matrix.
-
-    The fused Carnot kernel can disagree across the diagonal by one ulp
-    (the bracket sum order transposes); finite spaces require exact
-    symmetry.
-    """
-    lower = np.tril(d, -1)
-    return lower + lower.T
-
-
 class ModelSpace:
     kind = "abstract"
     dim: int  # topological dimension
@@ -107,9 +96,8 @@ class Euclidean(ModelSpace):
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         pts_a = np.atleast_2d(self._pts(pts_a))
-        if pts_b is None:
-            return _symmetrized(_kernels.euclid_dist_matrix(pts_a, pts_a, threads))
-        return _kernels.euclid_dist_matrix(pts_a, np.atleast_2d(self._pts(pts_b)), threads)
+        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
+        return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
 
     def ball_volume(self, x, r):
         r = _check_r(r)
@@ -165,9 +153,8 @@ class HalfSpace(ModelSpace):
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         pts_a = np.atleast_2d(self._pts(pts_a))
-        if pts_b is None:
-            return _symmetrized(_kernels.euclid_dist_matrix(pts_a, pts_a, threads))
-        return _kernels.euclid_dist_matrix(pts_a, np.atleast_2d(self._pts(pts_b)), threads)
+        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
+        return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
 
     def ball_volume(self, x, r):
         r = _check_r(r)
@@ -238,12 +225,7 @@ class FlatCone(ModelSpace):
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         pts_a = np.atleast_2d(self._pts(pts_a))
-        if pts_b is None:
-            out = _kernels.cone_dist_matrix(
-                pts_a[:, 0], pts_a[:, 1], pts_a[:, 0], pts_a[:, 1], self.theta_c, threads
-            )
-            return _symmetrized(out)
-        pts_b = np.atleast_2d(self._pts(pts_b))
+        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
         return _kernels.cone_dist_matrix(
             pts_a[:, 0], pts_a[:, 1], pts_b[:, 0], pts_b[:, 1], self.theta_c, threads
         )
@@ -344,8 +326,6 @@ class CarnotSpace(ModelSpace):
         return _dist(self.group, self.gauge, p, q)
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-        if pts_b is None:
-            return _symmetrized(distance_matrix(self.group, self.gauge, pts_a, pts_a, threads))
         return distance_matrix(self.group, self.gauge, pts_a, pts_b, threads)
 
     def unit_ball_volume(self) -> tuple[float, str]:

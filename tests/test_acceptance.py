@@ -417,7 +417,7 @@ PRODUCERS = {
 
 
 @pytest.mark.slow
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(cli_env):
     mismatched = []
     for name, producer in PRODUCERS.items():
         first = _artifacts.get(name)
@@ -433,10 +433,10 @@ def test_criterion_10_determinism():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([*base, "--threads", "1", "--out", "one.json"], cwd=tmp, check=True,
-                       capture_output=True)
-        subprocess.run([*base, "--threads", "4", "--out", "four.json"], cwd=tmp, check=True,
-                       capture_output=True)
+        subprocess.run([*base, "--threads", "1", "--out", "one.json"], cwd=tmp, env=cli_env,
+                       check=True, capture_output=True)
+        subprocess.run([*base, "--threads", "4", "--out", "four.json"], cwd=tmp, env=cli_env,
+                       check=True, capture_output=True)
         a = json.load(open(f"{tmp}/one.json"))
         b = json.load(open(f"{tmp}/four.json"))
         a["metadata"]["config"]["threads"] = b["metadata"]["config"]["threads"] = 0

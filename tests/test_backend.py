@@ -1,79 +1,62 @@
-"""Numba/numpy backend parity.
+"""Kernel invariants that finite spaces rely on.
 
-The numpy twins perform the same floating-point operations in the same
-order as the compiled loops, so outputs must agree bitwise, and an
-AMVLAB_NUMBA=0 subprocess must reproduce a compiled-backend report byte for
-byte.
+Every self-distance matrix must be exactly symmetric with a zero diagonal
+(FiniteMMSpace rejects anything else), and the ``threads`` argument must
+never change an output bit.  The point counts exceed the fixed row-chunk
+size, so two threads really split the work.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from amvlab import _kernels as k
+from amvlab import carnot as ca
+from amvlab import models as mo
 
-
-requires_numba = pytest.mark.skipif(not k.NUMBA_ENABLED, reason="numba backend not active")
+N = 2500  # > _kernels._CHUNK rows
 
 
 def _rand_group(rng, v1, v2):
     b = rng.uniform(-1, 1, size=(v2, v1, v1))
-    return b - np.swapaxes(b, 1, 2)
+    return ca.CarnotStep2(v1, v2, b - np.swapaxes(b, 1, 2))
 
 
-@requires_numba
-def test_gauge_fourth_bitwise():
-    rng = np.random.default_rng(0)
-    z1 = rng.uniform(-2, 2, size=(5000, 3))
-    z2 = rng.uniform(-2, 2, size=(5000, 2))
-    out_fast = np.empty(5000)
-    out_ref = np.empty(5000)
-    k._gauge_fourth_numba(z1, z2, 16.0, out_fast, 0, 5000)
-    k._gauge_fourth_numpy(z1, z2, 16.0, out_ref, 0, 5000)
-    assert np.array_equal(out_fast, out_ref)
+def _model(space):
+    return lambda pts, threads: space.distance_matrix(pts, threads=threads)
 
 
-@requires_numba
-def test_euclid_dist_bitwise():
-    rng = np.random.default_rng(1)
-    a = rng.uniform(-3, 3, size=(400, 3))
-    b = rng.uniform(-3, 3, size=(300, 3))
-    fast = np.empty((400, 300))
-    ref = np.empty((400, 300))
-    k._euclid_dist_numba(a, b, fast, 0, 400)
-    k._euclid_dist_numpy(a, b, ref, 0, 400)
-    assert np.array_equal(fast, ref)
+def _carnot(group, gauge):
+    return lambda pts, threads: ca.distance_matrix(group, gauge, pts, threads=threads)
 
 
-@requires_numba
-def test_carnot_dist_bitwise():
-    rng = np.random.default_rng(2)
-    bracket = _rand_group(rng, 3, 2)
-    x1 = rng.uniform(-2, 2, size=(300, 3))
-    x2 = rng.uniform(-2, 2, size=(300, 2))
-    y1 = rng.uniform(-2, 2, size=(200, 3))
-    y2 = rng.uniform(-2, 2, size=(200, 2))
-    fast = np.empty((300, 200))
-    ref = np.empty((300, 200))
-    k._carnot_dist_numba(x1, x2, y1, y2, bracket, 4.0, fast, 0, 300)
-    k._carnot_dist_numpy(x1, x2, y1, y2, bracket, 4.0, ref, 0, 300)
-    assert np.array_equal(fast, ref)
+_odd_profile = ca.ProfileGauge(
+    lambda s, z2: np.sqrt(s * s + np.abs(z2[..., 0])) + 0.25 * z2[..., 0], unit_envelope=(1.0, 1.0)
+)
+
+# name -> (self-distance builder, point dimension, lowest coordinate: half-space
+# and cone points need a nonnegative first coordinate)
+SELF_DISTANCES = {
+    "euclidean": (_model(mo.Euclidean(3)), 3, -2.0),
+    "half_space": (_model(mo.HalfSpace(2)), 2, 0.0),
+    "cone": (_model(mo.FlatCone(1.9)), 2, 0.0),
+    "carnot_koranyi": (_carnot(ca.heisenberg(1), ca.Gauge("koranyi")), 3, -2.0),
+    "carnot_scaled": (_carnot(ca.heisenberg(2), ca.Gauge("scaled_koranyi", 16.0)), 5, -2.0),
+    "carnot_random_bracket": (
+        _carnot(_rand_group(np.random.default_rng(5), 3, 2), ca.Gauge("koranyi")), 5, -2.0,
+    ),
+    "carnot_profile": (_carnot(ca.heisenberg(1), _odd_profile), 3, -2.0),
+}
 
 
-@requires_numba
-def test_cone_dist_bitwise():
-    rng = np.random.default_rng(3)
-    rho = rng.uniform(0, 2, size=500)
-    phi = rng.uniform(0, 1.9, size=500)
-    fast = np.empty((500, 500))
-    ref = np.empty((500, 500))
-    k._cone_dist_numba(rho, phi, rho, phi, 1.9, fast, 0, 500)
-    k._cone_dist_numpy(rho, phi, rho, phi, 1.9, ref, 0, 500)
-    assert np.array_equal(fast, ref)
+@pytest.mark.parametrize("name", sorted(SELF_DISTANCES))
+def test_self_distance_exactly_symmetric(name):
+    build, dim, low = SELF_DISTANCES[name]
+    pts = np.random.default_rng(6).uniform(low, 1.9, size=(N, dim))
+    one = build(pts, 1)
+    two = build(pts, 2)
+    assert np.array_equal(one, one.T)
+    assert not np.any(np.diag(one))
+    assert np.array_equal(one, two)
 
 
 def test_threads_bitwise_wrappers():
@@ -82,30 +65,3 @@ def test_threads_bitwise_wrappers():
     one = k.euclid_dist_matrix(pts, pts, threads=1)
     four = k.euclid_dist_matrix(pts, pts, threads=4)
     assert np.array_equal(one, four)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, AMVLAB_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "import amvlab; print(amvlab.backend_name())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@requires_numba
-def test_backends_agree_on_cli_report(tmp_path):
-    """The two backends must produce the same report bytes for a
-    kernel-heavy run (the twins are operation-identical)."""
-    args = [sys.executable, "-m", "amvlab.cli", "amv-sweep", "carnot:heisenberg:1:koranyi",
-            "--field", "hsq", "--point", "0.3,0.2,0.1", "--radii", "0.5:3:0.5",
-            "--scheme", "mc:50000:5", "--tolerance", "0.01"]
-    subprocess.run([*args, "--out", "numba.json"], cwd=tmp_path, check=True, capture_output=True)
-    subprocess.run(
-        [*args, "--out", "numpy.json"], cwd=tmp_path, check=True, capture_output=True,
-        env=dict(os.environ, AMVLAB_NUMBA="0"),
-    )
-    a = json.loads((tmp_path / "numba.json").read_text())
-    b = json.loads((tmp_path / "numpy.json").read_text())
-    a["metadata"]["config"]["out"] = b["metadata"]["config"]["out"] = None
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

@@ -11,10 +11,10 @@ from amvlab.cli import main, parse_point, parse_radii
 from amvlab.mmspace import InputError
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, env):
     return subprocess.run(
         [sys.executable, "-m", "amvlab.cli", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, env=env, capture_output=True, text=True,
     )
 
 
@@ -96,12 +96,12 @@ def test_unknown_field_is_cli_error(tmp_path):
     assert rc == 2
 
 
-def test_threads_do_not_change_bits(tmp_path):
+def test_threads_do_not_change_bits(tmp_path, cli_env):
     base = ["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq",
             "--point", "0,0,0", "--radii", "0.5:4:0.5", "--scheme", "mc:100000:9",
             "--tolerance", "0.01"]
-    p1 = run_cli([*base, "--threads", "1", "--out", "t1.json"], cwd=tmp_path)
-    p4 = run_cli([*base, "--threads", "4", "--out", "t4.json"], cwd=tmp_path)
+    p1 = run_cli([*base, "--threads", "1", "--out", "t1.json"], cwd=tmp_path, env=cli_env)
+    p4 = run_cli([*base, "--threads", "4", "--out", "t4.json"], cwd=tmp_path, env=cli_env)
     assert p1.returncode == 0 and p4.returncode == 0, p1.stderr + p4.stderr
     a = json.loads((tmp_path / "t1.json").read_text())
     b = json.loads((tmp_path / "t4.json").read_text())
@@ -112,12 +112,12 @@ def test_threads_do_not_change_bits(tmp_path):
     assert (tmp_path / "t1.csv").read_text() == (tmp_path / "t4.csv").read_text()
 
 
-def test_repeat_runs_byte_identical(tmp_path):
+def test_repeat_runs_byte_identical(tmp_path, cli_env):
     args = ["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi",
             "tent:0,0:0.3:0.6", "--cloud-cells", "32", "--radii", "0.4:4:0.7",
             "--seed", "11", "--reference", "0", "--tolerance", "0.05"]
-    p1 = run_cli([*args, "--out", "a.json"], cwd=tmp_path)
-    p2 = run_cli([*args, "--out", "b.json"], cwd=tmp_path)
+    p1 = run_cli([*args, "--out", "a.json"], cwd=tmp_path, env=cli_env)
+    p2 = run_cli([*args, "--out", "b.json"], cwd=tmp_path, env=cli_env)
     assert p1.returncode == 0, p1.stderr
     a = json.loads((tmp_path / "a.json").read_text())
     b = json.loads((tmp_path / "b.json").read_text())

@@ -122,6 +122,16 @@ def test_mean_over_ball_constant_exact():
     assert mc.value == pytest.approx(3.7, rel=1e-14) and mc.std_error < 1e-12
 
 
+def test_mc_std_error_survives_large_offset():
+    """Far from the origin u = x1^2 is ~1e12 while its spread over the ball
+    is ~1e4: a variance taken as E[v^2] - E[v]^2 cancels to 0 there."""
+    sq1 = Monomial(2, (2, 0))
+    scheme = it.MCScheme(200_000, it.SeedSpec(3))
+    est = it.continuum_r_laplacian(mo.Euclidean(2), sq1, np.array([1e6, 0.0]), 1e-2, scheme)
+    assert est.std_error > 0
+    assert abs(est.value - 0.25) <= 3 * est.std_error
+
+
 def test_mean_over_ball_carnot(h1, koranyi):
     space = mo.CarnotSpace(h1, koranyi)
     hsq = ca.horizontal_sqnorm(h1)

@@ -125,15 +125,25 @@ def default_cloud(space, cells: int, seed: int, threads: int = 1):
     raise InputError(f"no canned cloud for the {space.kind} kind")
 
 
-def _write_report(report: experiments.ExperimentReport, cfg: RunConfig) -> str:
-    report.metadata["config"] = cfg.to_dict()
-    report.metadata["version"] = __version__
-    out = cfg.out or f"{cfg.command}.json"
+def _write_report(report, cfg: RunConfig, out: str | None = None) -> str:
+    """Write a report as sorted, 2-space-indented JSON with the run
+    configuration attached, and return its path (default <command>.json).
+
+    An ExperimentReport also records the package version and gets its CSV
+    table written alongside; any other report is a plain dict.
+    """
+    out = out or cfg.out or f"{cfg.command}.json"
+    if isinstance(report, experiments.ExperimentReport):
+        report.metadata["config"] = cfg.to_dict()
+        report.metadata["version"] = __version__
+        csv_path = out[:-5] + ".csv" if out.endswith(".json") else out + ".csv"
+        with open(csv_path, "w") as f:
+            f.write(report.to_csv())
+        text = report.to_json()
+    else:
+        text = json.dumps({**report, "config": cfg.to_dict()}, sort_keys=True, indent=2)
     with open(out, "w") as f:
-        f.write(report.to_json() + "\n")
-    csv_path = out[:-5] + ".csv" if out.endswith(".json") else out + ".csv"
-    with open(csv_path, "w") as f:
-        f.write(report.to_csv())
+        f.write(text + "\n")
     return out
 
 
@@ -174,11 +184,7 @@ def cmd_identities(args) -> int:
         extras={"count": args.count, "size_max": args.size_max, "fault_inject": args.fault_inject},
     )
     summary = mmspace.run_identity_suite(args.count, args.size_max, args.seed, args.fault_inject)
-    summary["config"] = cfg.to_dict()
-    out = cfg.out or "identities.json"
-    with open(out, "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    out = _write_report(summary, cfg)
     worst = max(summary["worst"].values()) if summary["worst"] else 0.0
     status = "PASS" if summary["ok"] else "FAIL"
     print(f"{status} identities: {args.count} instances, worst residual {worst!r} -> {out}")
@@ -270,15 +276,9 @@ def cmd_carnot_constant(args) -> int:
         group, gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
         grid_res=args.grid_res, threads=args.threads,
     )
-    out = cfg.out or "carnot-constant.json"
-    payload = {
-        "grid": json.loads(grid_est.to_json()),
-        "mc": json.loads(mc_est.to_json()),
-        "config": cfg.to_dict(),
-    }
-    with open(out, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    out = _write_report(
+        {"grid": json.loads(grid_est.to_json()), "mc": json.loads(mc_est.to_json())}, cfg
+    )
     print(f"PASS carnot-constant: grid {grid_est.value!r} mc {mc_est.value!r} -> {out}")
     return 0
 
@@ -298,16 +298,14 @@ def cmd_isotropy(args) -> int:
     )
     vals = [e.value for e in ests]
     ratio = max(vals) / min(vals)
-    out = cfg.out or "isotropy.json"
-    payload = {
-        "estimates": [json.loads(e.to_json()) for e in ests],
-        "directions": dirs.tolist(),
-        "max_over_min": ratio,
-        "config": cfg.to_dict(),
-    }
-    with open(out, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    out = _write_report(
+        {
+            "estimates": [json.loads(e.to_json()) for e in ests],
+            "directions": dirs.tolist(),
+            "max_over_min": ratio,
+        },
+        cfg,
+    )
     ok = ratio <= 1.0 + args.tolerance
     print(f"{'PASS' if ok else 'FAIL'} isotropy: max/min {ratio!r} over {args.directions} directions -> {out}")
     return 0 if ok else 1
@@ -326,24 +324,19 @@ def cmd_dirichlet(args) -> int:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            tok = ln.split()
-            if len(tok) != 2:
-                raise InputError(f"boundary mask lines are '<index> <value>', got {ln!r}")
-            boundary_idx.append(int(tok[0]))
-            boundary_val.append(float(tok[1]))
+            try:
+                idx, val = ln.split()
+                boundary_idx.append(int(idx))
+                boundary_val.append(float(val))
+            except ValueError:
+                raise InputError(f"boundary mask lines are '<index> <value>', got {ln!r}") from None
     interior = np.setdiff1d(np.arange(space.n), np.asarray(boundary_idx, dtype=int))
     part = dirichlet.BoundaryPartition(interior, boundary_idx, boundary_val)
     u = dirichlet.solve(space, part, args.r)
     out = cfg.out or "dirichlet-solution.txt"
     mmspace.save_field(u, out)
     resid = dirichlet.residual(space, part, u, args.r)
-    report_path = out + ".json"
-    with open(report_path, "w") as f:
-        json.dump(
-            {"residual": resid, "interior": interior.tolist(), "config": cfg.to_dict()},
-            f, sort_keys=True, indent=2,
-        )
-        f.write("\n")
+    _write_report({"residual": resid, "interior": interior.tolist()}, cfg, out + ".json")
     print(f"PASS dirichlet: residual {resid!r} -> {out}")
     return 0
 
@@ -500,7 +493,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, models.NumericError) as exc:
+    except (InputError, models.NumericError, OSError) as exc:
         print(f"ERROR {args.command}: {exc}", file=sys.stderr)
         return 2
 

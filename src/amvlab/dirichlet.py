@@ -6,6 +6,9 @@ every interior point: the energy is (1/2) sum_xy w_xy (u(y) - u(x))^2 with
 graph weights w_xy = m(x) m(y) k_r(x,y) / r^2 >= 0, so the stationary
 system is a symmetric positive semidefinite graph Laplacian, positive
 definite when every interior point reaches the boundary through r-chains.
+The solver assembles only the interior rows of that Laplacian and hands
+them to library routines: scipy.sparse.csgraph for boundary reachability,
+LU for small systems and scipy's conjugate gradients for large ones.
 
 The barrier-field construction used in the pointwise-to-everywhere
 regularity upgrade on step-2 groups ships as an analytic catalog field so
@@ -18,6 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import cg
 
 from . import mmspace
 from .carnot import CarnotStep2, Gauge, gauge_value, horizontal_sqnorm
@@ -61,56 +67,40 @@ class BoundaryPartition:
             raise InputError("need at least one boundary point")
 
 
-def _weights(space: FiniteMMSpace, r: float) -> np.ndarray:
-    w = mmspace.kernel_matrix(space, r) * (space.mass[:, None] * space.mass[None, :]) / r**2
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, r: float) -> None:
-    adj = space.dist < r
-    np.fill_diagonal(adj, False)
-    if not np.all(adj[part.interior].any(axis=1)):
-        lonely = part.interior[~adj[part.interior].any(axis=1)]
-        raise InputError(f"interior points with no neighbor within r: {lonely.tolist()}")
-    # breadth-first reachability from the boundary
-    reached = np.zeros(space.n, dtype=bool)
-    frontier = np.zeros(space.n, dtype=bool)
-    frontier[part.boundary] = True
-    reached |= frontier
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~reached
-        reached |= nxt
-        frontier = nxt
-    missing = part.interior[~reached[part.interior]]
+def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, near: np.ndarray) -> None:
+    """Every interior point must share a component of the r-neighbour graph
+    with some boundary point.  A path from the boundary never needs to pass
+    through another boundary point, so the interior rows' edges suffice."""
+    rows, cols = np.nonzero(near)
+    graph = sparse.coo_array(
+        (np.ones(rows.size), (part.interior[rows], cols)), shape=(space.n, space.n)
+    )
+    _, label = connected_components(graph, directed=False)
+    anchored = np.zeros(space.n, dtype=bool)
+    anchored[label[part.boundary]] = True
+    missing = part.interior[~anchored[label[part.interior]]]
     if missing.size:
         raise DisconnectedInteriorError(missing)
 
 
-def _cg(a_mat: np.ndarray, b: np.ndarray, rel_tol: float = 1e-14) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients on an SPD matrix."""
-    d = np.diag(a_mat).copy()
-    d[d <= 0] = 1.0
-    x = np.zeros_like(b)
-    res = b.copy()
-    z = res / d
-    p = z.copy()
-    rz = float(res @ z)
-    b_norm = math.sqrt(float(b @ b))
-    if b_norm == 0.0:
-        return x
-    for _ in range(10 * b.size + 50):
-        ap = a_mat @ p
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        res -= alpha * ap
-        if math.sqrt(float(res @ res)) <= rel_tol * b_norm:
-            break
-        z = res / d
-        rz_new = float(res @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x
+def _interior_system(space: FiniteMMSpace, part: BoundaryPartition, r: float):
+    """Interior block A and right-hand side of the stationarity system.
+
+    Only the interior rows x of the graph weights w_xy are formed; with a
+    zero diagonal, A = diag(row sums of w) - w[:, interior] and the boundary
+    values enter as rhs = w[:, boundary] @ g.
+    """
+    idx_i = part.interior
+    near = space.dist[idx_i] < r
+    _check_connectivity(space, part, near)
+    inv = 1.0 / mmspace.ball_masses(space, r)
+    w = np.where(near, 0.5 * (inv[idx_i, None] + inv[None, :]), 0.0)
+    w = w * (space.mass[idx_i, None] * space.mass[None, :]) / r**2
+    w[np.arange(idx_i.size), idx_i] = 0.0
+    # take() keeps the column blocks C-ordered, so the products below
+    # sum in the same order as on a full row-major Laplacian
+    a_mat = np.diag(w.sum(axis=1)) - w.take(idx_i, axis=1)
+    return a_mat, w.take(part.boundary, axis=1) @ part.g
 
 
 def solve(
@@ -122,27 +112,28 @@ def solve(
 ) -> np.ndarray:
     """Unique r-energy minimizer with the given boundary values.
 
-    Interior values satisfy the symmetrized-laplacian stationarity system;
-    because the graph weights are nonnegative, they are convex combinations
-    of neighbor values and the maximum principle holds.  The residual
-    max |sym laplacian| over the interior is checked against
-    residual_tol * max|g|.
+    The interior system (see _interior_system) is solved by LU up to
+    dense_cutoff interior points and above it by scipy's conjugate
+    gradients on CSR with a Jacobi preconditioner.  Interior values satisfy
+    the symmetrized-laplacian stationarity system; because the graph
+    weights are nonnegative, they are convex combinations of neighbor
+    values and the maximum principle holds.  The residual
+    max |sym laplacian| over the interior, computed independently by
+    mmspace.sym_r_laplacian, is checked against residual_tol * max|g|.
     """
     r = mmspace.check_radius(r)
     part.validate(space)
-    _check_connectivity(space, part, r)
-    w = _weights(space, r)
-    lap = np.diag(w.sum(axis=1)) - w
-    idx_i, idx_b = part.interior, part.boundary
+    a_mat, rhs = _interior_system(space, part, r)
     u = np.zeros(space.n)
-    u[idx_b] = part.g
-    if idx_i.size:
-        a_mat = lap[np.ix_(idx_i, idx_i)]
-        rhs = -lap[np.ix_(idx_i, idx_b)] @ part.g
-        if idx_i.size <= dense_cutoff:
-            u[idx_i] = np.linalg.solve(a_mat, rhs)
-        else:
-            u[idx_i] = _cg(a_mat, rhs)
+    u[part.boundary] = part.g
+    k = part.interior.size
+    if k <= dense_cutoff:
+        u[part.interior] = np.linalg.solve(a_mat, rhs)
+    else:
+        jacobi = sparse.diags_array(1.0 / np.diag(a_mat))
+        u[part.interior], _ = cg(
+            sparse.csr_array(a_mat), rhs, rtol=1e-14, atol=0.0, maxiter=10 * k + 50, M=jacobi
+        )
     scale = float(np.max(np.abs(part.g), initial=0.0))
     resid = residual(space, part, u, r)
     if resid > residual_tol * max(scale, 1e-300) and scale > 0:
@@ -231,7 +222,7 @@ def bpz_demo(
         cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads)
         u_vals = u_field.value(pts)
         part = gauge_ball_partition(space, gauge_vals, R, r, u_vals)
-        sol = solve(space=cloud, part=part, r=r, dense_cutoff=500)
+        sol = solve(space=cloud, part=part, r=r)
         gap = float(np.max(np.abs(sol[part.interior] - u_vals[part.interior]), initial=0.0))
         estimates.append(Estimate(gap, 0.0, cloud.n, "cloud"))
         sizes.append(cloud.n)

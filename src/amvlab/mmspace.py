@@ -267,14 +267,21 @@ def load_space(path_or_file) -> FiniteMMSpace:
         raise InputError("point count must be >= 1")
     if len(lines) != n + 1:
         raise InputError(f"expected {n + 1} content lines for n={n}, got {len(lines)}")
+
+    def numbers(k):
+        try:
+            return [float(tok) for tok in lines[k].split()]
+        except ValueError:
+            raise InputError(f"content line {k + 1} is not all numbers: {lines[k]!r}") from None
+
     dist = np.zeros((n, n))
     for i in range(1, n):
-        row = [float(tok) for tok in lines[i].split()]
+        row = numbers(i)
         if len(row) != i:
             raise InputError(f"distance row {i + 1} must have {i} entries, got {len(row)}")
         dist[i, :i] = row
         dist[:i, i] = row
-    mass = np.array([float(tok) for tok in lines[n].split()])
+    mass = np.array(numbers(n))
     if mass.shape != (n,):
         raise InputError(f"mass line must have {n} entries, got {mass.shape[0]}")
     return FiniteMMSpace(dist, mass)

@@ -96,6 +96,30 @@ def test_unknown_field_is_cli_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("mask.txt", "0 0.0\n2 abc\n", "'2 abc'"),
+        ("space.txt", "3\n1.0\nx 1.0\n1 1 1\n", "'x 1.0'"),
+        ("space.txt", None, "No such file"),
+    ],
+    ids=["mask-token", "space-token", "missing-file"],
+)
+def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    mm.save_space(mm.FiniteMMSpace(d, np.ones(3)), tmp_path / "space.txt")
+    (tmp_path / "mask.txt").write_text("0 0.0\n2 6.0\n")
+    if text is None:
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_text(text)
+    rc = main(["dirichlet", str(tmp_path / "space.txt"), str(tmp_path / "mask.txt"),
+               "--r", "1.5", "--out", str(tmp_path / "sol.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR dirichlet:") and message in err
+
+
 def test_threads_do_not_change_bits(tmp_path, cli_env):
     base = ["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq",
             "--point", "0,0,0", "--radii", "0.5:4:0.5", "--scheme", "mc:100000:9",

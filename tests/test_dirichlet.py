@@ -69,12 +69,18 @@ def test_random_instances_minimality_and_max_principle():
 def test_interior_operator_spd():
     rng = np.random.default_rng(5)
     space, part, r = random_problem(rng, 25)
-    w = di._weights(space, r)
+    # reference: the full graph Laplacian from the kernel matrix
+    w = mm.kernel_matrix(space, r) * np.outer(space.mass, space.mass) / r**2
+    np.fill_diagonal(w, 0.0)
     lap = np.diag(w.sum(axis=1)) - w
     sub = lap[np.ix_(part.interior, part.interior)]
     np.testing.assert_allclose(sub, sub.T, atol=1e-14)
     eigs = np.linalg.eigvalsh(sub)
     assert eigs.min() > 0  # positive definite under boundary connectivity
+    ref = np.linalg.solve(sub, -lap[np.ix_(part.interior, part.boundary)] @ part.g)
+    for cutoff in (500, 0):  # LU and conjugate-gradient branches
+        u = di.solve(space, part, r, dense_cutoff=cutoff)
+        np.testing.assert_allclose(u[part.interior], ref, rtol=0, atol=1e-12)
 
 
 def test_disconnected_interior_error():
@@ -94,6 +100,17 @@ def test_lonely_interior_point_error():
     part = di.BoundaryPartition([2], [0, 1], [1.0, 2.0])
     with pytest.raises(InputError):
         di.solve(space, part, 1.5)
+
+
+def test_every_unreachable_interior_point_is_listed():
+    # 0-1 boundary pair, 2-3 an interior pair cut off from it, 4 a lonely
+    # interior point; 5 is interior but reaches the boundary through 1
+    pos = np.array([0.0, 1.0, 10.0, 11.0, 20.0, 2.0])
+    space = mm.FiniteMMSpace(np.abs(pos[:, None] - pos[None, :]), np.ones(6))
+    part = di.BoundaryPartition([2, 3, 4, 5], [0, 1], [1.0, 2.0])
+    with pytest.raises(di.DisconnectedInteriorError) as err:
+        di.solve(space, part, 1.5)
+    assert err.value.component == [2, 3, 4]
 
 
 def test_partition_validation(line3):

@@ -10,8 +10,8 @@ discontinuity; callers should perturb such radii (see
 Scalar fields are plain one-dimensional float arrays indexed in point
 order.  All operations are pure functions; summations run in fixed
 index-ascending order so results do not depend on evaluation layout.
-Row-blocked evaluation keeps memory at O(block * n) for large point
-clouds.
+Row blocks (``_kernels.row_blocks``) keep each n x n temporary near 1 MiB;
+every row still sums all n entries, so the block size never changes a bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import io
 
 import numpy as np
 
-_BLOCK = 1024
+from ._kernels import row_blocks
 
 
 class InputError(ValueError):
@@ -49,7 +49,12 @@ class FiniteMMSpace:
             raise InputError("dist must be nonnegative")
         if np.any(np.diag(dist) != 0):
             raise InputError("dist must have a zero diagonal")
-        if not np.array_equal(dist, dist.T):
+        # cache-sized tiles of the upper triangle vs their mirrors (dist.T strides columns)
+        t = 64
+        if not all(
+            np.array_equal(dist[i : i + t, j : j + t], dist[j : j + t, i : i + t].T)
+            for i in range(0, n, t) for j in range(i, n, t)
+        ):
             raise InputError("dist must be symmetric")
         if np.any(mass <= 0):
             raise InputError("mass must be positive")
@@ -112,8 +117,7 @@ def ball_masses(space: FiniteMMSpace, r) -> np.ndarray:
     """mu(B_r(x)) for every x, in point order."""
     r = check_radius(r)
     out = np.empty(space.n)
-    for s in range(0, space.n, _BLOCK):
-        e = min(s + _BLOCK, space.n)
+    for s, e in row_blocks(space.n, space.n):
         w = space.dist[s:e] < r
         out[s:e] = (w * space.mass[None, :]).sum(axis=1)
     return out
@@ -125,8 +129,7 @@ def average(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
     um = u * space.mass
     out = np.empty(space.n)
-    for s in range(0, space.n, _BLOCK):
-        e = min(s + _BLOCK, space.n)
+    for s, e in row_blocks(space.n, space.n):
         w = space.dist[s:e] < r
         out[s:e] = (w * um[None, :]).sum(axis=1) / (w * space.mass[None, :]).sum(axis=1)
     return out
@@ -138,8 +141,7 @@ def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
     coef = u * space.mass / ball_masses(space, r)
     out = np.empty(space.n)
-    for s in range(0, space.n, _BLOCK):
-        e = min(s + _BLOCK, space.n)
+    for s, e in row_blocks(space.n, space.n):
         w = space.dist[s:e] < r
         out[s:e] = (w * coef[None, :]).sum(axis=1)
     return out
@@ -181,8 +183,7 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
     inv = 1.0 / ball_masses(space, r)
     out = np.empty(space.n)
-    for s in range(0, space.n, _BLOCK):
-        e = min(s + _BLOCK, space.n)
+    for s, e in row_blocks(space.n, space.n):
         w = space.dist[s:e] < r
         k = 0.5 * (inv[s:e, None] + inv[None, :]) * w
         out[s:e] = (k * (u[None, :] - u[s:e, None]) * space.mass[None, :]).sum(axis=1)
@@ -204,8 +205,7 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
     v = as_field(space, v)
     r = check_radius(r)
     out = np.empty(space.n)
-    for s in range(0, space.n, _BLOCK):
-        e = min(s + _BLOCK, space.n)
+    for s, e in row_blocks(space.n, space.n):
         w = space.dist[s:e] < r
         du = u[None, :] - u[s:e, None]
         dv = v[None, :] - v[s:e, None]

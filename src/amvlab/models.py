@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -609,6 +610,16 @@ class CloudMeta:
         return self._boundary_distance(np.asarray(pts, dtype=np.float64))
 
 
+def _dense_cloud(space: ModelSpace, pts, mass, threads: int) -> FiniteMMSpace:
+    """The cloud as a dense finite space; refuses, before allocating, a
+    distance matrix larger than the machine's physical memory."""
+    n, phys = pts.shape[0], os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * n > phys:
+        raise InputError(f"a cloud of n={n} points needs a {8 * n * n / 1e9:.1f} GB distance "
+                         f"matrix, more than the {phys / 1e9:.1f} GB of physical memory")
+    return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
+
+
 def _jitter_grid(lo, hi, cells, rng):
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -628,8 +639,7 @@ def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, th
     hi = np.asarray(hi, dtype=np.float64)
     cells = np.full(space.dim, int(cells_per_axis))
     pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    dist = space.distance_matrix(pts, threads=threads)
-    fms = FiniteMMSpace(dist, np.full(pts.shape[0], cell_vol))
+    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
 
     def boundary_distance(q):
         return np.minimum((q - lo).min(axis=-1), (hi - q).min(axis=-1))
@@ -652,8 +662,7 @@ def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, t
     if cells.ndim == 0:
         cells = np.full(space.dim, int(cells))
     pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    dist = space.distance_matrix(pts, threads=threads)
-    fms = FiniteMMSpace(dist, np.full(pts.shape[0], cell_vol))
+    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
 
     def boundary_distance(q):
         lateral = np.minimum((q[..., 1:] - lo[1:]).min(axis=-1), (hi[1:] - q[..., 1:]).min(axis=-1))
@@ -682,8 +691,7 @@ def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: in
         masses.append(np.full(n_phi, area))
     pts = np.concatenate(pts, axis=0)
     masses = np.concatenate(masses)
-    dist = space.distance_matrix(pts, threads=threads)
-    fms = FiniteMMSpace(dist, masses)
+    fms = _dense_cloud(space, pts, masses, threads)
 
     def boundary_distance(q):
         return rho_max - q[..., 0]
@@ -709,8 +717,7 @@ def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: i
     vals = space.gauge.value(g, pts, threads)
     keep = vals <= R
     pts = pts[keep]
-    dist = space.distance_matrix(pts, threads=threads)
-    fms = FiniteMMSpace(dist, np.full(pts.shape[0], cell_vol))
+    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
     gauge_vals = vals[keep]
 
     def boundary_distance(q):

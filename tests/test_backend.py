@@ -1,9 +1,9 @@
 """Kernel invariants that finite spaces rely on.
 
 Every self-distance matrix must be exactly symmetric with a zero diagonal
-(FiniteMMSpace rejects anything else), and the ``threads`` argument must
-never change an output bit.  The point counts exceed the fixed row-chunk
-size, so two threads really split the work.
+(FiniteMMSpace rejects anything else), and neither the ``threads`` argument
+nor the row-block size (``_kernels.row_blocks``) may change an output bit.
+The point counts span many row blocks, so two threads really split the work.
 """
 
 import numpy as np
@@ -11,9 +11,10 @@ import pytest
 
 from amvlab import _kernels as k
 from amvlab import carnot as ca
+from amvlab import mmspace as mm
 from amvlab import models as mo
 
-N = 2500  # > _kernels._CHUNK rows
+N = 2500  # 52 rows per block at the default entry budget
 
 
 def _rand_group(rng, v1, v2):
@@ -65,3 +66,27 @@ def test_threads_bitwise_wrappers():
     one = k.euclid_dist_matrix(pts, pts, threads=1)
     four = k.euclid_dist_matrix(pts, pts, threads=4)
     assert np.array_equal(one, four)
+
+
+def test_block_size_never_changes_a_bit(monkeypatch):
+    cloud, _, _ = mo.euclidean_cloud(mo.Euclidean(2), [-1.0, -1.0], [1.0, 1.0], 17, seed=2)
+    u, v = np.random.default_rng(3).standard_normal((2, cloud.n))
+    r = 0.4
+
+    def outputs():
+        out = [
+            mm.ball_masses(cloud, r), mm.average(cloud, u, r), mm.adjoint_average(cloud, u, r),
+            mm.sym_r_laplacian(cloud, u, r), mm.energy_density(cloud, u, v, r),
+        ]
+        for name in ("euclidean", "cone", "carnot_koranyi", "carnot_random_bracket"):
+            build, dim, low = SELF_DISTANCES[name]
+            pts = np.random.default_rng(7).uniform(low, 1.9, size=(300, dim))
+            out += [build(pts, 1), build(pts, 2)]
+        z = np.random.default_rng(9).uniform(-1, 1, size=(300, 5))
+        out += [k.gauge_fourth(z[:, :3], z[:, 3:], 16.0, threads) for threads in (1, 2)]
+        return out
+
+    default = outputs()
+    for budget in (1, 1 << 40):  # one row per block; a single block
+        monkeypatch.setattr(k, "_BLOCK_ENTRIES", budget)
+        assert all(np.array_equal(a, b) for a, b in zip(default, outputs(), strict=True))

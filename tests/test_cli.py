@@ -1,4 +1,7 @@
 import json
+import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -118,6 +121,28 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR dirichlet:") and message in err
+
+
+def test_cloud_beyond_physical_memory_exits_2(tmp_path, cli_env):
+    # 256 cells per axis is n=65536, a 34.4 GB distance matrix (more cells on
+    # a host with more memory); the guard must refuse it before allocating.
+    # The address-space cap only keeps a build without the guard from taking
+    # the machine's memory.
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    cells = max(256, math.ceil((phys / 8) ** 0.25) + 1)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (6 << 30, 6 << 30))
+
+    p = subprocess.run(
+        [sys.executable, "-m", "amvlab.cli", "sym-vs-plain", "euclidean:2", "--field", "harmonic3",
+         "--phi", "tent:0,0:0.3:0.6", "--cloud-cells", str(cells), "--out", "big.json"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("ERROR sym-vs-plain:")
+    assert f"n={cells**2} " in p.stderr and f"{8 * cells**4 / 1e9:.1f} GB" in p.stderr
+    assert not (tmp_path / "big.json").exists()
 
 
 def test_threads_do_not_change_bits(tmp_path, cli_env):

@@ -161,6 +161,41 @@ def test_validation_errors():
         mm.as_field(sp, [1.0, 2.0])
 
 
+def _symmetric_130():
+    # 130 points: two full 64-point tiles per side and a partial third
+    d = np.triu(np.random.default_rng(8).uniform(0.1, 2.0, size=(130, 130)), 1)
+    return d + d.T
+
+
+@pytest.mark.parametrize("ij", [(129, 3), (3, 129), (70, 10), (10, 70)])
+def test_symmetry_check_sees_every_tile(ij):
+    d = _symmetric_130()
+    mm.FiniteMMSpace(d, np.ones(130))
+    d[ij] = np.nextafter(d[ij], np.inf)  # one ulp
+    with pytest.raises(mm.InputError, match="^dist must be symmetric$"):
+        mm.FiniteMMSpace(d, np.ones(130))
+
+
+def test_validation_order():
+    # all four faults at once; each check must fire before the later ones,
+    # and mending the fault it names lets the next check fire
+    d = _symmetric_130()
+    d[10, 70] = np.nan
+    d[70, 10] = -1.0
+    d[5, 5] = 0.5
+    d[129, 3] += 1.0
+    for message, (i, j, mended) in [
+        ("dist and mass must be finite", (10, 70, 1.0)),
+        ("dist must be nonnegative", (70, 10, 1.0)),
+        ("dist must have a zero diagonal", (5, 5, 0.0)),
+        ("dist must be symmetric", (129, 3, d[3, 129])),
+    ]:
+        with pytest.raises(mm.InputError, match=f"^{message}$"):
+            mm.FiniteMMSpace(d, np.ones(130))
+        d[i, j] = mended
+    mm.FiniteMMSpace(d, np.ones(130))
+
+
 def test_serialization_roundtrip_exact():
     rng = np.random.default_rng(5)
     space = mm.random_space(rng, 17)

@@ -10,6 +10,7 @@ goes to the declared output path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -19,13 +20,12 @@ import numpy as np
 
 from . import __version__, dirichlet, experiments, integrate, mmspace, models
 from .carnot import (
-    Gauge,
     coordinate,
     fundamental_power,
     gauge_power,
-    heisenberg,
     horizontal_sqnorm,
     layer2_coordinate,
+    sub_laplacian,
 )
 from .fields import ConeTent, Monomial, ShiftedSquareNorm, Tent, harmonic_cubic
 from .mmspace import InputError
@@ -48,61 +48,71 @@ class RunConfig:
     threads: int = 1
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+@contextlib.contextmanager
+def _malformed(kind: str, spec: str):
+    """Report a ValueError raised while parsing spec as an InputError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"malformed {kind} spec {spec!r}: {exc}") from None
 
 
 def parse_radii(spec: str) -> list[float]:
     """Either a comma list '0.5,0.25' or a geometric 'r0:count:ratio'."""
-    if ":" in spec:
+    with _malformed("radii", spec):
+        if ":" not in spec:
+            return experiments.check_radii([float(v) for v in spec.split(",")])
         tok = spec.split(":")
         if len(tok) != 3:
-            raise InputError(f"geometric radii spec must be r0:count:ratio, got {spec!r}")
+            raise InputError("a geometric radii spec is r0:count:ratio")
         return experiments.default_radii(float(tok[0]), int(tok[1]), float(tok[2]))
-    return experiments.check_radii([float(v) for v in spec.split(",")])
 
 
 def parse_point(spec: str) -> np.ndarray:
-    return np.array([float(v) for v in spec.split(",")], dtype=np.float64)
+    with _malformed("point", spec):
+        return np.array([float(v) for v in spec.split(",")], dtype=np.float64)
 
 
 def build_field(space, name: str):
     """Field catalog by CLI name; see README for the list."""
     tok = name.split(":")
     dim = space.dim
-    if tok[0] in ("sq1", "sq2", "sq3"):
-        i = int(tok[0][2]) - 1
-        if i >= dim:
-            raise InputError(f"{tok[0]} needs at least {i + 1} coordinates")
-        exps = [0] * dim
-        exps[i] = 2
-        return Monomial(dim, exps)
-    if tok[0] == "coord" and len(tok) == 2:
-        return coordinate(dim, int(tok[1]) - 1)
-    if tok[0] == "monomial" and len(tok) == 2:
-        return Monomial(dim, [int(e) for e in tok[1].split(",")])
-    if tok[0] == "harmonic3":
-        return harmonic_cubic(dim)
-    if tok[0] == "hsq":
+    with _malformed("field", name):
+        if tok[0] in ("sq1", "sq2", "sq3"):
+            i = int(tok[0][2]) - 1
+            if i >= dim:
+                raise InputError(f"{tok[0]} needs at least {i + 1} coordinates")
+            exps = [0] * dim
+            exps[i] = 2
+            return Monomial(dim, exps)
+        if tok[0] == "coord" and len(tok) == 2:
+            return coordinate(dim, int(tok[1]) - 1)
+        if tok[0] == "monomial" and len(tok) == 2:
+            return Monomial(dim, [int(e) for e in tok[1].split(",")])
+        if tok[0] == "harmonic3":
+            return harmonic_cubic(dim)
+        if tok[0] == "hsq":
+            if isinstance(space, CarnotSpace):
+                return horizontal_sqnorm(space.group)
+            return ShiftedSquareNorm(dim, 0, dim)
         if isinstance(space, CarnotSpace):
-            return horizontal_sqnorm(space.group)
-        return ShiftedSquareNorm(dim, 0, dim)
-    if isinstance(space, CarnotSpace):
-        if tok[0] == "layer2" and len(tok) == 2:
-            return layer2_coordinate(space.group, int(tok[1]) - 1)
-        if tok[0] == "folland":
-            return fundamental_power(space.group)
-        if tok[0] == "gaugepow" and len(tok) == 2:
-            return gauge_power(space.group, space.gauge, float(tok[1]))
+            if tok[0] == "layer2" and len(tok) == 2:
+                return layer2_coordinate(space.group, int(tok[1]) - 1)
+            if tok[0] == "folland":
+                return fundamental_power(space.group)
+            if tok[0] == "gaugepow" and len(tok) == 2:
+                return gauge_power(space.group, space.gauge, float(tok[1]))
     raise InputError(f"unknown field {name!r} for space kind {space.kind!r}")
 
 
 def build_phi(space, name: str):
     tok = name.split(":")
-    if tok[0] == "tent" and len(tok) == 4:
-        return Tent(space.dim, parse_point(tok[1]), float(tok[2]), float(tok[3]))
-    if tok[0] == "conetent" and len(tok) == 3:
-        return ConeTent(float(tok[1]), float(tok[2]))
+    with _malformed("pairing function", name):
+        if tok[0] == "tent" and len(tok) == 4:
+            return Tent(space.dim, parse_point(tok[1]), float(tok[2]), float(tok[3]))
+        if tok[0] == "conetent" and len(tok) == 3:
+            return ConeTent(float(tok[1]), float(tok[2]))
     raise InputError(f"unknown pairing function {name!r}")
 
 
@@ -134,14 +144,14 @@ def _write_report(report, cfg: RunConfig, out: str | None = None) -> str:
     """
     out = out or cfg.out or f"{cfg.command}.json"
     if isinstance(report, experiments.ExperimentReport):
-        report.metadata["config"] = cfg.to_dict()
+        report.metadata["config"] = asdict(cfg)
         report.metadata["version"] = __version__
         csv_path = out[:-5] + ".csv" if out.endswith(".json") else out + ".csv"
         with open(csv_path, "w") as f:
             f.write(report.to_csv())
         text = report.to_json()
     else:
-        text = json.dumps({**report, "config": cfg.to_dict()}, sort_keys=True, indent=2)
+        text = json.dumps({**report, "config": asdict(cfg)}, sort_keys=True, indent=2)
     with open(out, "w") as f:
         f.write(text + "\n")
     return out
@@ -162,8 +172,6 @@ def _auto_reference(space, u, x) -> float | None:
             tr = float(np.trace(u.hessian(x[None, :])[0]))
             return tr / (2.0 * (space.dim + 2))
         if isinstance(space, CarnotSpace):
-            from .carnot import sub_laplacian
-
             c = integrate.carnot_constant(space.group, space.gauge, integrate.GridScheme(24))
             return c.value * float(sub_laplacian(space.group, u, x[None, :])[0])
     except (NotImplementedError, InputError, models.NumericError):
@@ -220,7 +228,8 @@ def cmd_strong_scan(args) -> int:
     if not isinstance(space, CarnotSpace):
         raise InputError("strong-scan grids are gauge annuli; use a carnot space")
     u = build_field(space, args.field)
-    lo, hi = (float(v) for v in args.annulus.split(","))
+    with _malformed("annulus", args.annulus):
+        lo, hi = (float(v) for v in args.annulus.split(","))
     grid = experiments.gauge_annulus_grid(space, lo, hi, args.grid_size, args.seed)
     report = experiments.strong_amv_scan(
         space, u, grid, parse_radii(args.radii), integrate.parse_scheme(args.scheme),
@@ -237,10 +246,10 @@ def cmd_weak_sweep(args, sym: bool = False) -> int:
         threads=args.threads, extras={"cloud_cells": args.cloud_cells},
     )
     space = models.parse_space(args.space)
-    cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads)
     u = build_field(space, args.field)
     phi = build_phi(space, args.phi)
     radii = parse_radii(args.radii)
+    cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads)
     fn = experiments.sym_vs_plain_sweep if sym else experiments.weak_amv_sweep
     report = fn(cloud, pts, meta, u, phi, radii, reference=args.reference, tolerance=args.tolerance)
     return _finish(report, cfg)
@@ -271,14 +280,12 @@ def cmd_carnot_constant(args) -> int:
         scheme=f"mc:{args.mc_n}:{args.seed}", seed=args.seed, out=args.out,
         extras={"grid_res": args.grid_res},
     )
-    group, gauge = _parse_group_gauge(args.preset, args.gauge, args.beta)
+    space = models.carnot_preset(args.preset, args.gauge, args.beta)
     grid_est, mc_est = integrate.carnot_constant_checked(
-        group, gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
+        space.group, space.gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
         grid_res=args.grid_res, threads=args.threads,
     )
-    out = _write_report(
-        {"grid": json.loads(grid_est.to_json()), "mc": json.loads(mc_est.to_json())}, cfg
-    )
+    out = _write_report({"grid": asdict(grid_est), "mc": asdict(mc_est)}, cfg)
     print(f"PASS carnot-constant: grid {grid_est.value!r} mc {mc_est.value!r} -> {out}")
     return 0
 
@@ -289,18 +296,18 @@ def cmd_isotropy(args) -> int:
         scheme=args.scheme, seed=args.seed, out=args.out,
         extras={"directions": args.directions},
     )
-    group, gauge = _parse_group_gauge(args.preset, args.gauge, args.beta)
+    space = models.carnot_preset(args.preset, args.gauge, args.beta)
     rng = np.random.default_rng(args.seed)
-    dirs = rng.standard_normal((args.directions, group.v1))
+    dirs = rng.standard_normal((args.directions, space.group.v1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     ests = integrate.isotropy_check(
-        group, gauge, dirs, integrate.parse_scheme(args.scheme), threads=args.threads
+        space.group, space.gauge, dirs, integrate.parse_scheme(args.scheme), threads=args.threads
     )
     vals = [e.value for e in ests]
     ratio = max(vals) / min(vals)
     out = _write_report(
         {
-            "estimates": [json.loads(e.to_json()) for e in ests],
+            "estimates": [asdict(e) for e in ests],
             "directions": dirs.tolist(),
             "max_over_min": ratio,
         },
@@ -347,30 +354,17 @@ def cmd_bpz_demo(args) -> int:
         field_name=args.field, seed=args.seed, out=args.out, tolerance=args.tolerance,
         extras={"R": args.R, "resolutions": args.resolutions, "level_radii": args.level_radii},
     )
-    group, gauge = _parse_group_gauge(args.preset, args.gauge, args.beta)
-    space = CarnotSpace(group, gauge)
+    space = models.carnot_preset(args.preset, args.gauge, args.beta)
     u = build_field(space, args.field)
+    with _malformed("resolutions", args.resolutions):
+        resolutions = [int(v) for v in args.resolutions.split(",")]
+    with _malformed("level radii", args.level_radii):
+        level_radii = [float(v) for v in args.level_radii.split(",")]
     report = dirichlet.bpz_demo(
-        group, gauge, u, args.R,
-        [int(v) for v in args.resolutions.split(",")],
-        [float(v) for v in args.level_radii.split(",")],
+        space.group, space.gauge, u, args.R, resolutions, level_radii,
         seed=args.seed, tolerance=args.tolerance, threads=args.threads,
     )
     return _finish(report, cfg)
-
-
-def _parse_group_gauge(preset: str, gauge_name: str, beta: float | None):
-    tok = preset.split(":")
-    if tok[0] != "heisenberg" or len(tok) != 2:
-        raise InputError(f"unknown group preset {preset!r} (use heisenberg:n)")
-    group = heisenberg(int(tok[1]))
-    if gauge_name == "koranyi":
-        return group, Gauge("koranyi")
-    if gauge_name in ("scaled", "scaled_koranyi"):
-        if beta is None:
-            raise InputError("scaled gauge needs --beta")
-        return group, Gauge("scaled_koranyi", beta)
-    raise InputError(f"unknown gauge {gauge_name!r}")
 
 
 # ---------------------------------------------------------------------------

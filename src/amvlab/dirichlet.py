@@ -6,8 +6,9 @@ every interior point: the energy is (1/2) sum_xy w_xy (u(y) - u(x))^2 with
 graph weights w_xy = m(x) m(y) k_r(x,y) / r^2 >= 0, so the stationary
 system is a symmetric positive semidefinite graph Laplacian, positive
 definite when every interior point reaches the boundary through r-chains.
-The solver assembles only the interior rows of that Laplacian and hands
-them to library routines: scipy.sparse.csgraph for boundary reachability,
+The solver takes only the interior rows of the kernel from
+mmspace.kernel_matrix, the one definition of k_r, and hands the assembled
+rows to library routines: scipy.sparse.csgraph for boundary reachability,
 LU for small systems and scipy's conjugate gradients for large ones.
 
 The barrier-field construction used in the pointwise-to-everywhere
@@ -32,6 +33,8 @@ from .fields import AnalyticField
 from .integrate import Estimate
 from .mmspace import FiniteMMSpace, InputError
 from .models import CarnotSpace, NumericError, carnot_ball_cloud
+
+_RESIDUAL_TOL = 1e-10  # stationarity residual allowed per unit of max |g|
 
 
 class DisconnectedInteriorError(InputError):
@@ -91,10 +94,8 @@ def _interior_system(space: FiniteMMSpace, part: BoundaryPartition, r: float):
     values enter as rhs = w[:, boundary] @ g.
     """
     idx_i = part.interior
-    near = space.dist[idx_i] < r
-    _check_connectivity(space, part, near)
-    inv = 1.0 / mmspace.ball_masses(space, r)
-    w = np.where(near, 0.5 * (inv[idx_i, None] + inv[None, :]), 0.0)
+    w = mmspace.kernel_matrix(space, r, rows=idx_i)
+    _check_connectivity(space, part, w > 0)
     w = w * (space.mass[idx_i, None] * space.mass[None, :]) / r**2
     w[np.arange(idx_i.size), idx_i] = 0.0
     # take() keeps the column blocks C-ordered, so the products below
@@ -108,7 +109,6 @@ def solve(
     part: BoundaryPartition,
     r,
     dense_cutoff: int = 500,
-    residual_tol: float = 1e-10,
 ) -> np.ndarray:
     """Unique r-energy minimizer with the given boundary values.
 
@@ -119,7 +119,7 @@ def solve(
     weights are nonnegative, they are convex combinations of neighbor
     values and the maximum principle holds.  The residual
     max |sym laplacian| over the interior, computed independently by
-    mmspace.sym_r_laplacian, is checked against residual_tol * max|g|.
+    mmspace.sym_r_laplacian, is checked against _RESIDUAL_TOL * max|g|.
     """
     r = mmspace.check_radius(r)
     part.validate(space)
@@ -136,9 +136,9 @@ def solve(
         )
     scale = float(np.max(np.abs(part.g), initial=0.0))
     resid = residual(space, part, u, r)
-    if resid > residual_tol * max(scale, 1e-300) and scale > 0:
+    if resid > _RESIDUAL_TOL * max(scale, 1e-300) and scale > 0:
         raise NumericError(
-            f"stationarity residual {resid:.3e} exceeds {residual_tol:.1e} * scale ({scale:.3e})"
+            f"stationarity residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e} * scale ({scale:.3e})"
         )
     return u
 

@@ -18,16 +18,17 @@ files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import mmspace
-from .integrate import Estimate, GridScheme, MCScheme, continuum_r_laplacian, scheme_spec
+from .integrate import Estimate, GridScheme, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
 from .mmspace import FiniteMMSpace, InputError
-from .models import CloudMeta, ModelSpace, Region, mm_boundary_mass
+from .models import CloudMeta, ModelSpace, Region, _default_region, fill_by_rejection, mm_boundary_mass
 
 
 @dataclass
@@ -43,36 +44,11 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "radii": self.radii,
-                "values": self.values,
-                "std_errors": self.std_errors,
-                "fitted_limit": self.fitted_limit,
-                "fitted_rate": self.fitted_rate,
-                "reference": self.reference,
-                "tolerance": self.tolerance,
-                "verdict": self.verdict,
-                "metadata": self.metadata,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        return cls(
-            radii=d["radii"],
-            values=d["values"],
-            std_errors=d["std_errors"],
-            fitted_limit=d["fitted_limit"],
-            fitted_rate=d["fitted_rate"],
-            reference=d["reference"],
-            tolerance=d["tolerance"],
-            verdict=d["verdict"],
-            metadata=d.get("metadata", {}),
-        )
+        return cls(**json.loads(text))
 
     def to_csv(self) -> str:
         lines = ["radius,value,std_error"]
@@ -277,18 +253,37 @@ def strong_amv_scan(
     return build_report(radii, estimates, reference, tolerance, meta)
 
 
-def _check_support_margin(pts, phi_vals, meta: CloudMeta, max_radius: float) -> None:
+def _cloud_pairing_sweep(
+    experiment: str, operator, cloud: FiniteMMSpace, pts, meta: CloudMeta, u, phi, radii,
+    reference: float | None, tolerance: float,
+) -> ExperimentReport:
+    """Pairing of phi with operator(cloud, u, r) per radius, against the
+    cloud's masses; phi's support must keep clear of the cloud's artificial
+    boundary by more than the largest radius."""
+    radii = check_radii(radii)
+    pts = np.asarray(pts, dtype=np.float64)
+    u_vals = mmspace.as_field(cloud, u(pts))
+    phi_vals = mmspace.as_field(cloud, phi(pts))
     supp = np.abs(phi_vals) > 0
-    if not np.any(supp):
-        return
-    margin = float(np.min(meta.boundary_distance(pts)[supp]))
-    if margin <= max_radius:
+    margin = float(np.min(meta.boundary_distance(pts)[supp])) if np.any(supp) else math.inf
+    if margin <= radii[0]:
         raise InputError(
             f"pairing function support reaches within {margin:.4g} of the cloud's "
-            f"artificial boundary but the largest radius is {max_radius:.4g}; "
+            f"artificial boundary but the largest radius is {radii[0]:.4g}; "
             "enlarge the cloud or shrink the radii (boundary contamination would "
             "silently bias the pairing)"
         )
+    estimates = [
+        Estimate(float(np.sum(phi_vals * operator(cloud, u_vals, r) * cloud.mass)), 0.0, cloud.n, "cloud")
+        for r in radii
+    ]
+    meta_d = {
+        "experiment": experiment,
+        "space": meta.space.spec(),
+        "cloud_points": cloud.n,
+        "cell_size": meta.cell_size,
+    }
+    return build_report(radii, estimates, reference, tolerance, meta_d)
 
 
 def weak_amv_sweep(
@@ -303,22 +298,9 @@ def weak_amv_sweep(
 ) -> ExperimentReport:
     """Pairing of phi with the r-laplacian of u on a point-cloud
     discretization."""
-    radii = check_radii(radii)
-    pts = np.asarray(pts, dtype=np.float64)
-    u_vals = mmspace.as_field(cloud, u(pts))
-    phi_vals = mmspace.as_field(cloud, phi(pts))
-    _check_support_margin(pts, phi_vals, meta, radii[0])
-    estimates = [
-        Estimate(mmspace.weak_pairing(cloud, phi_vals, u_vals, r), 0.0, cloud.n, "cloud")
-        for r in radii
-    ]
-    meta_d = {
-        "experiment": "weak_amv_sweep",
-        "space": meta.space.spec(),
-        "cloud_points": cloud.n,
-        "cell_size": meta.cell_size,
-    }
-    return build_report(radii, estimates, reference, tolerance, meta_d)
+    return _cloud_pairing_sweep(
+        "weak_amv_sweep", mmspace.r_laplacian, cloud, pts, meta, u, phi, radii, reference, tolerance
+    )
 
 
 def sym_vs_plain_sweep(
@@ -333,24 +315,11 @@ def sym_vs_plain_sweep(
 ) -> ExperimentReport:
     """Pairing of phi with (plain - symmetrized) laplacian of u: the
     mm-boundary fingerprint of the discretized space."""
-    radii = check_radii(radii)
-    pts = np.asarray(pts, dtype=np.float64)
-    u_vals = mmspace.as_field(cloud, u(pts))
-    phi_vals = mmspace.as_field(cloud, phi(pts))
-    _check_support_margin(pts, phi_vals, meta, radii[0])
-    estimates = []
-    for r in radii:
-        gap = mmspace.r_laplacian(cloud, u_vals, r) - mmspace.sym_r_laplacian(cloud, u_vals, r)
-        estimates.append(
-            Estimate(float(np.sum(phi_vals * gap * cloud.mass)), 0.0, cloud.n, "cloud")
-        )
-    meta_d = {
-        "experiment": "sym_vs_plain_sweep",
-        "space": meta.space.spec(),
-        "cloud_points": cloud.n,
-        "cell_size": meta.cell_size,
-    }
-    return build_report(radii, estimates, reference, tolerance, meta_d)
+    return _cloud_pairing_sweep(
+        "sym_vs_plain_sweep",
+        lambda c, v, r: mmspace.r_laplacian(c, v, r) - mmspace.sym_r_laplacian(c, v, r),
+        cloud, pts, meta, u, phi, radii, reference, tolerance,
+    )
 
 
 def mm_boundary_sweep(
@@ -363,8 +332,6 @@ def mm_boundary_sweep(
     """Total variation of the scaled density-deficit measure per radius."""
     radii = check_radii(radii)
     if region.kind == "unit":
-        from .models import _default_region
-
         region = _default_region(space)
     estimates = [
         Estimate(mm_boundary_mass(space, region, r), 0.0, 0, "quadrature") for r in radii
@@ -385,19 +352,13 @@ def mm_boundary_sweep(
 def gauge_annulus_grid(space, rho_min: float, rho_max: float, count: int, seed: int) -> np.ndarray:
     """Deterministic gauge-annulus point set: ball samples filtered to the
     annulus rho_min <= gauge < rho_max."""
-    from .integrate import SeedSpec, sample_ball
-
-    rng_spec = SeedSpec(seed)
-    out = []
-    got = 0
-    stream = 0
+    if not 0 <= rho_min < rho_max:
+        raise InputError(f"a gauge annulus needs 0 <= rho_min < rho_max, got {rho_min!r}, {rho_max!r}")
+    streams = itertools.count()
     origin = np.zeros(space.dim)
-    while got < count:
-        pts = sample_ball(space, origin, rho_max, 4 * count, rng_spec.child(stream))
-        vals = space.gauge.value(space.group, pts)
-        keep = pts[vals >= rho_min]
-        take = min(count - got, keep.shape[0])
-        out.append(keep[:take])
-        got += take
-        stream += 1
-    return np.concatenate(out, axis=0)
+
+    def propose(need):
+        pts = sample_ball(space, origin, rho_max, 4 * count, SeedSpec(seed).child(next(streams)))
+        return pts[space.gauge.value(space.group, pts) >= rho_min]
+
+    return fill_by_rejection(count, space.dim, propose)

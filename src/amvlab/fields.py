@@ -9,12 +9,15 @@ gauge.  Derivatives are closed form by construction; finite differences are
 the independent oracle in the tests.
 
 Lipschitz-only bumps used as compactly supported pairing functions carry
-just a value; asking them for derivatives raises.
+just a value; asking them for derivatives raises.  Invalid construction
+arguments raise InputError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .mmspace import InputError
 
 
 class LipschitzField:
@@ -32,7 +35,7 @@ class LipschitzField:
     def _check(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
-            raise ValueError(f"expected points with last axis {self.dim}, got {pts.shape}")
+            raise InputError(f"expected points with last axis {self.dim}, got {pts.shape}")
         return pts
 
 
@@ -91,7 +94,7 @@ class Monomial(AnalyticField):
         super().__init__(dim)
         exps = tuple(int(e) for e in exponents)
         if len(exps) != dim or any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative, one per coordinate")
+            raise InputError("exponents must be nonnegative, one per coordinate")
         self.exponents = exps
         self.coeff = float(coeff)
 
@@ -155,11 +158,11 @@ class ShiftedSquareNorm(AnalyticField):
         super().__init__(dim)
         self.start, self.stop = int(start), int(stop)
         if not (0 <= self.start < self.stop <= dim):
-            raise ValueError("invalid coordinate range")
+            raise InputError("invalid coordinate range")
         width = self.stop - self.start
         self.center = np.zeros(width) if center is None else np.asarray(center, dtype=np.float64)
         if self.center.shape != (width,):
-            raise ValueError("center must match the selected range")
+            raise InputError("center must match the selected range")
 
     def value(self, pts):
         pts = self._check(pts)
@@ -191,7 +194,7 @@ class GaugePower(AnalyticField):
         super().__init__(dim)
         self.v1 = int(v1)
         if not (1 <= self.v1 <= dim):
-            raise ValueError("v1 must be in [1, dim]")
+            raise InputError("v1 must be in [1, dim]")
         self.beta = float(beta)
         self.power = float(power)
 
@@ -244,7 +247,7 @@ class FieldSum(AnalyticField):
         flat = []
         for c, f in terms:
             if f.dim != dim:
-                raise ValueError("dimension mismatch in field sum")
+                raise InputError("dimension mismatch in field sum")
             if isinstance(f, FieldSum):
                 flat.extend((c * ci, fi) for ci, fi in f.terms)
             else:
@@ -284,9 +287,9 @@ class Tent(LipschitzField):
         super().__init__(dim)
         self.center = np.asarray(center, dtype=np.float64)
         if self.center.shape != (dim,):
-            raise ValueError("center must have length dim")
+            raise InputError("center must have length dim")
         if not (0 <= r_inner < r_outer):
-            raise ValueError("need 0 <= r_inner < r_outer")
+            raise InputError("need 0 <= r_inner < r_outer")
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
 
@@ -302,7 +305,7 @@ class ConeTent(LipschitzField):
     def __init__(self, r_inner, r_outer):
         super().__init__(2)
         if not (0 <= r_inner < r_outer):
-            raise ValueError("need 0 <= r_inner < r_outer")
+            raise InputError("need 0 <= r_inner < r_outer")
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
 
@@ -324,6 +327,8 @@ class Callable1(LipschitzField):
 
 
 def coordinate(dim: int, i: int) -> Monomial:
+    if not (0 <= i < dim):
+        raise InputError(f"coordinate index {i} out of range for dimension {dim} (0-based)")
     exps = [0] * dim
     exps[i] = 1
     return Monomial(dim, exps)
@@ -332,7 +337,7 @@ def coordinate(dim: int, i: int) -> Monomial:
 def harmonic_cubic(dim: int = 2) -> FieldSum:
     """Re((x1 + i x2)^3) = x1^3 - 3 x1 x2^2, harmonic on the plane."""
     if dim < 2:
-        raise ValueError("needs at least two coordinates")
+        raise InputError("needs at least two coordinates")
     e1 = [0] * dim
     e1[0] = 3
     e2 = [0] * dim

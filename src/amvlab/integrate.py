@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special as _special
 
-from .carnot import CarnotStep2, Gauge
+from .carnot import CarnotStep2, Gauge, distance
 from .mmspace import InputError
 from .models import (
     CarnotSpace,
@@ -64,15 +64,11 @@ class Estimate:
     method: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "std_error": self.std_error, "n": self.n, "method": self.method},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Estimate":
-        d = json.loads(text)
-        return cls(d["value"], d["std_error"], d["n"], d["method"])
+        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -378,12 +374,10 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
     rng = seed.generator()
     hits = 0
     done = 0
-    from .carnot import distance as _dist
-
     while done < n:
         m = min(_BATCH, n - done)
         cand = rng.uniform(lo, hi, (m, g.dim))
-        d = _dist(g, space.gauge, cand, x[None, :])
+        d = distance(g, space.gauge, cand, x[None, :])
         hits += int(np.sum(d < r))
         done += m
     p = hits / n

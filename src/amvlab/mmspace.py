@@ -164,12 +164,14 @@ def adjoint_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     return (adjoint_average(space, u, r) - u) / r**2
 
 
-def kernel_matrix(space: FiniteMMSpace, r) -> np.ndarray:
-    """Symmetric mean value kernel k_r(x,y), zero off the open ball."""
+def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
+    """Symmetric mean value kernel k_r(x,y), zero off the open ball; with
+    rows given, only the rows x of those point indices."""
     r = check_radius(r)
     inv = 1.0 / ball_masses(space, r)
-    w = space.dist < r
-    return np.where(w, 0.5 * (inv[:, None] + inv[None, :]), 0.0)
+    rows = slice(None) if rows is None else rows
+    w = space.dist[rows] < r
+    return np.where(w, 0.5 * (inv[rows, None] + inv[None, :]), 0.0)
 
 
 def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:

@@ -6,6 +6,9 @@ ball sampler driven by an explicit RNG.  The half-space convention puts the
 boundary at {x[0] = 0}, so the first coordinate is the distance to the
 boundary.
 
+The three rejection samplers (half-space, cone, Carnot) share one loop,
+``fill_by_rejection``; each keeps only its proposal.
+
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
 dimension N; they are offered for the Euclidean, half-space and cone kinds
 only (there is no canonical normalization on a Carnot group, where the
@@ -17,13 +20,14 @@ from __future__ import annotations
 import logging
 import math
 import os
+import resource
 
 import numpy as np
 from scipy import integrate as _sciint
 from scipy import special as _special
 
 from . import _kernels
-from .carnot import CarnotStep2, Gauge, distance_matrix, heisenberg
+from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
 from .mmspace import FiniteMMSpace, InputError
 
 
@@ -73,17 +77,14 @@ class ModelSpace:
         raise NotImplementedError
 
 
-class Euclidean(ModelSpace):
-    kind = "euclidean"
+class _Flat(ModelSpace):
+    """Point check and distances shared by the Euclidean and half-space kinds."""
 
     def __init__(self, n: int):
         n = int(n)
         if n < 1:
             raise InputError("dimension must be >= 1")
         self.dim = n
-
-    def spec(self) -> str:
-        return f"euclidean:{self.dim}"
 
     def _pts(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -99,6 +100,13 @@ class Euclidean(ModelSpace):
         pts_a = np.atleast_2d(self._pts(pts_a))
         pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
         return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
+
+
+class Euclidean(_Flat):
+    kind = "euclidean"
+
+    def spec(self) -> str:
+        return f"euclidean:{self.dim}"
 
     def ball_volume(self, x, r):
         r = _check_r(r)
@@ -123,39 +131,39 @@ def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
     return g * (radii / norms)[:, None]
 
 
+def fill_by_rejection(n: int, dim: int, propose) -> np.ndarray:
+    """The first n accepted points, in draw order, as an (n, dim) array.
+
+    propose(need) draws one batch while need points are still missing and
+    returns that batch's accepted candidates in draw order.
+    """
+    out = np.empty((n, dim))
+    got = 0
+    while got < n:
+        keep = propose(n - got)
+        take = min(n - got, keep.shape[0])
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
 def _halfspace_deficit(s, n: int):
     """Fraction of the unit n-ball with first coordinate above s in [0, 1]."""
     s = np.clip(s, 0.0, 1.0)
     return 0.5 * _special.betainc((n + 1) / 2.0, 0.5, 1.0 - s * s)
 
 
-class HalfSpace(ModelSpace):
+class HalfSpace(_Flat):
     kind = "half_space"
-
-    def __init__(self, n: int):
-        n = int(n)
-        if n < 1:
-            raise InputError("dimension must be >= 1")
-        self.dim = n
 
     def spec(self) -> str:
         return f"half:{self.dim}"
 
     def _pts(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape[-1] != self.dim:
-            raise InputError(f"points must have last axis {self.dim}")
+        p = super()._pts(p)
         if np.any(p[..., 0] < 0):
             raise InputError("half-space points need a nonnegative first coordinate")
         return p
-
-    def distance(self, p, q):
-        return np.sqrt(np.sum((self._pts(p) - self._pts(q)) ** 2, axis=-1))
-
-    def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-        pts_a = np.atleast_2d(self._pts(pts_a))
-        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
-        return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
 
     def ball_volume(self, x, r):
         r = _check_r(r)
@@ -173,16 +181,12 @@ class HalfSpace(ModelSpace):
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
         r = _check_r(r)
         x = self._pts(x)
-        out = np.empty((n, self.dim))
-        got = 0
-        while got < n:
-            need = n - got
+
+        def propose(need):
             batch = x + ball_point_cloud(self.dim, r, max(2 * need, 64), rng)
-            keep = batch[batch[:, 0] >= 0.0]
-            take = min(need, keep.shape[0])
-            out[got : got + take] = keep[:take]
-            got += take
-        return out
+            return batch[batch[:, 0] >= 0.0]
+
+        return fill_by_rejection(n, self.dim, propose)
 
 
 class FlatCone(ModelSpace):
@@ -285,18 +289,15 @@ class FlatCone(ModelSpace):
             dmax = min(dmax, 0.5 * self.theta_c)
         else:
             dmax = 0.5 * self.theta_c
-        out = np.empty((n, 2))
-        got = 0
-        while got < n:
-            m = max(4 * (n - got), 256)
+
+        def propose(need):
+            m = max(4 * need, 256)
             rho = np.sqrt(rng.uniform(rho_lo * rho_lo, rho_hi * rho_hi, m))
             phi = np.mod(phi0 + rng.uniform(-dmax, dmax, m), self.theta_c)
             cand = np.stack([rho, phi], axis=1)
-            keep = cand[self.distance(cand, x[None, :]) < r]
-            take = min(n - got, keep.shape[0])
-            out[got : got + take] = keep[:take]
-            got += take
-        return out
+            return cand[self.distance(cand, x[None, :]) < r]
+
+        return fill_by_rejection(n, 2, propose)
 
 
 class CarnotSpace(ModelSpace):
@@ -322,9 +323,7 @@ class CarnotSpace(ModelSpace):
         return f"carnot:{name}:{self.gauge.spec()}"
 
     def distance(self, p, q):
-        from .carnot import distance as _dist
-
-        return _dist(self.group, self.gauge, p, q)
+        return distance(self.group, self.gauge, p, q)
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         return distance_matrix(self.group, self.gauge, pts_a, pts_b, threads)
@@ -332,15 +331,14 @@ class CarnotSpace(ModelSpace):
     def unit_ball_volume(self) -> tuple[float, str]:
         """Volume of B_1(0), computed once (quadrature when available)."""
         if self._unit_volume is None:
-            from .integrate import carnot_ball_quadrature, GridUnavailable
+            # lazy: integrate imports this module
+            from .integrate import GridUnavailable, SeedSpec, carnot_ball_quadrature, carnot_ball_volume_mc
 
             try:
                 nodes, weights = carnot_ball_quadrature(self.group, self.gauge, 1.0, res=48)
                 self._unit_volume = float(np.sum(weights))
                 self._unit_volume_method = "quadrature"
             except GridUnavailable:
-                from .integrate import SeedSpec, carnot_ball_volume_mc
-
                 est = carnot_ball_volume_mc(self, np.zeros(self.dim), 1.0, 4_000_000, SeedSpec(20260809, 0))
                 self._unit_volume = est.value
                 self._unit_volume_method = "monte_carlo"
@@ -361,18 +359,16 @@ class CarnotSpace(ModelSpace):
         g = self.group
         x = g._check(np.asarray(x, dtype=np.float64))
         h_bound, v_bound = self.gauge.envelope(g, r)
-        out = np.empty((n, g.dim))
-        got = 0
-        attempts = 0
-        accepted = 0
-        while got < n:
-            m = max(2 * (n - got), 512)
+        attempts = accepted = 0
+
+        def propose(need):
+            nonlocal attempts, accepted
+            m = max(2 * need, 512)
             z = np.empty((m, g.dim))
             z[:, : g.v1] = ball_point_cloud(g.v1, h_bound, m, rng)
             if g.v2:
                 z[:, g.v1 :] = rng.uniform(-v_bound, v_bound, (m, g.v2))
-            vals = self.gauge.value(g, z, threads)
-            keep = z[vals < r]
+            keep = z[self.gauge.value(g, z, threads) < r]
             attempts += m
             accepted += keep.shape[0]
             if attempts >= 20000 and accepted < 1e-3 * attempts:
@@ -380,9 +376,9 @@ class CarnotSpace(ModelSpace):
                     f"rejection acceptance rate {accepted / attempts:.2e} < 1e-3; "
                     "the gauge envelope looks misconfigured"
                 )
-            take = min(n - got, keep.shape[0])
-            out[got : got + take] = keep[:take]
-            got += take
+            return keep
+
+        out = fill_by_rejection(n, g.dim, propose)
         logger.debug("gauge-ball rejection acceptance rate %.4f", accepted / attempts)
         return self.group.multiply(x, out)
 
@@ -390,6 +386,22 @@ class CarnotSpace(ModelSpace):
 # ---------------------------------------------------------------------------
 # space selection strings
 # ---------------------------------------------------------------------------
+
+
+def carnot_preset(preset: str, gauge: str, beta: float | None = None) -> CarnotSpace:
+    """The group preset heisenberg:n with the gauge koranyi, or with the
+    gauge scaled (alias scaled_koranyi) and its second-layer weight beta."""
+    kind, _, n = preset.partition(":")
+    if kind.lower() != "heisenberg" or not n.isdecimal():
+        raise InputError(f"unknown carnot preset {preset!r} (use heisenberg:n)")
+    group, name, tag = heisenberg(int(n)), gauge.lower(), f"heisenberg:{int(n)}"
+    if name == "koranyi" and beta is None:
+        return CarnotSpace(group, Gauge("koranyi"), tag)
+    if name in ("scaled", "scaled_koranyi"):
+        if beta is None:
+            raise InputError("scaled gauge needs --beta (or :beta in a space spec)")
+        return CarnotSpace(group, Gauge("scaled_koranyi", beta), tag)
+    raise InputError(f"unknown gauge {gauge!r}" + ("" if beta is None else f" with beta {beta!r}"))
 
 
 def parse_space(spec: str) -> ModelSpace:
@@ -404,17 +416,8 @@ def parse_space(spec: str) -> ModelSpace:
             return HalfSpace(int(tok[1]))
         if kind == "cone" and len(tok) == 2:
             return FlatCone(float(tok[1]))
-        if kind == "carnot" and len(tok) >= 4:
-            if tok[1].lower() != "heisenberg":
-                raise InputError(f"unknown carnot preset {tok[1]!r}")
-            group = heisenberg(int(tok[2]))
-            gname = tok[3].lower()
-            preset = f"heisenberg:{int(tok[2])}"
-            if gname == "koranyi" and len(tok) == 4:
-                return CarnotSpace(group, Gauge("koranyi"), preset)
-            if gname in ("scaled", "scaled_koranyi") and len(tok) == 5:
-                return CarnotSpace(group, Gauge("scaled_koranyi", float(tok[4])), preset)
-            raise InputError(f"unknown gauge spec {':'.join(tok[3:])!r}")
+        if kind == "carnot" and len(tok) in (4, 5):
+            return carnot_preset(":".join(tok[1:3]), tok[3], float(tok[4]) if len(tok) == 5 else None)
     except (ValueError, IndexError) as exc:
         raise InputError(f"malformed space spec {spec!r}: {exc}") from None
     raise InputError(f"malformed space spec {spec!r}")
@@ -612,11 +615,16 @@ class CloudMeta:
 
 def _dense_cloud(space: ModelSpace, pts, mass, threads: int) -> FiniteMMSpace:
     """The cloud as a dense finite space; refuses, before allocating, a
-    distance matrix larger than the machine's physical memory."""
-    n, phys = pts.shape[0], os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * n * n > phys:
+    distance matrix larger than physical memory or than the process's
+    soft address-space limit, whichever is smaller."""
+    n = pts.shape[0]
+    budget, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < budget:
+        budget, limit = soft, "the address-space limit (RLIMIT_AS)"
+    if 8 * n * n > budget:
         raise InputError(f"a cloud of n={n} points needs a {8 * n * n / 1e9:.1f} GB distance "
-                         f"matrix, more than the {phys / 1e9:.1f} GB of physical memory")
+                         f"matrix, more than the {budget / 1e9:.1f} GB of {limit}")
     return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
 
 

@@ -123,6 +123,57 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
     assert err.startswith("ERROR dirichlet:") and message in err
 
 
+@pytest.mark.parametrize(
+    "args, typed",
+    [
+        (["weak-sweep", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0,0:0.3:0.6",
+          "--cloud-cells", "8"], "'tent:0,0,0:0.3:0.6'"),
+        (["amv-sweep", "euclidean:2", "--field", "monomial:1,2,3", "--point", "0,0"], "'monomial:1,2,3'"),
+        (["amv-sweep", "euclidean:2", "--field", "coord:5", "--point", "0,0"], "'coord:5'"),
+        (["amv-sweep", "euclidean:2", "--field", "coord:0", "--point", "0,0", "--scheme", "grid:4"],
+         "'coord:0'"),
+        (["amv-sweep", "euclidean:2", "--field", "coord:x", "--point", "0,0"], "'coord:x'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "a,b"], "'a,b'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "a,b"], "'a,b'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "a:3:0.5"], "'a:3:0.5'"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--annulus", "1.0"], "'1.0'"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--annulus", "2.0,1.0"], "2.0, 1.0"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "12,x"], "'12,x'"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--level-radii", "0.5,y,0.38"], "'0.5,y,0.38'"),
+        (["isotropy", "heisenberg:x", "koranyi"], "'heisenberg:x'"),
+        (["isotropy", "heisenberg:1", "koranyi", "--beta", "3", "--scheme", "grid:4"], "'koranyi'"),
+    ],
+    ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
+         "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
+    rc = main([*args, "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"ERROR {args[0]}:") and typed in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cloud_beyond_address_space_limit_exits_2(tmp_path, cli_env):
+    # n=25600 needs a 5.2 GB distance matrix, more than the subprocess's
+    # 4 GiB address-space cap; with more physical memory than that, only
+    # the address-space limit can refuse it
+    cap = 4 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    p = subprocess.run(
+        [sys.executable, "-m", "amvlab.cli", "sym-vs-plain", "euclidean:2", "--field", "harmonic3",
+         "--phi", "tent:0,0:0.3:0.6", "--cloud-cells", "160", "--out", "big.json"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=limit,
+    )
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("ERROR sym-vs-plain:") and "n=25600 " in p.stderr
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > cap:
+        assert "4.3 GB of the address-space limit" in p.stderr
+    assert not (tmp_path / "big.json").exists()
+
+
 def test_cloud_beyond_physical_memory_exits_2(tmp_path, cli_env):
     # 256 cells per axis is n=65536, a 34.4 GB distance matrix (more cells on
     # a host with more memory); the guard must refuse it before allocating.

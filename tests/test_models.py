@@ -95,6 +95,22 @@ def test_half_space_sampler_stays_inside():
     assert np.all(np.sum((pts - np.array([0.2, 0.0, 0.0])) ** 2, axis=1) < 1.0)
 
 
+def test_fill_by_rejection_keeps_first_n_in_draw_order():
+    # a short batch, an empty one, then one with more than is still needed
+    batches = iter([np.arange(3.0), np.arange(0.0), np.arange(10.0, 17.0)])
+    needs = []
+
+    def propose(need):
+        needs.append(need)
+        batch = next(batches)
+        return np.stack([batch, -batch], axis=1)
+
+    out = mo.fill_by_rejection(6, 2, propose)
+    assert out[:, 0].tolist() == [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
+    assert out[:, 1].tolist() == [-v for v in out[:, 0]]
+    assert needs == [6, 3, 3]
+
+
 def test_cone_sampler_uniform():
     cone = mo.FlatCone(math.pi)
     rng = np.random.default_rng(11)
@@ -168,7 +184,8 @@ def test_parse_space():
     assert isinstance(mo.parse_space("cone:3.14"), mo.FlatCone)
     cs = mo.parse_space("carnot:heisenberg:2:scaled:16")
     assert isinstance(cs, mo.CarnotSpace) and cs.group.v1 == 4 and cs.gauge.beta == 16.0
-    for bad in ("euclidean", "cone:7.0", "carnot:foo:1:koranyi", "nope:1"):
+    for bad in ("euclidean", "cone:7.0", "carnot:foo:1:koranyi", "nope:1", "carnot:heisenberg:x:koranyi",
+                "carnot:heisenberg:1:scaled", "carnot:heisenberg:1:koranyi:3"):
         with pytest.raises(InputError):
             mo.parse_space(bad)
 

@@ -339,10 +339,9 @@ def cmd_dirichlet(args) -> int:
                 raise InputError(f"boundary mask lines are '<index> <value>', got {ln!r}") from None
     interior = np.setdiff1d(np.arange(space.n), np.asarray(boundary_idx, dtype=int))
     part = dirichlet.BoundaryPartition(interior, boundary_idx, boundary_val)
-    u = dirichlet.solve(space, part, args.r)
+    u, resid = dirichlet.solve(space, part, args.r)
     out = cfg.out or "dirichlet-solution.txt"
     mmspace.save_field(u, out)
-    resid = dirichlet.residual(space, part, u, args.r)
     _write_report({"residual": resid, "interior": interior.tolist()}, cfg, out + ".json")
     print(f"PASS dirichlet: residual {resid!r} -> {out}")
     return 0

@@ -9,7 +9,8 @@ definite when every interior point reaches the boundary through r-chains.
 The solver takes only the interior rows of the kernel from
 mmspace.kernel_matrix, the one definition of k_r, and hands the assembled
 rows to library routines: scipy.sparse.csgraph for boundary reachability,
-LU for small systems and scipy's conjugate gradients for large ones.
+LU for small systems and scipy's conjugate gradients for large ones.  It
+returns the stationarity residual it checked together with the solution.
 
 The barrier-field construction used in the pointwise-to-everywhere
 regularity upgrade on step-2 groups ships as an analytic catalog field so
@@ -109,8 +110,9 @@ def solve(
     part: BoundaryPartition,
     r,
     dense_cutoff: int = 500,
-) -> np.ndarray:
-    """Unique r-energy minimizer with the given boundary values.
+) -> tuple[np.ndarray, float]:
+    """Unique r-energy minimizer u with the given boundary values, and
+    its stationarity residual: (u, residual).
 
     The interior system (see _interior_system) is solved by LU up to
     dense_cutoff interior points and above it by scipy's conjugate
@@ -140,7 +142,7 @@ def solve(
         raise NumericError(
             f"stationarity residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e} * scale ({scale:.3e})"
         )
-    return u
+    return u, resid
 
 
 def residual(space: FiniteMMSpace, part: BoundaryPartition, u, r) -> float:
@@ -222,7 +224,7 @@ def bpz_demo(
         cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads)
         u_vals = u_field.value(pts)
         part = gauge_ball_partition(space, gauge_vals, R, r, u_vals)
-        sol = solve(space=cloud, part=part, r=r)
+        sol, _ = solve(space=cloud, part=part, r=r)
         gap = float(np.max(np.abs(sol[part.interior] - u_vals[part.interior]), initial=0.0))
         estimates.append(Estimate(gap, 0.0, cloud.n, "cloud"))
         sizes.append(cloud.n)

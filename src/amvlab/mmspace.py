@@ -10,8 +10,13 @@ discontinuity; callers should perturb such radii (see
 Scalar fields are plain one-dimensional float arrays indexed in point
 order.  All operations are pure functions; summations run in fixed
 index-ascending order so results do not depend on evaluation layout.
-Row blocks (``_kernels.row_blocks``) keep each n x n temporary near 1 MiB;
-every row still sums all n entries, so the block size never changes a bit.
+
+Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
+ball object (``_Balls``) for the last radius used: it computes the masses
+once and owns the only row-block pass (``_kernels.row_blocks``, about
+1 MiB of float64 per block), which fills a bool mask and two float scratch
+buffers in place, allocated once per pass.  Every row still sums all n
+entries, so the block size never changes a bit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class FiniteMMSpace:
 
     The triangle inequality is deliberately not validated: none of the
     averaging operators use it, and the identity tests cover arbitrary
-    symmetric "distances".
+    symmetric "distances".  A space is immutable once built.
     """
 
     def __init__(self, dist, mass, point_ids=None):
@@ -43,9 +48,11 @@ class FiniteMMSpace:
         n = dist.shape[0]
         if mass.shape != (n,):
             raise InputError("mass must be a vector matching the point count")
-        if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
+        # reductions, not elementwise tests: no n x n bool temporary
+        lo, hi = dist.min(initial=0.0), dist.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)) or not np.all(np.isfinite(mass)):
             raise InputError("dist and mass must be finite")
-        if np.any(dist < 0):
+        if lo < 0:
             raise InputError("dist must be nonnegative")
         if np.any(np.diag(dist) != 0):
             raise InputError("dist must have a zero diagonal")
@@ -68,6 +75,7 @@ class FiniteMMSpace:
         self._index = {pid: i for i, pid in enumerate(self.point_ids)}
         if len(self._index) != n:
             raise InputError("point_ids must be unique")
+        self._last_balls = None
 
     @property
     def n(self) -> int:
@@ -81,6 +89,14 @@ class FiniteMMSpace:
 
     def total_mass(self) -> float:
         return float(np.sum(self.mass))
+
+    def _balls(self, r) -> _Balls:
+        """The ball object at radius r; the last one is kept for reuse."""
+        r = check_radius(r)
+        balls = self._last_balls
+        if balls is None or balls.r != r:
+            balls = self._last_balls = _Balls(self, r)
+        return balls
 
 
 def as_field(space: FiniteMMSpace, values) -> np.ndarray:
@@ -113,38 +129,53 @@ def ball(space: FiniteMMSpace, x, r):
     return members, float(np.sum(space.mass[members]))
 
 
+class _Balls:
+    """Ball masses mu(B_r(x)) of one space at one checked radius r and their
+    inverses, computed once and never changed; row_sums is the one dense
+    pass over the distance matrix."""
+
+    def __init__(self, space: FiniteMMSpace, r: float):
+        self.dist, self.r = space.dist, r
+        self.masses = self.row_sums(lambda rows, w, a, b: np.multiply(w, space.mass, out=a))
+        self.inv = 1.0 / self.masses
+
+    def row_sums(self, fill) -> np.ndarray:
+        """Row sums of the summands fill(rows, w, a, b) leaves in a, per row
+        block (the slice rows), with w = (dist < r) and a, b scratch of the
+        block's shape.  Scratch is per pass, so passes on one object stay
+        independent."""
+        n = self.dist.shape[0]
+        spans = row_blocks(n, n)
+        step = spans[0][1] if spans else 0
+        w_buf, a_buf, b_buf = np.empty((step, n), dtype=bool), np.empty((step, n)), np.empty((step, n))
+        out = np.empty(n)
+        for s, e in spans:
+            w, a, b = w_buf[: e - s], a_buf[: e - s], b_buf[: e - s]
+            np.less(self.dist[s:e], self.r, out=w)
+            fill(slice(s, e), w, a, b)
+            a.sum(axis=1, out=out[s:e])
+        return out
+
+
 def ball_masses(space: FiniteMMSpace, r) -> np.ndarray:
     """mu(B_r(x)) for every x, in point order."""
-    r = check_radius(r)
-    out = np.empty(space.n)
-    for s, e in row_blocks(space.n, space.n):
-        w = space.dist[s:e] < r
-        out[s:e] = (w * space.mass[None, :]).sum(axis=1)
-    return out
+    return space._balls(r).masses.copy()
 
 
 def average(space: FiniteMMSpace, u, r) -> np.ndarray:
     """Ball average A_r u(x) = mean of u over B_r(x) against the masses."""
     u = as_field(space, u)
-    r = check_radius(r)
+    balls = space._balls(r)
     um = u * space.mass
-    out = np.empty(space.n)
-    for s, e in row_blocks(space.n, space.n):
-        w = space.dist[s:e] < r
-        out[s:e] = (w * um[None, :]).sum(axis=1) / (w * space.mass[None, :]).sum(axis=1)
-    return out
+    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, um, out=a)) / balls.masses
 
 
 def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
     """Formal adjoint A_r* u(x) = sum over the ball of u(y) m(y)/mu(B_r(y))."""
     u = as_field(space, u)
-    r = check_radius(r)
-    coef = u * space.mass / ball_masses(space, r)
-    out = np.empty(space.n)
-    for s, e in row_blocks(space.n, space.n):
-        w = space.dist[s:e] < r
-        out[s:e] = (w * coef[None, :]).sum(axis=1)
-    return out
+    balls = space._balls(r)
+    coef = u * space.mass / balls.masses
+    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, coef, out=a))
 
 
 def a_r(space: FiniteMMSpace, r) -> np.ndarray:
@@ -168,7 +199,7 @@ def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
     """Symmetric mean value kernel k_r(x,y), zero off the open ball; with
     rows given, only the rows x of those point indices."""
     r = check_radius(r)
-    inv = 1.0 / ball_masses(space, r)
+    inv = space._balls(r).inv
     rows = slice(None) if rows is None else rows
     w = space.dist[rows] < r
     return np.where(w, 0.5 * (inv[rows, None] + inv[None, :]), 0.0)
@@ -182,14 +213,16 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     against it.
     """
     u = as_field(space, u)
-    r = check_radius(r)
-    inv = 1.0 / ball_masses(space, r)
-    out = np.empty(space.n)
-    for s, e in row_blocks(space.n, space.n):
-        w = space.dist[s:e] < r
-        k = 0.5 * (inv[s:e, None] + inv[None, :]) * w
-        out[s:e] = (k * (u[None, :] - u[s:e, None]) * space.mass[None, :]).sum(axis=1)
-    return out / r**2
+    balls = space._balls(r)
+    inv, m = balls.inv, space.mass
+
+    def fill(rows, w, a, b):  # 0.5 (inv_x + inv_y) * w * (u_y - u_x) * m_y
+        np.multiply(0.5, np.add(inv[rows, None], inv, out=a), out=a)
+        a *= w
+        a *= np.subtract(u, u[rows, None], out=b)
+        a *= m
+
+    return balls.row_sums(fill) / balls.r**2
 
 
 def delta_r(space: FiniteMMSpace, x, y, r) -> float:
@@ -205,15 +238,16 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
     """Approximate energy density e_r(u,v), a symmetric bilinear form."""
     u = as_field(space, u)
     v = as_field(space, v)
-    r = check_radius(r)
-    out = np.empty(space.n)
-    for s, e in row_blocks(space.n, space.n):
-        w = space.dist[s:e] < r
-        du = u[None, :] - u[s:e, None]
-        dv = v[None, :] - v[s:e, None]
-        num = (w * du * dv * space.mass[None, :]).sum(axis=1)
-        out[s:e] = 0.5 * num / (w * space.mass[None, :]).sum(axis=1)
-    return out / r**2
+    balls = space._balls(r)
+    m = space.mass
+
+    def fill(rows, w, a, b):  # w * (u_y - u_x) * (v_y - v_x) * m_y
+        np.subtract(u, u[rows, None], out=a)
+        a *= w
+        a *= np.subtract(v, v[rows, None], out=b)
+        a *= m
+
+    return 0.5 * balls.row_sums(fill) / balls.masses / balls.r**2
 
 
 def total_energy(space: FiniteMMSpace, u, v, r) -> float:

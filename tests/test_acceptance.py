@@ -258,7 +258,7 @@ def produce_dirichlet():
         interior = np.setdiff1d(np.arange(n), boundary)
         g = rng.uniform(-2.0, 2.0, size=boundary.size)
         part = di.BoundaryPartition(interior, boundary, g)
-        u = di.solve(space, part, r)
+        u, _ = di.solve(space, part, r)
         scale = float(np.max(np.abs(g)))
         resid = di.residual(space, part, u, r)
         eps = 1e-12 * (g.max() - g.min() + 1.0)

@@ -74,9 +74,14 @@ def test_block_size_never_changes_a_bit(monkeypatch):
     r = 0.4
 
     def outputs():
+        # a fresh space keeps no ball masses from an earlier budget; its
+        # operators then share one ball object at r
+        sp = mm.FiniteMMSpace(cloud.dist, cloud.mass)
         out = [
-            mm.ball_masses(cloud, r), mm.average(cloud, u, r), mm.adjoint_average(cloud, u, r),
-            mm.sym_r_laplacian(cloud, u, r), mm.energy_density(cloud, u, v, r),
+            mm.ball_masses(sp, r), mm.average(sp, u, r), mm.adjoint_average(sp, u, r),
+            mm.sym_r_laplacian(sp, u, r), mm.energy_density(sp, u, v, r),
+            mm.r_laplacian(sp, u, r), mm.kernel_matrix(sp, r, rows=np.arange(0, sp.n, 3)),
+            mm.r_laplacian(sp, u, r) - mm.sym_r_laplacian(sp, u, r),
         ]
         for name in ("euclidean", "cone", "carnot_koranyi", "carnot_random_bracket"):
             build, dim, low = SELF_DISTANCES[name]

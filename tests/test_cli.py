@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from amvlab import dirichlet as di
 from amvlab import experiments as ex
 from amvlab import mmspace as mm
+from amvlab import models as mo
 from amvlab.cli import main, parse_point, parse_radii
 from amvlab.mmspace import InputError
 
@@ -91,6 +93,23 @@ def test_dirichlet_files(tmp_path):
     assert sol[1] == pytest.approx(3.0, rel=1e-12)
     resid = json.loads((tmp_path / "sol.txt.json").read_text())
     assert resid["residual"] < 1e-12
+
+
+def test_dirichlet_reports_the_residual_of_its_solution(tmp_path):
+    cloud, pts, _ = mo.euclidean_cloud(mo.Euclidean(2), [-1.0, -1.0], [1.0, 1.0], 9, seed=3)
+    mm.save_space(cloud, tmp_path / "space.txt")
+    boundary = np.flatnonzero(np.max(np.abs(pts), axis=1) > 0.6)
+    g = pts[boundary, 0] ** 2 - pts[boundary, 1] ** 2
+    (tmp_path / "mask.txt").write_text("".join(f"{i} {float(x)!r}\n" for i, x in zip(boundary, g)))
+    out = tmp_path / "sol.txt"
+    rc = main(["dirichlet", str(tmp_path / "space.txt"), str(tmp_path / "mask.txt"),
+               "--r", "0.5", "--out", str(out)])
+    assert rc == 0
+    space = mm.load_space(tmp_path / "space.txt")
+    interior = np.setdiff1d(np.arange(space.n), boundary)
+    part = di.BoundaryPartition(interior, boundary, g)
+    rep = json.loads((tmp_path / "sol.txt.json").read_text())
+    assert rep["residual"] == di.residual(space, part, mm.load_field(out), 0.5)
 
 
 def test_unknown_field_is_cli_error(tmp_path):

@@ -30,14 +30,14 @@ def random_problem(rng, n_max=30):
 
 def test_three_point_symmetry(line3):
     part = di.BoundaryPartition([1], [0, 2], [0.0, 6.0])
-    u = di.solve(line3, part, 1.5)
+    u, _ = di.solve(line3, part, 1.5)
     assert u[1] == pytest.approx(3.0, rel=1e-12)
     assert u[0] == 0.0 and u[2] == 6.0
 
 
 def test_constant_boundary_data(line3):
     part = di.BoundaryPartition([1], [0, 2], [4.25, 4.25])
-    u = di.solve(line3, part, 1.5)
+    u, _ = di.solve(line3, part, 1.5)
     np.testing.assert_allclose(u, 4.25, rtol=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_random_instances_minimality_and_max_principle():
     rng = np.random.default_rng(77)
     for _ in range(10):
         space, part, r = random_problem(rng)
-        u = di.solve(space, part, r)
+        u, _ = di.solve(space, part, r)
         # stationarity residual
         assert di.residual(space, part, u, r) <= 1e-10 * np.max(np.abs(part.g))
         # maximum principle
@@ -79,7 +79,7 @@ def test_interior_operator_spd():
     assert eigs.min() > 0  # positive definite under boundary connectivity
     ref = np.linalg.solve(sub, -lap[np.ix_(part.interior, part.boundary)] @ part.g)
     for cutoff in (500, 0):  # LU and conjugate-gradient branches
-        u = di.solve(space, part, r, dense_cutoff=cutoff)
+        u, _ = di.solve(space, part, r, dense_cutoff=cutoff)
         np.testing.assert_allclose(u[part.interior], ref, rtol=0, atol=1e-12)
 
 
@@ -125,8 +125,8 @@ def test_partition_validation(line3):
 def test_cg_matches_dense():
     rng = np.random.default_rng(31)
     space, part, r = random_problem(rng, 40)
-    dense = di.solve(space, part, r, dense_cutoff=500)
-    iterative = di.solve(space, part, r, dense_cutoff=0)
+    dense, _ = di.solve(space, part, r, dense_cutoff=500)
+    iterative, _ = di.solve(space, part, r, dense_cutoff=0)
     np.testing.assert_allclose(dense, iterative, atol=1e-10, rtol=1e-10)
 
 

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,9 @@ def test_validation_errors():
         mm.FiniteMMSpace(np.zeros((2, 2)), np.array([1.0, 0.0]))  # nonpositive mass
     with pytest.raises(mm.InputError):
         mm.FiniteMMSpace(np.array([[0.1, 0.0], [0.0, 0.1]]), np.ones(2))  # diagonal
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(mm.InputError, match="^dist and mass must be finite$"):
+            mm.FiniteMMSpace(np.array([[0.0, bad], [bad, 0.0]]), np.ones(2))
     sp = mm.FiniteMMSpace(np.zeros((1, 1)), np.ones(1))
     with pytest.raises(mm.InputError):
         mm.as_field(sp, [1.0, 2.0])
@@ -194,6 +198,30 @@ def test_validation_order():
             mm.FiniteMMSpace(d, np.ones(130))
         d[i, j] = mended
     mm.FiniteMMSpace(d, np.ones(130))
+
+
+def test_validation_allocates_no_n2_temporary():
+    n = 1000
+    d = 0.5 * np.abs(np.subtract.outer(np.arange(n), np.arange(n)))  # built before tracing
+    mass = np.ones(n)
+    tracemalloc.start()
+    try:
+        mm.FiniteMMSpace(d, mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # an n x n bool temporary alone takes n^2 bytes
+
+
+def test_kept_ball_object_follows_the_radius():
+    rng = np.random.default_rng(12)
+    space = mm.random_space(rng, 30)
+    u = rng.uniform(-1.0, 1.0, size=space.n)
+    mm.ball_masses(space, 0.7)[:] = 1.0  # a caller's copy, not the kept masses
+    for r in (0.7, 1.3, 0.7):
+        fresh = mm.FiniteMMSpace(space.dist, space.mass)
+        assert np.array_equal(mm.ball_masses(space, r), mm.ball_masses(fresh, r))
+        assert np.array_equal(mm.sym_r_laplacian(space, u, r), mm.sym_r_laplacian(fresh, u, r))
 
 
 def test_serialization_roundtrip_exact():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .fields import AnalyticField, GaugePower, ShiftedSquareNorm, coordinate
-from .mmspace import InputError
+from .mmspace import InputError, content_lines, line_fields
 
 
 class CarnotStep2:
@@ -109,20 +109,16 @@ class CarnotStep2:
 
     @classmethod
     def from_text(cls, text: str) -> "CarnotStep2":
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = content_lines(text)
         if not lines:
             raise InputError("empty group description")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise InputError("first line must be 'v1 v2'")
-        v1, v2 = int(head[0]), int(head[1])
+        v1, v2 = line_fields(lines[0], (int, int), "first line must be 'v1 v2'")
+        if v1 < 1 or v2 < 0:  # before np.zeros, which raises a bare ValueError
+            raise InputError(f"need v1 >= 1 and v2 >= 0, got {lines[0]!r}")
         bracket = np.zeros((v2, v1, v1))
         for ln in lines[1:]:
-            tok = ln.split()
-            if len(tok) != 4:
-                raise InputError(f"bracket line must be 'k i j value', got {ln!r}")
-            k, i, j = int(tok[0]) - 1, int(tok[1]) - 1, int(tok[2]) - 1
-            c = float(tok[3])
+            k, i, j, c = line_fields(ln, (int, int, int, float), "bracket line must be 'k i j value'")
+            k, i, j = k - 1, i - 1, j - 1
             if not (0 <= k < v2 and 0 <= i < v1 and 0 <= j < v1) or i == j:
                 raise InputError(f"bracket indices out of range in {ln!r}")
             bracket[k, i, j] = c

@@ -5,12 +5,14 @@ timestamps, so identical invocations produce byte-identical JSON/CSV, and
 --threads only changes how row blocks are scheduled, never an output bit.
 stdout carries a single verdict line plus the report path; everything else
 goes to the declared output path.
+
+A bad spec, size flag or input file exits 2 before anything is written,
+with one "ERROR <command>: ..." line on stderr naming what was typed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -28,7 +30,7 @@ from .carnot import (
     sub_laplacian,
 )
 from .fields import ConeTent, Monomial, ShiftedSquareNorm, Tent, harmonic_cubic
-from .mmspace import InputError
+from .mmspace import InputError, malformed
 from .models import CarnotSpace, Euclidean, FlatCone, HalfSpace
 
 
@@ -49,18 +51,16 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
 
-@contextlib.contextmanager
-def _malformed(kind: str, spec: str):
-    """Report a ValueError raised while parsing spec as an InputError naming it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise InputError(f"malformed {kind} spec {spec!r}: {exc}") from None
+def _above(flag: str, bound, *values) -> None:
+    """Refuse a size flag whose value (each, for a list) is not above bound."""
+    for v in values:
+        if not v > bound:
+            raise InputError(f"{flag} must be > {bound}, got {v!r}")
 
 
 def parse_radii(spec: str) -> list[float]:
     """Either a comma list '0.5,0.25' or a geometric 'r0:count:ratio'."""
-    with _malformed("radii", spec):
+    with malformed("radii", spec):
         if ":" not in spec:
             return experiments.check_radii([float(v) for v in spec.split(",")])
         tok = spec.split(":")
@@ -70,7 +70,7 @@ def parse_radii(spec: str) -> list[float]:
 
 
 def parse_point(spec: str) -> np.ndarray:
-    with _malformed("point", spec):
+    with malformed("point", spec):
         return np.array([float(v) for v in spec.split(",")], dtype=np.float64)
 
 
@@ -78,7 +78,7 @@ def build_field(space, name: str):
     """Field catalog by CLI name; see README for the list."""
     tok = name.split(":")
     dim = space.dim
-    with _malformed("field", name):
+    with malformed("field", name):
         if tok[0] in ("sq1", "sq2", "sq3"):
             i = int(tok[0][2]) - 1
             if i >= dim:
@@ -108,7 +108,7 @@ def build_field(space, name: str):
 
 def build_phi(space, name: str):
     tok = name.split(":")
-    with _malformed("pairing function", name):
+    with malformed("pairing function", name):
         if tok[0] == "tent" and len(tok) == 4:
             return Tent(space.dim, parse_point(tok[1]), float(tok[2]), float(tok[3]))
         if tok[0] == "conetent" and len(tok) == 3:
@@ -118,13 +118,11 @@ def build_phi(space, name: str):
 
 def default_cloud(space, cells: int, seed: int, threads: int = 1):
     """Canned discretizations per space kind (see README)."""
+    if isinstance(space, (Euclidean, HalfSpace)) and space.dim != 2:
+        raise InputError("canned clouds ship for 2-d spaces")
     if isinstance(space, Euclidean):
-        if space.dim != 2:
-            raise InputError("canned clouds ship for 2-d spaces")
         return models.euclidean_cloud(space, [-1.5, -1.5], [1.5, 1.5], cells, seed, threads=threads)
     if isinstance(space, HalfSpace):
-        if space.dim != 2:
-            raise InputError("canned clouds ship for 2-d spaces")
         return models.half_space_cloud(
             space, hi=[2.0, 2.0], cells_per_axis=[cells // 2, cells], seed=seed, lo=[0.0, -2.0],
             threads=threads,
@@ -191,6 +189,8 @@ def cmd_identities(args) -> int:
         out=args.out,
         extras={"count": args.count, "size_max": args.size_max, "fault_inject": args.fault_inject},
     )
+    _above("--count", 0, args.count)
+    _above("--size-max", 1, args.size_max)
     summary = mmspace.run_identity_suite(args.count, args.size_max, args.seed, args.fault_inject)
     out = _write_report(summary, cfg)
     worst = max(summary["worst"].values()) if summary["worst"] else 0.0
@@ -202,7 +202,7 @@ def cmd_identities(args) -> int:
 def cmd_amv_sweep(args) -> int:
     cfg = RunConfig(
         command="amv-sweep", space=args.space, field_name=args.field, point=args.point,
-        radii=args.radii, scheme=args.scheme, seed=args.seed, out=args.out,
+        radii=args.radii, scheme=args.scheme, out=args.out,
         tolerance=args.tolerance, threads=args.threads,
     )
     space = models.parse_space(args.space)
@@ -228,8 +228,9 @@ def cmd_strong_scan(args) -> int:
     if not isinstance(space, CarnotSpace):
         raise InputError("strong-scan grids are gauge annuli; use a carnot space")
     u = build_field(space, args.field)
-    with _malformed("annulus", args.annulus):
+    with malformed("annulus", args.annulus):
         lo, hi = (float(v) for v in args.annulus.split(","))
+    _above("--grid-size", 0, args.grid_size)
     grid = experiments.gauge_annulus_grid(space, lo, hi, args.grid_size, args.seed)
     report = experiments.strong_amv_scan(
         space, u, grid, parse_radii(args.radii), integrate.parse_scheme(args.scheme),
@@ -238,10 +239,9 @@ def cmd_strong_scan(args) -> int:
     return _finish(report, cfg)
 
 
-def cmd_weak_sweep(args, sym: bool = False) -> int:
-    name = "sym-vs-plain" if sym else "weak-sweep"
+def cmd_weak_sweep(args) -> int:
     cfg = RunConfig(
-        command=name, space=args.space, field_name=args.field, phi=args.phi,
+        command=args.command, space=args.space, field_name=args.field, phi=args.phi,
         radii=args.radii, seed=args.seed, out=args.out, tolerance=args.tolerance,
         threads=args.threads, extras={"cloud_cells": args.cloud_cells},
     )
@@ -249,8 +249,9 @@ def cmd_weak_sweep(args, sym: bool = False) -> int:
     u = build_field(space, args.field)
     phi = build_phi(space, args.phi)
     radii = parse_radii(args.radii)
+    _above("--cloud-cells", 1, args.cloud_cells)
     cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads)
-    fn = experiments.sym_vs_plain_sweep if sym else experiments.weak_amv_sweep
+    fn = experiments.sym_vs_plain_sweep if args.command == "sym-vs-plain" else experiments.weak_amv_sweep
     report = fn(cloud, pts, meta, u, phi, radii, reference=args.reference, tolerance=args.tolerance)
     return _finish(report, cfg)
 
@@ -281,6 +282,7 @@ def cmd_carnot_constant(args) -> int:
         extras={"grid_res": args.grid_res},
     )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
+    _above("--mc-n", 0, args.mc_n)
     grid_est, mc_est = integrate.carnot_constant_checked(
         space.group, space.gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
         grid_res=args.grid_res, threads=args.threads,
@@ -297,6 +299,7 @@ def cmd_isotropy(args) -> int:
         extras={"directions": args.directions},
     )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
+    _above("--directions", 0, args.directions)
     rng = np.random.default_rng(args.seed)
     dirs = rng.standard_normal((args.directions, space.group.v1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -324,25 +327,11 @@ def cmd_dirichlet(args) -> int:
         extras={"space_file": args.space_file, "mask_file": args.mask_file, "r": args.r},
     )
     space = mmspace.load_space(args.space_file)
-    boundary_idx = []
-    boundary_val = []
-    with open(args.mask_file) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            try:
-                idx, val = ln.split()
-                boundary_idx.append(int(idx))
-                boundary_val.append(float(val))
-            except ValueError:
-                raise InputError(f"boundary mask lines are '<index> <value>', got {ln!r}") from None
-    interior = np.setdiff1d(np.arange(space.n), np.asarray(boundary_idx, dtype=int))
-    part = dirichlet.BoundaryPartition(interior, boundary_idx, boundary_val)
+    part = dirichlet.load_mask(args.mask_file, space.n)
     u, resid = dirichlet.solve(space, part, args.r)
     out = cfg.out or "dirichlet-solution.txt"
     mmspace.save_field(u, out)
-    _write_report({"residual": resid, "interior": interior.tolist()}, cfg, out + ".json")
+    _write_report({"residual": resid, "interior": part.interior.tolist()}, cfg, out + ".json")
     print(f"PASS dirichlet: residual {resid!r} -> {out}")
     return 0
 
@@ -355,10 +344,12 @@ def cmd_bpz_demo(args) -> int:
     )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
     u = build_field(space, args.field)
-    with _malformed("resolutions", args.resolutions):
+    with malformed("resolutions", args.resolutions):
         resolutions = [int(v) for v in args.resolutions.split(",")]
-    with _malformed("level radii", args.level_radii):
+    with malformed("level radii", args.level_radii):
         level_radii = [float(v) for v in args.level_radii.split(",")]
+    _above("--R", 0, args.R)
+    _above("--resolutions", 0, *resolutions)
     report = dirichlet.bpz_demo(
         space.group, space.gauge, u, args.R, resolutions, level_radii,
         seed=args.seed, tolerance=args.tolerance, threads=args.threads,
@@ -369,16 +360,31 @@ def cmd_bpz_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common(p, scheme_default=None):
+def _common(p, scheme_default=None, seed=True, threads=True):
+    """The sweep options; --seed and --threads only where they take effect."""
     p.add_argument("--radii", default="0.4:6:0.5", help="comma list or r0:count:ratio")
     if scheme_default:
         p.add_argument("--scheme", default=scheme_default, help="mc:n:seed or grid:res")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report path (JSON; CSV written alongside)")
     p.add_argument("--tolerance", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=1,
-                   help="row-block parallelism; never changes output bits")
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="row-block parallelism; never changes output bits")
     p.add_argument("--reference", type=float, default=None)
+
+
+def _group_parser(sub, name: str, summary: str, seed: int):
+    """A subcommand on preset and gauge, with --beta, --seed, --threads and --out."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("preset", help="heisenberg:n")
+    p.add_argument("gauge", help="koranyi or scaled")
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--out", default=None)
+    return p
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -402,7 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("--field", required=True)
     p.add_argument("--point", required=True)
-    _common(p, scheme_default="grid:16")
+    _common(p, scheme_default="grid:16", seed=False)  # MC seeds come from --scheme
     p.set_defaults(fn=cmd_amv_sweep)
 
     p = sub.add_parser("strong-scan", help="sup over a gauge annulus grid per radius")
@@ -413,49 +419,32 @@ def make_parser() -> argparse.ArgumentParser:
     _common(p, scheme_default="grid:14")
     p.set_defaults(fn=cmd_strong_scan)
 
-    p = sub.add_parser("weak-sweep", help="pairing against the r-laplacian on a cloud")
-    p.add_argument("space")
-    p.add_argument("--field", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--cloud-cells", type=int, default=64)
-    _common(p)
-    p.set_defaults(fn=cmd_weak_sweep)
-
-    p = sub.add_parser("sym-vs-plain", help="pairing against (plain - symmetrized) laplacian")
-    p.add_argument("space")
-    p.add_argument("--field", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--cloud-cells", type=int, default=64)
-    _common(p)
-    p.set_defaults(fn=lambda a: cmd_weak_sweep(a, sym=True))
+    for name, summary in (("weak-sweep", "pairing against the r-laplacian on a cloud"),
+                       ("sym-vs-plain", "pairing against (plain - symmetrized) laplacian")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("space")
+        p.add_argument("--field", required=True)
+        p.add_argument("--phi", required=True)
+        p.add_argument("--cloud-cells", type=int, default=64)
+        _common(p)
+        p.set_defaults(fn=cmd_weak_sweep)
 
     p = sub.add_parser("mm-boundary", help="scaled density-deficit mass across radii")
     p.add_argument("space")
     p.add_argument("--region", default="unit")
-    _common(p)
+    _common(p, seed=False, threads=False)  # deterministic quadrature, no row blocks
     p.set_defaults(fn=cmd_mm_boundary)
 
-    p = sub.add_parser("carnot-constant", help="mean value constant, grid and MC cross-checked")
-    p.add_argument("preset", help="heisenberg:n")
-    p.add_argument("gauge", help="koranyi or scaled")
-    p.add_argument("--beta", type=float, default=None)
+    p = _group_parser(sub, "carnot-constant", "mean value constant, grid and MC cross-checked",
+                      seed=20260809)
     p.add_argument("--mc-n", type=int, default=10_000_000)
     p.add_argument("--grid-res", type=int, default=32)
-    p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_carnot_constant)
 
-    p = sub.add_parser("isotropy", help="directional second moments over the unit gauge ball")
-    p.add_argument("preset")
-    p.add_argument("gauge")
-    p.add_argument("--beta", type=float, default=None)
+    p = _group_parser(sub, "isotropy", "directional second moments over the unit gauge ball", seed=3)
     p.add_argument("--directions", type=int, default=20)
     p.add_argument("--scheme", default="mc:10000000:17")
-    p.add_argument("--seed", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_isotropy)
 
     p = sub.add_parser("dirichlet", help="solve a boundary value problem from space + mask files")
@@ -465,18 +454,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_dirichlet)
 
-    p = sub.add_parser("bpz-demo", help="reproduce a harmonic field from gauge-ball boundary data")
-    p.add_argument("preset")
-    p.add_argument("gauge")
-    p.add_argument("--beta", type=float, default=None)
+    p = _group_parser(sub, "bpz-demo", "reproduce a harmonic field from gauge-ball boundary data",
+                      seed=2)
     p.add_argument("--field", default="coord:1")
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--resolutions", default="12,16,20")
     p.add_argument("--level-radii", default="0.5,0.44,0.38")
-    p.add_argument("--seed", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=0.08)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bpz_demo)
 
     return ap

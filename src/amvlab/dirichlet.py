@@ -11,6 +11,8 @@ mmspace.kernel_matrix, the one definition of k_r, and hands the assembled
 rows to library routines: scipy.sparse.csgraph for boundary reachability,
 LU for small systems and scipy's conjugate gradients for large ones.  It
 returns the stationarity residual it checked together with the solution.
+Boundary data is a BoundaryPartition, built in code or read from a mask
+file by load_mask through the text-input edge of mmspace.
 
 The barrier-field construction used in the pointwise-to-everywhere
 regularity upgrade on step-2 groups ships as an analytic catalog field so
@@ -29,7 +31,7 @@ from scipy.sparse.linalg import cg
 
 from . import mmspace
 from .carnot import CarnotStep2, Gauge, gauge_value, horizontal_sqnorm
-from .experiments import ExperimentReport
+from .experiments import ExperimentReport, check_radii
 from .fields import AnalyticField
 from .integrate import Estimate
 from .mmspace import FiniteMMSpace, InputError
@@ -69,6 +71,16 @@ class BoundaryPartition:
             raise InputError("interior and boundary must disjointly cover all points")
         if self.boundary.size == 0:
             raise InputError("need at least one boundary point")
+
+
+def load_mask(path_or_file, n: int) -> BoundaryPartition:
+    """Partition of n points from '<index> <value>' mask lines (0-based
+    boundary indices); unlisted points are interior."""
+    with mmspace.opened(path_or_file) as f:
+        pairs = [mmspace.line_fields(ln, (int, float), "boundary mask lines are '<index> <value>'")
+                 for ln in mmspace.content_lines(f.read())]
+    boundary = np.array([i for i, _ in pairs], dtype=int)
+    return BoundaryPartition(np.setdiff1d(np.arange(n), boundary), boundary, [v for _, v in pairs])
 
 
 def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, near: np.ndarray) -> None:
@@ -211,12 +223,10 @@ def bpz_demo(
     layer, and reports the interior sup difference.  The verdict compares
     the smallest-level difference against the declared tolerance.
     """
-    radii = [float(v) for v in radii]
+    radii = check_radii(radii)
     resolutions = [int(v) for v in resolutions]
     if len(radii) != len(resolutions):
         raise InputError("need one radius per resolution level")
-    if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
-        raise InputError("level radii must be strictly decreasing")
     space = CarnotSpace(group, gauge)
     estimates = []
     sizes = []

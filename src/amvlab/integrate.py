@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as _special
 
 from .carnot import CarnotStep2, Gauge, distance
-from .mmspace import InputError
+from .mmspace import InputError, malformed
 from .models import (
     CarnotSpace,
     Euclidean,
@@ -84,14 +84,15 @@ class GridScheme:
 
 def parse_scheme(spec: str):
     tok = spec.strip().split(":")
-    try:
+    with malformed("scheme", spec):
         if tok[0] == "mc" and len(tok) in (2, 3):
             seed = SeedSpec(int(tok[2])) if len(tok) == 3 else SeedSpec(0)
-            return MCScheme(int(tok[1]), seed)
+            n = int(tok[1])
+            if n < 1:
+                raise InputError("the sample count must be >= 1")
+            return MCScheme(n, seed)
         if tok[0] == "grid" and len(tok) == 2:
             return GridScheme(int(tok[1]))
-    except ValueError as exc:
-        raise InputError(f"malformed scheme spec {spec!r}: {exc}") from None
     raise InputError(f"malformed scheme spec {spec!r}")
 
 

@@ -17,10 +17,16 @@ once and owns the only row-block pass (``_kernels.row_blocks``, about
 1 MiB of float64 per block), which fills a bool mask and two float scratch
 buffers in place, allocated once per pass.  Every row still sums all n
 entries, so the block size never changes a bit.
+
+Text input has one edge, next to ``InputError``: ``opened`` (path or file
+object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
+line's fields) and ``malformed`` (spec errors); every reader raises
+InputError naming the offending line or spec.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 
 import numpy as np
@@ -29,7 +35,38 @@ from ._kernels import row_blocks
 
 
 class InputError(ValueError):
-    """Invalid argument to an operator (unknown point, bad radius, shape)."""
+    """Invalid input: an operator argument (unknown point, bad radius,
+    shape), a malformed spec or a malformed line of a text file."""
+
+
+@contextlib.contextmanager
+def malformed(kind: str, spec: str):
+    """Report a ValueError raised while parsing spec as an InputError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"malformed {kind} spec {spec!r}: {exc}") from None
+
+
+def opened(path_or_file, mode: str = "r"):
+    """Context for a text file: opens (and closes) a path, passes a file object through."""
+    if hasattr(path_or_file, "write" if "w" in mode else "read"):
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode)
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank lines and '#' comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def line_fields(line: str, types, grammar: str) -> list:
+    """A line's fields converted by types, one each, or an InputError quoting grammar."""
+    tok = line.split()
+    with contextlib.suppress(ValueError):
+        if len(tok) == len(types):
+            return [t(v) for t, v in zip(types, tok)]
+    raise InputError(f"{grammar}, got {line!r}")
 
 
 class FiniteMMSpace:
@@ -268,37 +305,25 @@ def weak_pairing(space: FiniteMMSpace, phi, u, r) -> float:
 #   lines 2 .. n:      strict lower triangle of dist; line k has k-1 entries
 #                      d(k,1) ... d(k,k-1), whitespace-separated decimals
 #   last line:         n masses, whitespace-separated decimals
-# Blank lines and lines starting with '#' are ignored.
+# Blank lines and lines starting with '#' are ignored (content_lines).
 # ---------------------------------------------------------------------------
 
 
 def save_space(space: FiniteMMSpace, path_or_file) -> None:
-    def _write(f):
+    with opened(path_or_file, "w") as f:
         f.write(f"{space.n}\n")
+        # tolist() converts a row in C; repr of a float is the shortest round-trip decimal
         for i in range(1, space.n):
-            f.write(" ".join(repr(float(v)) for v in space.dist[i, :i]) + "\n")
-        f.write(" ".join(repr(float(v)) for v in space.mass) + "\n")
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w") as f:
-            _write(f)
+            f.write(" ".join(map(repr, space.dist[i, :i].tolist())) + "\n")
+        f.write(" ".join(map(repr, space.mass.tolist())) + "\n")
 
 
 def load_space(path_or_file) -> FiniteMMSpace:
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as f:
-            text = f.read()
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    with opened(path_or_file) as f:
+        lines = content_lines(f.read())
     if not lines:
         raise InputError("empty space file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise InputError(f"first line must be the point count, got {lines[0]!r}") from None
+    [n] = line_fields(lines[0], (int,), "first line must be the point count")
     if n < 1:
         raise InputError("point count must be >= 1")
     if len(lines) != n + 1:
@@ -306,7 +331,7 @@ def load_space(path_or_file) -> FiniteMMSpace:
 
     def numbers(k):
         try:
-            return [float(tok) for tok in lines[k].split()]
+            return list(map(float, lines[k].split()))
         except ValueError:
             raise InputError(f"content line {k + 1} is not all numbers: {lines[k]!r}") from None
 
@@ -316,7 +341,8 @@ def load_space(path_or_file) -> FiniteMMSpace:
         if len(row) != i:
             raise InputError(f"distance row {i + 1} must have {i} entries, got {len(row)}")
         dist[i, :i] = row
-        dist[:i, i] = row
+    # mirror the strict lower triangle: row writes above, no strided column writes
+    np.copyto(dist.T, dist, where=np.tri(n, k=-1, dtype=bool))
     mass = np.array(numbers(n))
     if mass.shape != (n,):
         raise InputError(f"mass line must have {n} entries, got {mass.shape[0]}")
@@ -325,22 +351,15 @@ def load_space(path_or_file) -> FiniteMMSpace:
 
 def save_field(values, path_or_file) -> None:
     values = np.asarray(values, dtype=np.float64)
-    text = "".join(repr(float(v)) + "\n" for v in values)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as f:
-            f.write(text)
+    with opened(path_or_file, "w") as f:
+        f.write("".join(repr(float(v)) + "\n" for v in values))
 
 
 def load_field(path_or_file) -> np.ndarray:
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as f:
-            text = f.read()
-    vals = [float(ln) for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    return np.array(vals, dtype=np.float64)
+    """One decimal per content line."""
+    with opened(path_or_file) as f:
+        lines = content_lines(f.read())
+    return np.array([line_fields(ln, (float,), "a field line is one number")[0] for ln in lines])
 
 
 def space_to_text(space: FiniteMMSpace) -> str:

@@ -28,7 +28,7 @@ from scipy import special as _special
 
 from . import _kernels
 from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
-from .mmspace import FiniteMMSpace, InputError
+from .mmspace import FiniteMMSpace, InputError, check_radius, malformed
 
 
 logger = logging.getLogger("amvlab.models")
@@ -44,13 +44,6 @@ def unit_ball_volume(n: float) -> float:
     if n < 0:
         raise InputError("dimension must be nonnegative")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def _check_r(r) -> float:
-    r = float(r)
-    if not (r > 0) or not math.isfinite(r):
-        raise InputError(f"radius must be positive and finite, got {r}")
-    return r
 
 
 class ModelSpace:
@@ -109,15 +102,15 @@ class Euclidean(_Flat):
         return f"euclidean:{self.dim}"
 
     def ball_volume(self, x, r):
-        r = _check_r(r)
+        r = check_radius(r)
         return unit_ball_volume(self.dim) * r**self.dim, "exact"
 
     def theta_r(self, x, r) -> float:
-        _check_r(r)
+        check_radius(r)
         return 1.0
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
-        r = _check_r(r)
+        r = check_radius(r)
         x = self._pts(x)
         return x + ball_point_cloud(self.dim, r, n, rng)
 
@@ -166,7 +159,7 @@ class HalfSpace(_Flat):
         return p
 
     def ball_volume(self, x, r):
-        r = _check_r(r)
+        r = check_radius(r)
         h = float(self._pts(x)[..., 0])
         full = unit_ball_volume(self.dim) * r**self.dim
         if h >= r:
@@ -179,7 +172,7 @@ class HalfSpace(_Flat):
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
-        r = _check_r(r)
+        r = check_radius(r)
         x = self._pts(x)
 
         def propose(need):
@@ -245,7 +238,7 @@ class FlatCone(ModelSpace):
         rule integrates exactly; the apex-centered sector stays closed-form
         as a cross-check.
         """
-        r = _check_r(r)
+        r = check_radius(r)
         rho0 = float(self._pts(x)[..., 0])
         half = 0.5 * self.theta_c
         if rho0 == 0.0:
@@ -279,7 +272,7 @@ class FlatCone(ModelSpace):
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from an annulus-sector envelope in (rho, phi)."""
-        r = _check_r(r)
+        r = check_radius(r)
         x = self._pts(x)
         rho0, phi0 = float(x[..., 0]), float(x[..., 1])
         rho_lo, rho_hi = max(0.0, rho0 - r), rho0 + r
@@ -345,7 +338,7 @@ class CarnotSpace(ModelSpace):
         return self._unit_volume, self._unit_volume_method
 
     def ball_volume(self, x, r):
-        r = _check_r(r)
+        r = check_radius(r)
         c, method = self.unit_ball_volume()
         return c * r**self.group.homogeneous_dim, ("exact" if method == "quadrature" else method)
 
@@ -355,7 +348,7 @@ class CarnotSpace(ModelSpace):
         The envelope is the exact gauge-ball bounding box; unbiasedness
         rests on Haar invariance of left translation.
         """
-        r = _check_r(r)
+        r = check_radius(r)
         g = self.group
         x = g._check(np.asarray(x, dtype=np.float64))
         h_bound, v_bound = self.gauge.envelope(g, r)
@@ -409,7 +402,7 @@ def parse_space(spec: str) -> ModelSpace:
     carnot:heisenberg:n:gauge[:beta]."""
     tok = spec.strip().split(":")
     kind = tok[0].lower()
-    try:
+    with malformed("space", spec):
         if kind == "euclidean" and len(tok) == 2:
             return Euclidean(int(tok[1]))
         if kind == "half" and len(tok) == 2:
@@ -418,8 +411,6 @@ def parse_space(spec: str) -> ModelSpace:
             return FlatCone(float(tok[1]))
         if kind == "carnot" and len(tok) in (4, 5):
             return carnot_preset(":".join(tok[1:3]), tok[3], float(tok[4]) if len(tok) == 5 else None)
-    except (ValueError, IndexError) as exc:
-        raise InputError(f"malformed space spec {spec!r}: {exc}") from None
     raise InputError(f"malformed space spec {spec!r}")
 
 
@@ -506,15 +497,13 @@ class Region:
 
 def parse_region(spec: str) -> Region:
     tok = spec.strip().split(":")
-    try:
+    with malformed("region", spec):
         if tok[0] == "ball" and len(tok) == 3:
             return Region.ball([float(v) for v in tok[1].split(",")], float(tok[2]))
         if tok[0] == "box" and len(tok) == 3:
             return Region.box([float(v) for v in tok[1].split(",")], [float(v) for v in tok[2].split(",")])
         if tok[0] == "unit" and len(tok) == 1:
             return Region("unit")
-    except ValueError as exc:
-        raise InputError(f"malformed region spec {spec!r}: {exc}") from None
     raise InputError(f"malformed region spec {spec!r}")
 
 
@@ -526,7 +515,7 @@ def _gl_nodes(n, a, b):
 def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
     """Total variation of the scaled density deficit (1 - theta_r)/r on the
     region: integral of |1 - theta_r(x)| / r over the region."""
-    r = _check_r(r)
+    r = check_radius(r)
     if region.kind == "unit":
         region = _default_region(space)
     if isinstance(space, Euclidean):

@@ -161,9 +161,33 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
         (["bpz-demo", "heisenberg:1", "koranyi", "--level-radii", "0.5,y,0.38"], "'0.5,y,0.38'"),
         (["isotropy", "heisenberg:x", "koranyi"], "'heisenberg:x'"),
         (["isotropy", "heisenberg:1", "koranyi", "--beta", "3", "--scheme", "grid:4"], "'koranyi'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:0:1"], "'mc:0:1'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:-3:1"], "'mc:-3:1'"),
+        (["carnot-constant", "heisenberg:1", "koranyi", "--mc-n", "0", "--grid-res", "4"],
+         "--mc-n must be > 0, got 0"),
+        (["isotropy", "heisenberg:1", "koranyi", "--directions", "0", "--scheme", "grid:4"],
+         "--directions must be > 0, got 0"),
+        (["isotropy", "heisenberg:1", "koranyi", "--directions", "-2", "--scheme", "grid:4"],
+         "--directions must be > 0, got -2"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--scheme", "grid:4",
+          "--grid-size", "0"], "--grid-size must be > 0, got 0"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--scheme", "grid:4",
+          "--grid-size", "-1"], "--grid-size must be > 0, got -1"),
+        (["sym-vs-plain", "half:2", "--field", "coord:1", "--phi", "tent:0,0:1.0:1.25", "--cloud-cells", "1"],
+         "--cloud-cells must be > 1, got 1"),
+        (["weak-sweep", "cone:4.5", "--field", "coord:1", "--phi", "conetent:0.3:0.6", "--cloud-cells", "-4"],
+         "--cloud-cells must be > 1, got -4"),
+        (["identities", "--count", "0"], "--count must be > 0, got 0"),
+        (["identities", "--count", "2", "--size-max", "1"], "--size-max must be > 1, got 1"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "0,2", "--level-radii", "0.5,0.38"],
+         "--resolutions must be > 0, got 0"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--R", "-1"], "--R must be > 0, got -1.0"),
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
-         "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta"],
+         "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
+         "mc-zero", "mc-negative", "mc-n-zero", "directions-zero", "directions-negative", "grid-size-zero",
+         "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
+         "size-max-one", "resolutions-zero", "R-negative"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])

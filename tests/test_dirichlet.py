@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ def test_interior_operator_spd():
     for cutoff in (500, 0):  # LU and conjugate-gradient branches
         u, _ = di.solve(space, part, r, dense_cutoff=cutoff)
         np.testing.assert_allclose(u[part.interior], ref, rtol=0, atol=1e-12)
+
+
+def test_load_mask():
+    part = di.load_mask(io.StringIO("# boundary\n0 0.0\n\n  2 6.0\n"), 4)
+    assert part.interior.tolist() == [1, 3] and part.boundary.tolist() == [0, 2]
+    assert part.g.tolist() == [0.0, 6.0]
+    for bad in ("0 0.0\n2\n", "0 0.0\n2.5 1.0\n"):
+        with pytest.raises(InputError, match=repr(bad.splitlines()[-1])):
+            di.load_mask(io.StringIO(bad), 4)
 
 
 def test_disconnected_interior_error():

@@ -241,6 +241,24 @@ def test_serialization_grammar():
         mm.space_from_text("2\n1.0\n")  # missing mass line
     with pytest.raises(mm.InputError):
         mm.space_from_text("2\n1.0 3.0\n1 1\n")  # too many row entries
+    with pytest.raises(mm.InputError, match="'x 1.0'"):
+        mm.space_from_text("3\n1.0\nx 1.0\n1 1 1\n")  # a non-numeric entry
+    with pytest.raises(mm.InputError, match="'three'"):
+        mm.space_from_text("  # indented comment\nthree\n")
+
+
+def test_writers_golden_bytes(tmp_path):
+    """The writers' exact bytes: shortest round-trip decimals, one row per line."""
+    d = np.array([[0.0, 0.1, 1e-20], [0.1, 0.0, 2.5e16], [1e-20, 2.5e16, 0.0]])
+    space = mm.FiniteMMSpace(d, np.array([0.1, 1e-20, 2.5e16]))
+    assert mm.space_to_text(space) == "3\n0.1\n1e-20 2.5e+16\n0.1 1e-20 2.5e+16\n"
+    mm.save_space(space, tmp_path / "space.txt")
+    assert (tmp_path / "space.txt").read_bytes() == b"3\n0.1\n1e-20 2.5e+16\n0.1 1e-20 2.5e+16\n"
+    buf = io.StringIO()
+    mm.save_field([0.1, 1e-20, 2.5e16], buf)
+    assert buf.getvalue() == "0.1\n1e-20\n2.5e+16\n"
+    mm.save_field([0.1, 1e-20, 2.5e16], tmp_path / "field.txt")
+    assert (tmp_path / "field.txt").read_bytes() == b"0.1\n1e-20\n2.5e+16\n"
 
 
 def test_field_serialization_roundtrip():
@@ -249,3 +267,7 @@ def test_field_serialization_roundtrip():
     mm.save_field(vals, buf)
     back = mm.load_field(io.StringIO(buf.getvalue()))
     assert np.array_equal(vals, back)
+    assert mm.load_field(io.StringIO("# values\n\n 1.5 \n-2\n")).tolist() == [1.5, -2.0]
+    for bad in ("1.0\nabc\n", "1.0 2.0\n"):
+        with pytest.raises(mm.InputError, match=repr(bad.splitlines()[-1])):
+            mm.load_field(io.StringIO(bad))

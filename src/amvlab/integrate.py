@@ -4,9 +4,16 @@ seeded Monte Carlo.
 Monte Carlo streams are counter-based (Philox keyed by master seed and
 stream id), generated sequentially in fixed-size batches, so every estimate
 is a pure function of (inputs, seed) no matter how evaluation is laid out.
+An estimate needs at least two independent draws for its error bar.
 Grid quadrature over Euclidean balls is a Gauss-Jacobi radial rule times a
 product sphere rule (exact for polynomials); gauge balls use slice-adapted
 coordinates where the slice measure is smooth.
+
+The Monte Carlo r-laplacian draws antithetic pairs (x·z, x·z⁻¹) on the
+spaces whose balls are symmetric under z -> z⁻¹ (Euclidean space, Carnot
+spaces with a quartic gauge): the symmetry cancels the first-order term of
+u(y) - u(x) inside each pair, so the error bar no longer grows with
+|grad u(x)| r / r^2.  A pair is one draw.
 """
 
 from __future__ import annotations
@@ -55,7 +62,9 @@ class SeedSpec:
 class Estimate:
     """A single numeric estimate with error accounting.
 
-    std_error is zero exactly when the method is deterministic.
+    std_error is zero for a deterministic method, and for a Monte Carlo
+    estimate whose draws all agree (a constant field).  n counts the
+    independent draws (an antithetic pair is one draw) or the grid nodes.
     """
 
     value: float
@@ -211,8 +220,12 @@ def _mc_moments(space: ModelSpace, f, x, r, scheme: MCScheme, threads: int = 1):
     f maps a batch of sample points to one value per point, or to a row of
     values per point.  Batches are merged by their centred moments (Chan,
     Golub and LeVeque), never by E[v^2] - E[v]^2, which cancels to a zero
-    variance once the mean dwarfs the spread.
+    variance once the mean dwarfs the spread.  One draw gives no spread at
+    all, so fewer than two are refused.
     """
+    if scheme.n < 2:
+        raise InputError("a Monte Carlo error bar needs at least 2 independent draws "
+                         f"(an antithetic pair is one), got {scheme.n}")
     rng = scheme.seed.generator()
     mean = 0.0
     m2 = 0.0
@@ -256,10 +269,30 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
 
     Averaging the difference centres the samples on u(x), so the mean keeps
     its digits when |u(x)| dwarfs the spread of u over the ball.
+
+    Monte Carlo on a space with antithetic pairs (Euclidean, quartic-gauge
+    Carnot) averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in
+    B_r(0).  The ball is symmetric under z -> z⁻¹, so g has the same mean,
+    and its first-order term cancels: for a quadratic u, g is the integrand
+    at the origin wherever x is.  Each evaluation is centred before the pair
+    is averaged; ½(u(a) + u(b)) - u(x) would lose the digits at large
+    |u(x)|.  mc:n still means n field evaluations, drawn as ⌈n/2⌉ pairs,
+    and Estimate.n counts the pairs.  Other spaces sample plainly.
     """
     r = float(r)
-    ux = float(u(np.asarray(x, dtype=np.float64)[None, :])[0])
-    est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme, threads)
+    x = np.asarray(x, dtype=np.float64)
+    ux = float(u(x[None, :])[0])
+    pair = space.antithetic(x) if isinstance(scheme, MCScheme) else None
+    if pair is None:
+        est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme, threads)
+    else:
+
+        def centred_pair_mean(z):
+            a, b = pair(z)
+            return 0.5 * ((u(a) - ux) + (u(b) - ux))
+
+        pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
+        est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs, threads)
     return Estimate(est.value / r**2, est.std_error / r**2, est.n, est.method)
 
 

@@ -4,7 +4,9 @@ Each space knows its point representation, distance, reference measure,
 ball volumes (exact where available, quadrature otherwise) and a uniform
 ball sampler driven by an explicit RNG.  The half-space convention puts the
 boundary at {x[0] = 0}, so the first coordinate is the distance to the
-boundary.
+boundary.  Euclidean space and the Carnot spaces with a quartic gauge,
+whose balls are symmetric under z -> z⁻¹, also hand out antithetic pairs
+(x·z, x·z⁻¹).
 
 The three rejection samplers (half-space, cone, Carnot) share one loop,
 ``fill_by_rejection``; each keeps only its proposal.
@@ -66,6 +68,11 @@ class ModelSpace:
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         raise NotImplementedError
 
+    def antithetic(self, x):
+        """The map z -> (x·z, x·z⁻¹) on offsets z drawn from B_r(0), or None
+        when the space's balls are not symmetric under z -> z⁻¹."""
+        return None
+
     def spec(self) -> str:
         raise NotImplementedError
 
@@ -113,6 +120,10 @@ class Euclidean(_Flat):
         r = check_radius(r)
         x = self._pts(x)
         return x + ball_point_cloud(self.dim, r, n, rng)
+
+    def antithetic(self, x):
+        x = self._pts(x)
+        return lambda z: (x + z, x - z)
 
 
 def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
@@ -374,6 +385,15 @@ class CarnotSpace(ModelSpace):
         out = fill_by_rejection(n, g.dim, propose)
         logger.debug("gauge-ball rejection acceptance rate %.4f", accepted / attempts)
         return self.group.multiply(x, out)
+
+    def antithetic(self, x):
+        """The quartic gauges are even, so z -> z⁻¹ = -z maps B_r(0) onto
+        itself; a profile gauge need not be."""
+        if self.gauge.kind not in ("koranyi", "scaled_koranyi"):
+            return None
+        g = self.group
+        x = g._check(np.asarray(x, dtype=np.float64))
+        return lambda z: (g.multiply(x, z), g.multiply(x, g.inverse(z)))
 
 
 # ---------------------------------------------------------------------------

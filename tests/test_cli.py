@@ -163,6 +163,12 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
         (["isotropy", "heisenberg:1", "koranyi", "--beta", "3", "--scheme", "grid:4"], "'koranyi'"),
         (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:0:1"], "'mc:0:1'"),
         (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:-3:1"], "'mc:-3:1'"),
+        # one draw has no spread, and a sigma of 0 would read as deterministic;
+        # on euclidean:2, mc:2 is a single antithetic pair
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:1:1",
+          "--radii", "0.5,0.25"], "at least 2 independent draws"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "mc:2:1",
+          "--radii", "0.5,0.25"], "at least 2 independent draws"),
         (["carnot-constant", "heisenberg:1", "koranyi", "--mc-n", "0", "--grid-res", "4"],
          "--mc-n must be > 0, got 0"),
         (["isotropy", "heisenberg:1", "koranyi", "--directions", "0", "--scheme", "grid:4"],
@@ -185,8 +191,8 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
          "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
-         "mc-zero", "mc-negative", "mc-n-zero", "directions-zero", "directions-negative", "grid-size-zero",
-         "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
+         "mc-zero", "mc-negative", "mc-one-draw", "mc-one-pair", "mc-n-zero", "directions-zero",
+         "directions-negative", "grid-size-zero", "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
          "size-max-one", "resolutions-zero", "R-negative"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
@@ -194,6 +200,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith(f"ERROR {args[0]}:") and typed in err, err
     assert not list(tmp_path.iterdir())
+
+
+def test_two_mc_draws_on_half_space_have_error_bars(tmp_path):
+    out = tmp_path / "r.json"
+    rc = main(["amv-sweep", "half:2", "--field", "sq1", "--point", "1,0", "--scheme", "mc:2:1",
+               "--radii", "0.5,0.25", "--out", str(out)])
+    assert rc in (0, 1)
+    rep = ex.ExperimentReport.from_json(out.read_text())
+    assert all(s > 0 for s in rep.std_errors)
 
 
 def test_cloud_beyond_address_space_limit_exits_2(tmp_path, cli_env):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from amvlab import carnot as ca
+from amvlab import experiments as ex
 from amvlab import integrate as it
 from amvlab import models as mo
 from amvlab.fields import Monomial, ShiftedSquareNorm
@@ -130,6 +131,54 @@ def test_mc_std_error_survives_large_offset():
     est = it.continuum_r_laplacian(mo.Euclidean(2), sq1, np.array([1e6, 0.0]), 1e-2, scheme)
     assert est.std_error > 0
     assert abs(est.value - 0.25) <= 3 * est.std_error
+
+
+def test_paired_mc_laplacian_far_equals_origin(h1, koranyi):
+    """For a quadratic field the centred pair mean is the origin's integrand,
+    so far from the origin the estimate and its error bar are the origin's:
+    the first-order term no longer inflates sigma like |grad u| r / r^2."""
+    cases = [
+        (mo.Euclidean(2), Monomial(2, (2, 0)), np.array([1e3, 0.0])),
+        (mo.CarnotSpace(h1, koranyi), ca.horizontal_sqnorm(h1), np.array([10.0, 10.0, 0.0])),
+    ]
+    scheme = it.MCScheme(20_000, it.SeedSpec(5))
+    for space, u, x in cases:
+        for r in (0.4, 0.0125):
+            far = it.continuum_r_laplacian(space, u, x, r, scheme)
+            origin = it.continuum_r_laplacian(space, u, np.zeros_like(x), r, scheme)
+            assert far.value == pytest.approx(origin.value, rel=1e-6), (space.spec(), r)
+            assert far.std_error == pytest.approx(origin.std_error, rel=1e-6), (space.spec(), r)
+            assert far.n == origin.n == 10_000
+
+
+def test_unpaired_spaces_sample_plainly(h1):
+    """Half-space, cone and profile-gauge balls are not symmetric under
+    z -> z^-1, so their MC r-laplacian is the plain centred ball mean."""
+    profile = ca.ProfileGauge(lambda s, z2: (s**4 + z2[..., 0] ** 2) ** 0.25, unit_envelope=(1.0, 1.0))
+    cases = [
+        (mo.HalfSpace(2), Monomial(2, (2, 0)), np.array([0.3, 0.1]), 0.5),
+        (mo.FlatCone(1.5), Monomial(2, (1, 1)), np.array([0.4, 0.2]), 0.5),
+        (mo.CarnotSpace(h1, profile), ca.horizontal_sqnorm(h1), np.array([0.5, 0.5, 0.0]), 0.3),
+    ]
+    scheme = it.MCScheme(4_000, it.SeedSpec(8))
+    for space, u, x, r in cases:
+        assert space.antithetic(x) is None
+        ux = float(u(x[None, :])[0])
+        plain = it.mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme)
+        est = it.continuum_r_laplacian(space, u, x, r, scheme)
+        assert (est.value, est.std_error, est.n) == (plain.value / r**2, plain.std_error / r**2, 4_000)
+
+
+def test_paired_mc_laplacian_unbiased_off_origin(h1, koranyi):
+    """A non-polynomial field off the origin: the pairs agree with the grid."""
+    space = mo.CarnotSpace(h1, koranyi)
+    u = ca.fundamental_power(h1)
+    x = ex.gauge_annulus_grid(space, 1.0, 2.0, 4, 7)[0]
+    for r in (0.5, 0.25):
+        grid = it.continuum_r_laplacian(space, u, x, r, it.GridScheme(14))
+        mc = it.continuum_r_laplacian(space, u, x, r, it.MCScheme(200_000, it.SeedSpec(4)))
+        assert mc.std_error > 0
+        assert abs(mc.value - grid.value) <= 4 * mc.std_error
 
 
 def test_mean_over_ball_carnot(h1, koranyi):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,23 +31,6 @@ from .carnot import (
 from .fields import ConeTent, Monomial, ShiftedSquareNorm, Tent, harmonic_cubic
 from .mmspace import InputError, malformed
 from .models import CarnotSpace, Euclidean, FlatCone, HalfSpace
-
-
-@dataclass
-class RunConfig:
-    command: str
-    space: str | None = None
-    field_name: str | None = None
-    phi: str | None = None
-    point: str | None = None
-    region: str | None = None
-    radii: str | None = None
-    scheme: str | None = None
-    seed: int = 0
-    out: str | None = None
-    tolerance: float | None = None
-    threads: int = 1
-    extras: dict = field(default_factory=dict)
 
 
 def _above(flag: str, bound, *values) -> None:
@@ -133,31 +115,33 @@ def default_cloud(space, cells: int, seed: int, threads: int = 1):
     raise InputError(f"no canned cloud for the {space.kind} kind")
 
 
-def _write_report(report, cfg: RunConfig, out: str | None = None) -> str:
-    """Write a report as sorted, 2-space-indented JSON with the run
-    configuration attached, and return its path (default <command>.json).
+def _write_report(report, args, out: str | None = None) -> str:
+    """Write a report as sorted, 2-space-indented JSON with the parsed
+    command line attached as its config (every option under its argparse
+    name), and return its path (default <command>.json).
 
     An ExperimentReport also records the package version and gets its CSV
     table written alongside; any other report is a plain dict.
     """
-    out = out or cfg.out or f"{cfg.command}.json"
+    out = out or args.out or f"{args.command}.json"
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
     if isinstance(report, experiments.ExperimentReport):
-        report.metadata["config"] = asdict(cfg)
+        report.metadata["config"] = config
         report.metadata["version"] = __version__
         csv_path = out[:-5] + ".csv" if out.endswith(".json") else out + ".csv"
         with open(csv_path, "w") as f:
             f.write(report.to_csv())
         text = report.to_json()
     else:
-        text = json.dumps({**report, "config": asdict(cfg)}, sort_keys=True, indent=2)
+        text = json.dumps({**report, "config": config}, sort_keys=True, indent=2)
     with open(out, "w") as f:
         f.write(text + "\n")
     return out
 
 
-def _finish(report, cfg: RunConfig) -> int:
-    path = _write_report(report, cfg)
-    print(f"{report.verdict.upper()} {cfg.command}: limit {report.fitted_limit!r} "
+def _finish(report, args) -> int:
+    path = _write_report(report, args)
+    print(f"{report.verdict.upper()} {args.command}: limit {report.fitted_limit!r} "
           f"(reference {report.reference!r}, tolerance {report.tolerance!r}) -> {path}")
     return 0 if report.verdict == "pass" else 1
 
@@ -183,16 +167,10 @@ def _auto_reference(space, u, x) -> float | None:
 
 
 def cmd_identities(args) -> int:
-    cfg = RunConfig(
-        command="identities",
-        seed=args.seed,
-        out=args.out,
-        extras={"count": args.count, "size_max": args.size_max, "fault_inject": args.fault_inject},
-    )
     _above("--count", 0, args.count)
     _above("--size-max", 1, args.size_max)
     summary = mmspace.run_identity_suite(args.count, args.size_max, args.seed, args.fault_inject)
-    out = _write_report(summary, cfg)
+    out = _write_report(summary, args)
     worst = max(summary["worst"].values()) if summary["worst"] else 0.0
     status = "PASS" if summary["ok"] else "FAIL"
     print(f"{status} identities: {args.count} instances, worst residual {worst!r} -> {out}")
@@ -200,11 +178,6 @@ def cmd_identities(args) -> int:
 
 
 def cmd_amv_sweep(args) -> int:
-    cfg = RunConfig(
-        command="amv-sweep", space=args.space, field_name=args.field, point=args.point,
-        radii=args.radii, scheme=args.scheme, out=args.out,
-        tolerance=args.tolerance, threads=args.threads,
-    )
     space = models.parse_space(args.space)
     u = build_field(space, args.field)
     x = parse_point(args.point)
@@ -214,16 +187,10 @@ def cmd_amv_sweep(args) -> int:
     report = experiments.amv_sweep(
         space, u, x, radii, scheme, reference=reference, tolerance=args.tolerance, threads=args.threads
     )
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_strong_scan(args) -> int:
-    cfg = RunConfig(
-        command="strong-scan", space=args.space, field_name=args.field, radii=args.radii,
-        scheme=args.scheme, seed=args.seed, out=args.out, tolerance=args.tolerance,
-        threads=args.threads,
-        extras={"annulus": args.annulus, "grid_size": args.grid_size},
-    )
     space = models.parse_space(args.space)
     if not isinstance(space, CarnotSpace):
         raise InputError("strong-scan grids are gauge annuli; use a carnot space")
@@ -236,15 +203,10 @@ def cmd_strong_scan(args) -> int:
         space, u, grid, parse_radii(args.radii), integrate.parse_scheme(args.scheme),
         reference=args.reference, tolerance=args.tolerance, threads=args.threads,
     )
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_weak_sweep(args) -> int:
-    cfg = RunConfig(
-        command=args.command, space=args.space, field_name=args.field, phi=args.phi,
-        radii=args.radii, seed=args.seed, out=args.out, tolerance=args.tolerance,
-        threads=args.threads, extras={"cloud_cells": args.cloud_cells},
-    )
     space = models.parse_space(args.space)
     u = build_field(space, args.field)
     phi = build_phi(space, args.phi)
@@ -253,14 +215,10 @@ def cmd_weak_sweep(args) -> int:
     cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads)
     fn = experiments.sym_vs_plain_sweep if args.command == "sym-vs-plain" else experiments.weak_amv_sweep
     report = fn(cloud, pts, meta, u, phi, radii, reference=args.reference, tolerance=args.tolerance)
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_mm_boundary(args) -> int:
-    cfg = RunConfig(
-        command="mm-boundary", space=args.space, region=args.region, radii=args.radii,
-        out=args.out, tolerance=args.tolerance,
-    )
     space = models.parse_space(args.space)
     region = models.parse_region(args.region)
     reference = args.reference
@@ -268,36 +226,27 @@ def cmd_mm_boundary(args) -> int:
         if isinstance(space, (Euclidean, FlatCone)):
             reference = 0.0
         elif isinstance(space, HalfSpace) and region.kind == "unit":
-            reference = 2.0 / (3.0 * math.pi)
+            reference = models.half_space_unit_limit(space.dim)
     report = experiments.mm_boundary_sweep(
         space, region, parse_radii(args.radii), reference=reference, tolerance=args.tolerance
     )
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_carnot_constant(args) -> int:
-    cfg = RunConfig(
-        command="carnot-constant", space=f"carnot:{args.preset}:{args.gauge}",
-        scheme=f"mc:{args.mc_n}:{args.seed}", seed=args.seed, out=args.out,
-        extras={"grid_res": args.grid_res},
-    )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
     _above("--mc-n", 0, args.mc_n)
+    _above("--grid-res", 0, args.grid_res)
     grid_est, mc_est = integrate.carnot_constant_checked(
         space.group, space.gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
         grid_res=args.grid_res, threads=args.threads,
     )
-    out = _write_report({"grid": asdict(grid_est), "mc": asdict(mc_est)}, cfg)
+    out = _write_report({"grid": asdict(grid_est), "mc": asdict(mc_est)}, args)
     print(f"PASS carnot-constant: grid {grid_est.value!r} mc {mc_est.value!r} -> {out}")
     return 0
 
 
 def cmd_isotropy(args) -> int:
-    cfg = RunConfig(
-        command="isotropy", space=f"carnot:{args.preset}:{args.gauge}",
-        scheme=args.scheme, seed=args.seed, out=args.out,
-        extras={"directions": args.directions},
-    )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
     _above("--directions", 0, args.directions)
     rng = np.random.default_rng(args.seed)
@@ -314,7 +263,7 @@ def cmd_isotropy(args) -> int:
             "directions": dirs.tolist(),
             "max_over_min": ratio,
         },
-        cfg,
+        args,
     )
     ok = ratio <= 1.0 + args.tolerance
     print(f"{'PASS' if ok else 'FAIL'} isotropy: max/min {ratio!r} over {args.directions} directions -> {out}")
@@ -322,26 +271,17 @@ def cmd_isotropy(args) -> int:
 
 
 def cmd_dirichlet(args) -> int:
-    cfg = RunConfig(
-        command="dirichlet", out=args.out,
-        extras={"space_file": args.space_file, "mask_file": args.mask_file, "r": args.r},
-    )
     space = mmspace.load_space(args.space_file)
     part = dirichlet.load_mask(args.mask_file, space.n)
     u, resid = dirichlet.solve(space, part, args.r)
-    out = cfg.out or "dirichlet-solution.txt"
+    out = args.out or "dirichlet-solution.txt"
     mmspace.save_field(u, out)
-    _write_report({"residual": resid, "interior": part.interior.tolist()}, cfg, out + ".json")
+    _write_report({"residual": resid, "interior": part.interior.tolist()}, args, out + ".json")
     print(f"PASS dirichlet: residual {resid!r} -> {out}")
     return 0
 
 
 def cmd_bpz_demo(args) -> int:
-    cfg = RunConfig(
-        command="bpz-demo", space=f"carnot:{args.preset}:{args.gauge}",
-        field_name=args.field, seed=args.seed, out=args.out, tolerance=args.tolerance,
-        extras={"R": args.R, "resolutions": args.resolutions, "level_radii": args.level_radii},
-    )
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
     u = build_field(space, args.field)
     with malformed("resolutions", args.resolutions):
@@ -354,7 +294,7 @@ def cmd_bpz_demo(args) -> int:
         space.group, space.gauge, u, args.R, resolutions, level_radii,
         seed=args.seed, tolerance=args.tolerance, threads=args.threads,
     )
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,10 @@ def parse_scheme(spec: str):
                 raise InputError("the sample count must be >= 1")
             return MCScheme(n, seed)
         if tok[0] == "grid" and len(tok) == 2:
-            return GridScheme(int(tok[1]))
+            res = int(tok[1])
+            if res < 1:
+                raise InputError("the grid resolution must be >= 1")
+            return GridScheme(res)
     raise InputError(f"malformed scheme spec {spec!r}")
 
 

@@ -157,6 +157,16 @@ def _halfspace_deficit(s, n: int):
     return 0.5 * _special.betainc((n + 1) / 2.0, 0.5, 1.0 - s * s)
 
 
+def half_space_unit_limit(n: int) -> float:
+    """Small-r limit of the mm-boundary mass of the unit region on half:n.
+
+    Integrating the deficit over s in [0, 1] gives the integral of x_1
+    over the half unit ball {x_1 > 0}, divided by omega_n:
+    omega_(n-1) / ((n + 1) omega_n).
+    """
+    return unit_ball_volume(n - 1) / ((n + 1) * unit_ball_volume(n))
+
+
 class HalfSpace(_Flat):
     kind = "half_space"
 
@@ -354,7 +364,8 @@ class CarnotSpace(ModelSpace):
         return c * r**self.group.homogeneous_dim, ("exact" if method == "quadrature" else method)
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
-        """Left-translate of box-rejection samples from B_r(0).
+        """Left-translate of box-rejection samples from B_r(0); at the
+        origin, where the translation is the identity, the samples as drawn.
 
         The envelope is the exact gauge-ball bounding box; unbiasedness
         rests on Haar invariance of left translation.
@@ -384,7 +395,7 @@ class CarnotSpace(ModelSpace):
 
         out = fill_by_rejection(n, g.dim, propose)
         logger.debug("gauge-ball rejection acceptance rate %.4f", accepted / attempts)
-        return self.group.multiply(x, out)
+        return g.multiply(x, out) if np.any(x) else out
 
     def antithetic(self, x):
         """The quartic gauges are even, so z -> z⁻¹ = -z maps B_r(0) onto
@@ -503,11 +514,15 @@ class Region:
 
     @classmethod
     def ball(cls, center, radius) -> "Region":
-        return cls("ball", center=center, radius=radius)
+        return cls("ball", center=center, radius=check_radius(radius))
 
     @classmethod
     def box(cls, lo, hi) -> "Region":
-        return cls("box", lo=lo, hi=hi)
+        region = cls("box", lo=lo, hi=hi)
+        lo, hi = region.lo, region.hi
+        if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(lo) & np.isfinite(hi)):
+            raise InputError("a box needs finite lo < hi on every axis")
+        return region
 
     def spec(self) -> str:
         if self.kind == "ball":

@@ -12,7 +12,7 @@ from amvlab import dirichlet as di
 from amvlab import experiments as ex
 from amvlab import mmspace as mm
 from amvlab import models as mo
-from amvlab.cli import main, parse_point, parse_radii
+from amvlab.cli import main, make_parser, parse_point, parse_radii
 from amvlab.mmspace import InputError
 
 
@@ -73,12 +73,14 @@ def test_sym_vs_plain_negative_reference(tmp_path):
     assert rep.verdict == "fail"
 
 
-def test_mm_boundary_unit_regions(tmp_path):
-    rc = main(["mm-boundary", "half:2", "--region", "unit", "--radii", "0.4:5:0.6",
+@pytest.mark.parametrize("space, limit", [("half:1", 0.25), ("half:2", 2 / (3 * np.pi)), ("half:3", 3 / 16)])
+def test_mm_boundary_unit_regions(tmp_path, space, limit):
+    rc = main(["mm-boundary", space, "--region", "unit", "--radii", "0.4:5:0.6",
                "--tolerance", "0.005", "--out", str(tmp_path / "mm.json")])
     assert rc == 0
     rep = ex.ExperimentReport.from_json((tmp_path / "mm.json").read_text())
-    assert rep.fitted_limit == pytest.approx(2 / (3 * np.pi), rel=1e-9)
+    assert rep.fitted_limit == pytest.approx(limit, rel=1e-9)
+    assert rep.reference == pytest.approx(limit, rel=1e-15)
 
 
 def test_dirichlet_files(tmp_path):
@@ -110,6 +112,42 @@ def test_dirichlet_reports_the_residual_of_its_solution(tmp_path):
     part = di.BoundaryPartition(interior, boundary, g)
     rep = json.loads((tmp_path / "sol.txt.json").read_text())
     assert rep["residual"] == di.residual(space, part, mm.load_field(out), 0.5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--count", "2", "--size-max", "6", "--seed", "3", "--fault-inject"],
+        ["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "0.5,0.25",
+         "--scheme", "grid:4", "--reference", "0.25", "--threads", "2", "--tolerance", "0.5"],
+        ["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "3",
+         "--radii", "0.5,0.25", "--scheme", "grid:4", "--seed", "5", "--reference", "0.1"],
+        ["weak-sweep", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6",
+         "--cloud-cells", "8", "--radii", "0.4,0.2", "--reference", "0", "--threads", "2"],
+        ["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6",
+         "--cloud-cells", "8", "--radii", "0.4,0.2", "--seed", "4"],
+        ["mm-boundary", "half:2", "--radii", "0.4,0.2", "--reference", "0.2", "--tolerance", "0.5"],
+        ["carnot-constant", "heisenberg:1", "scaled", "--beta", "16", "--mc-n", "20000",
+         "--grid-res", "8", "--threads", "2"],
+        ["isotropy", "heisenberg:1", "scaled", "--beta", "16", "--scheme", "grid:4", "--directions", "3",
+         "--threads", "2", "--tolerance", "0.5"],
+        ["dirichlet", "{tmp}/space.txt", "{tmp}/mask.txt", "--r", "1.5"],
+        ["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "6", "--level-radii", "0.6",
+         "--field", "coord:2", "--tolerance", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_config_is_the_parsed_command_line(tmp_path, argv):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    mm.save_space(mm.FiniteMMSpace(d, np.ones(3)), tmp_path / "space.txt")
+    (tmp_path / "mask.txt").write_text("0 0.0\n2 6.0\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "r.json")]
+    assert main(argv) in (0, 1)
+    # dirichlet writes its solution to --out and the report next to it
+    report = json.loads((tmp_path / ("r.json.json" if argv[0] == "dirichlet" else "r.json")).read_text())
+    config = report["metadata"]["config"] if "metadata" in report else report["config"]
+    parsed = vars(make_parser().parse_args(argv))
+    assert config == {k: v for k, v in parsed.items() if k != "fn"}
 
 
 def test_unknown_field_is_cli_error(tmp_path):
@@ -188,12 +226,18 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
         (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "0,2", "--level-radii", "0.5,0.38"],
          "--resolutions must be > 0, got 0"),
         (["bpz-demo", "heisenberg:1", "koranyi", "--R", "-1"], "--R must be > 0, got -1.0"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--scheme", "grid:0"], "'grid:0'"),
+        (["carnot-constant", "heisenberg:1", "koranyi", "--mc-n", "1000", "--grid-res", "0"],
+         "--grid-res must be > 0, got 0"),
+        (["mm-boundary", "half:2", "--region", "box:0,1:1,0"], "'box:0,1:1,0'"),
+        (["mm-boundary", "half:2", "--region", "ball:0,0:-1"], "'ball:0,0:-1'"),
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
          "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
          "mc-zero", "mc-negative", "mc-one-draw", "mc-one-pair", "mc-n-zero", "directions-zero",
          "directions-negative", "grid-size-zero", "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
-         "size-max-one", "resolutions-zero", "R-negative"],
+         "size-max-one", "resolutions-zero", "R-negative", "grid-zero", "grid-res-zero", "box-inverted",
+         "ball-radius-negative"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])

@@ -132,6 +132,21 @@ def test_theta_r_not_defined_on_carnot():
         cs.theta_r(np.zeros(3), 1.0)
 
 
+def test_carnot_sampler_translates_only_off_the_origin(monkeypatch):
+    g = ca.heisenberg(1)
+    cs = mo.CarnotSpace(g, ca.Gauge("koranyi"))
+    multiply = ca.CarnotStep2.multiply
+    calls = []
+    monkeypatch.setattr(ca.CarnotStep2, "multiply", lambda self, x, y: calls.append(x) or multiply(self, x, y))
+    z = cs.sample_ball(np.zeros(3), 0.5, 1000, np.random.default_rng(1))
+    assert calls == []
+    np.testing.assert_array_equal(z, multiply(g, np.zeros(3), z))
+    x = np.array([0.3, -0.2, 0.1])
+    zx = cs.sample_ball(x, 0.5, 1000, np.random.default_rng(1))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(zx, multiply(g, x, z))
+
+
 def test_carnot_ball_volume_exact_scaling():
     cs = mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi"))
     v1, tag = cs.ball_volume(np.array([3.0, -1.0, 0.4]), 1.0)
@@ -196,8 +211,10 @@ def test_parse_region():
     b = mo.parse_region("box:0,0:1,2")
     assert b.kind == "box" and b.hi.tolist() == [1.0, 2.0]
     assert mo.parse_region("unit").kind == "unit"
-    with pytest.raises(InputError):
-        mo.parse_region("triangle:1")
+    for bad in ("triangle:1", "box:0,1:1,0", "box:0,0:-1,1", "box:0:1,1", "box:0,0:1,inf", "ball:0,0:-1", "ball:0,0:0",
+                "ball:0,0:nan"):
+        with pytest.raises(InputError):
+            mo.parse_region(bad)
 
 
 def test_clouds_have_exact_masses_and_margins():

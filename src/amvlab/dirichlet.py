@@ -221,8 +221,10 @@ def bpz_demo(
     Discretizes the gauge ball B_R(0) at each (resolution, r) level, solves
     the discrete Dirichlet problem with the field's values on the boundary
     layer, and reports the interior sup difference.  The verdict compares
-    the smallest-level difference against the declared tolerance.
+    the smallest-level difference against the declared tolerance; a level
+    without an interior point is refused.
     """
+    R = mmspace.check_radius(R)
     radii = check_radii(radii)
     resolutions = [int(v) for v in resolutions]
     if len(radii) != len(resolutions):
@@ -234,6 +236,9 @@ def bpz_demo(
         cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads)
         u_vals = u_field.value(pts)
         part = gauge_ball_partition(space, gauge_vals, R, r, u_vals)
+        if not part.interior.size:
+            raise InputError(f"the level of resolution {res} and radius {r!r} has no interior point "
+                             f"({cloud.n} cloud points, all within {r!r} of the gauge sphere)")
         sol, _ = solve(space=cloud, part=part, r=r)
         gap = float(np.max(np.abs(sol[part.interior] - u_vals[part.interior]), initial=0.0))
         estimates.append(Estimate(gap, 0.0, cloud.n, "cloud"))

@@ -28,7 +28,7 @@ import numpy as np
 from . import mmspace
 from .integrate import Estimate, GridScheme, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
 from .mmspace import FiniteMMSpace, InputError
-from .models import CloudMeta, ModelSpace, Region, _default_region, fill_by_rejection, mm_boundary_mass
+from .models import CloudMeta, ModelSpace, NumericError, Region, _default_region, fill_by_rejection, mm_boundary_mass
 
 
 @dataclass
@@ -58,11 +58,9 @@ class ExperimentReport:
 
 
 def check_radii(radii) -> list[float]:
-    radii = [float(r) for r in radii]
+    radii = [mmspace.check_radius(r) for r in radii]
     if not radii:
         raise InputError("need at least one radius")
-    if any(r <= 0 for r in radii):
-        raise InputError("radii must be positive")
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise InputError("radii must be strictly decreasing")
     return radii
@@ -152,6 +150,10 @@ def _verdict(limit, limit_err, drift, reference, tolerance):
 
 
 def build_report(radii, estimates, reference, tolerance, metadata) -> ExperimentReport:
+    for r, e in zip(radii, estimates):
+        if not (math.isfinite(e.value) and math.isfinite(e.std_error)):
+            raise NumericError(f"the estimate at radius {r!r} is not finite "
+                               f"(value {e.value!r}, std error {e.std_error!r})")
     values = [e.value for e in estimates]
     sigmas = [e.std_error for e in estimates]
     limit, rate, limit_err, drift = fit_tail(radii, values, sigmas)

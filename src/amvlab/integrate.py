@@ -1,10 +1,13 @@
 """Means, moments and constants over balls: deterministic quadrature and
 seeded Monte Carlo.
 
-Monte Carlo streams are counter-based (Philox keyed by master seed and
-stream id), generated sequentially in fixed-size batches, so every estimate
-is a pure function of (inputs, seed) no matter how evaluation is laid out.
-An estimate needs at least two independent draws for its error bar.
+Every ball mean, second moment and constant goes through one estimator
+core, _ball_moments, and every Monte Carlo estimate, the Haar-volume oracle
+included, through one streaming accumulator, _mc_moments.  Monte Carlo
+streams are counter-based (Philox keyed by master seed and stream id),
+generated sequentially in fixed-size batches, so every estimate is a pure
+function of (inputs, seed) no matter how evaluation is laid out.  An
+estimate needs at least two independent draws for its error bar.
 Grid quadrature over Euclidean balls is a Gauss-Jacobi radial rule times a
 product sphere rule (exact for polynomials); gauge balls use slice-adapted
 coordinates where the slice measure is smooth.
@@ -217,14 +220,14 @@ def sample_ball(space: ModelSpace, x, r, n: int, seed: SeedSpec, threads: int = 
     return space.sample_ball(x, float(r), n, seed.generator(), threads)
 
 
-def _mc_moments(space: ModelSpace, f, x, r, scheme: MCScheme, threads: int = 1):
-    """Streaming Monte Carlo mean and standard error of f over B_r(x).
+def _mc_moments(draw, f, scheme: MCScheme):
+    """Streaming Monte Carlo mean and standard error of f over the draws.
 
-    f maps a batch of sample points to one value per point, or to a row of
-    values per point.  Batches are merged by their centred moments (Chan,
-    Golub and LeVeque), never by E[v^2] - E[v]^2, which cancels to a zero
-    variance once the mean dwarfs the spread.  One draw gives no spread at
-    all, so fewer than two are refused.
+    draw(m, rng) returns a batch of m points; f maps it to one value per
+    point, or to a row of values per point.  Batches are merged by their
+    centred moments (Chan, Golub and LeVeque), never by E[v^2] - E[v]^2,
+    which cancels to a zero variance once the mean dwarfs the spread.  One
+    draw gives no spread at all, so fewer than two are refused.
     """
     if scheme.n < 2:
         raise InputError("a Monte Carlo error bar needs at least 2 independent draws "
@@ -235,7 +238,7 @@ def _mc_moments(space: ModelSpace, f, x, r, scheme: MCScheme, threads: int = 1):
     done = 0
     while done < scheme.n:
         m = min(_BATCH, scheme.n - done)
-        vals = np.asarray(f(space.sample_ball(x, r, m, rng, threads)), dtype=np.float64)
+        vals = np.asarray(f(draw(m, rng)), dtype=np.float64)
         batch_mean = np.mean(vals, axis=0)
         sq_dev = vals - batch_mean
         sq_dev *= sq_dev
@@ -247,24 +250,30 @@ def _mc_moments(space: ModelSpace, f, x, r, scheme: MCScheme, threads: int = 1):
     return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n)
 
 
-def mean_over_ball(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
-    """Mean value of u over B_r(x) with error accounting."""
+def _ball_moments(space: ModelSpace, f, x, r, scheme, threads: int = 1):
+    """Mean of f over B_r(x), its standard error, the node or draw count and
+    the method, for f with one value or one row of values per point."""
     r = float(r)
     if isinstance(scheme, GridScheme):
         if isinstance(space, Euclidean):
             nodes, weights = euclid_ball_quadrature(space.dim, r, scheme.res)
-            pts = np.asarray(x, dtype=np.float64) + nodes
         elif isinstance(space, CarnotSpace):
             nodes, weights = carnot_ball_quadrature(space.group, space.gauge, r, scheme.res)
-            pts = space.group.multiply(np.asarray(x, dtype=np.float64), nodes)
         else:
             raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
-        vals = np.asarray(u(pts), dtype=np.float64)
-        return Estimate(float(np.sum(weights * vals) / np.sum(weights)), 0.0, weights.size, "grid")
+        vals = np.asarray(f(space.translate(x, nodes)), dtype=np.float64)
+        mean = np.sum(vals.T * weights, axis=-1) / np.sum(weights)
+        return mean, np.zeros_like(mean), weights.size, "grid"
     if isinstance(scheme, MCScheme):
-        mean, std_error = _mc_moments(space, u, x, r, scheme, threads)
-        return Estimate(float(mean), float(std_error), scheme.n, "mc")
+        mean, std_error = _mc_moments(lambda m, rng: space.sample_ball(x, r, m, rng, threads), f, scheme)
+        return mean, std_error, scheme.n, "mc"
     raise InputError(f"unknown scheme {scheme!r}")
+
+
+def mean_over_ball(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
+    """Mean value of u over B_r(x) with error accounting."""
+    mean, std_error, n, method = _ball_moments(space, u, x, r, scheme, threads)
+    return Estimate(float(mean), float(std_error), n, method)
 
 
 def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
@@ -304,23 +313,16 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def _hsq_moment(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) -> Estimate:
-    """Mean of |z1|^2 over the unit gauge ball."""
-    space = CarnotSpace(group, gauge)
-    origin = np.zeros(group.dim)
+def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) -> Estimate:
+    """Leading mean-value coefficient: mean of |z1|^2 over the unit gauge
+    ball divided by 2*v1 (so the small-r expansion of the ball mean of u
+    reads u(x) + C r^2 * (horizontal Laplacian) + o(r^2))."""
 
     def hsq(pts):
         z1 = pts[..., : group.v1]
         return np.sum(z1 * z1, axis=-1)
 
-    return mean_over_ball(space, hsq, origin, 1.0, scheme, threads)
-
-
-def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) -> Estimate:
-    """Leading mean-value coefficient: mean of |z1|^2 over the unit gauge
-    ball divided by 2*v1 (so the small-r expansion of the ball mean of u
-    reads u(x) + C r^2 * (horizontal Laplacian) + o(r^2))."""
-    est = _hsq_moment(group, gauge, scheme, threads)
+    est = mean_over_ball(CarnotSpace(group, gauge), hsq, np.zeros(group.dim), 1.0, scheme, threads)
     c = 1.0 / (2.0 * group.v1)
     return Estimate(c * est.value, c * est.std_error, est.n, est.method)
 
@@ -366,24 +368,15 @@ def isotropy_check(
     norms = np.sqrt(np.sum(directions * directions, axis=1))
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise InputError("directions must be unit vectors")
+
+    def squared_projections(pts):
+        proj = pts[:, : group.v1] @ directions.T
+        return proj * proj
+
     space = CarnotSpace(group, gauge)
-    origin = np.zeros(group.dim)
-    k = directions.shape[0]
-    if isinstance(scheme, GridScheme):
-        nodes, weights = carnot_ball_quadrature(group, gauge, 1.0, scheme.res)
-        total_w = float(np.sum(weights))
-        proj = nodes[:, : group.v1] @ directions.T
-        vals = weights @ (proj * proj) / total_w
-        return [Estimate(float(v), 0.0, weights.size, "grid") for v in vals]
-    if isinstance(scheme, MCScheme):
-
-        def squared_projections(pts):
-            proj = pts[:, : group.v1] @ directions.T
-            return proj * proj
-
-        mean, serr = _mc_moments(space, squared_projections, origin, 1.0, scheme, threads)
-        return [Estimate(float(mean[i]), float(serr[i]), scheme.n, "mc") for i in range(k)]
-    raise InputError(f"unknown scheme {scheme!r}")
+    mean, std_error, n, method = _ball_moments(space, squared_projections, np.zeros(group.dim), 1.0,
+                                               scheme, threads)
+    return [Estimate(float(v), float(s), n, method) for v, s in zip(mean, std_error)]
 
 
 def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> Estimate:
@@ -395,7 +388,7 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
     that invariance).
     """
     g = space.group
-    x = g._check(np.asarray(x, dtype=np.float64))
+    x = space._centre(x)
     r = float(r)
     h_bound, v_bound = space.gauge.envelope(g, r)
     x1 = x[: g.v1]
@@ -408,14 +401,6 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
         lo[g.v1 + k] = x[g.v1 + k] - slack
         hi[g.v1 + k] = x[g.v1 + k] + slack
     box_vol = float(np.prod(hi - lo))
-    rng = seed.generator()
-    hits = 0
-    done = 0
-    while done < n:
-        m = min(_BATCH, n - done)
-        cand = rng.uniform(lo, hi, (m, g.dim))
-        d = distance(g, space.gauge, cand, x[None, :])
-        hits += int(np.sum(d < r))
-        done += m
-    p = hits / n
-    return Estimate(box_vol * p, box_vol * math.sqrt(max(p * (1 - p), 0.0) / n), n, "monte_carlo")
+    p, p_err = _mc_moments(lambda m, rng: rng.uniform(lo, hi, (m, g.dim)),
+                           lambda cand: distance(g, space.gauge, cand, x[None, :]) < r, MCScheme(n, seed))
+    return Estimate(box_vol * float(p), box_vol * float(p_err), n, "monte_carlo")

@@ -402,7 +402,8 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     lap_v = r_laplacian(space, v, r)
     adj_u = adjoint_r_laplacian(space, u, r)
     adj_v = adjoint_r_laplacian(space, v, r)
-    adj_one = adjoint_r_laplacian(space, np.ones(space.n), r)
+    a_one = a_r(space, r)
+    adj_one = (a_one - 1.0) / r**2
     sym_u = sym_r_laplacian(space, u, r)
     sym_v = sym_r_laplacian(space, v, r)
 
@@ -421,7 +422,7 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     s_uv = (average(space, np.abs(u * v), r) + np.abs(u * v)) / r**2
     s_adj_u = (adjoint_average(space, abs_u, r) + abs_u) / r**2
     s_adj_v = (adjoint_average(space, abs_v, r) + abs_v) / r**2
-    s_one = (a_r(space, r) + 1.0) / r**2
+    s_one = (a_one + 1.0) / r**2
 
     out = {}
 
@@ -445,7 +446,7 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
 
     # pairing vs energy: int v sym(u) = -E_r(u,v)
     lhs = float(np.sum(v * sym_u * m))
-    rhs = -total_energy(space, u, v, r)
+    rhs = -float(np.sum(e_uv * m))
     scale = float(np.sum((abs_v * (s_u + s_adj_u) + abs_u * s_v + s_uv) * m))
     out["energy_pairing"] = rel(lhs, rhs, scale)
 

@@ -8,6 +8,11 @@ boundary.  Euclidean space and the Carnot spaces with a quartic gauge,
 whose balls are symmetric under z -> z⁻¹, also hand out antithetic pairs
 (x·z, x·z⁻¹).
 
+Samplers, antithetic pairs and grid quadrature move offsets z in B_r(0)
+to B_r(x) by one method, ``translate(x, z)``.  sample_ball, ball_volume
+and translate refuse a centre outside the space (a non-finite coordinate;
+on a cone, an angle outside [0, theta_c)).
+
 The three rejection samplers (half-space, cone, Carnot) share one loop,
 ``fill_by_rejection``; each keeps only its proposal.
 
@@ -68,6 +73,13 @@ class ModelSpace:
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         raise NotImplementedError
 
+    def _centre(self, x) -> np.ndarray:
+        """x as a ball centre: a point of the space with finite coordinates."""
+        x = self._pts(x)
+        if not np.all(np.isfinite(x)):
+            raise InputError(f"a ball centre needs finite coordinates, got {x.tolist()!r}")
+        return x
+
     def antithetic(self, x):
         """The map z -> (x·z, x·z⁻¹) on offsets z drawn from B_r(0), or None
         when the space's balls are not symmetric under z -> z⁻¹."""
@@ -101,6 +113,9 @@ class _Flat(ModelSpace):
         pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
         return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
 
+    def translate(self, x, z) -> np.ndarray:
+        return self._centre(x) + z
+
 
 class Euclidean(_Flat):
     kind = "euclidean"
@@ -110,6 +125,7 @@ class Euclidean(_Flat):
 
     def ball_volume(self, x, r):
         r = check_radius(r)
+        self._centre(x)
         return unit_ball_volume(self.dim) * r**self.dim, "exact"
 
     def theta_r(self, x, r) -> float:
@@ -118,12 +134,11 @@ class Euclidean(_Flat):
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         r = check_radius(r)
-        x = self._pts(x)
-        return x + ball_point_cloud(self.dim, r, n, rng)
+        return self.translate(x, ball_point_cloud(self.dim, r, n, rng))
 
     def antithetic(self, x):
-        x = self._pts(x)
-        return lambda z: (x + z, x - z)
+        x = self._centre(x)
+        return lambda z: (self.translate(x, z), self.translate(x, -z))
 
 
 def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
@@ -181,7 +196,7 @@ class HalfSpace(_Flat):
 
     def ball_volume(self, x, r):
         r = check_radius(r)
-        h = float(self._pts(x)[..., 0])
+        h = float(self._centre(x)[..., 0])
         full = unit_ball_volume(self.dim) * r**self.dim
         if h >= r:
             return full, "exact"
@@ -194,10 +209,10 @@ class HalfSpace(_Flat):
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
         r = check_radius(r)
-        x = self._pts(x)
+        x = self._centre(x)
 
         def propose(need):
-            batch = x + ball_point_cloud(self.dim, r, max(2 * need, 64), rng)
+            batch = self.translate(x, ball_point_cloud(self.dim, r, max(2 * need, 64), rng))
             return batch[batch[:, 0] >= 0.0]
 
         return fill_by_rejection(n, self.dim, propose)
@@ -231,6 +246,12 @@ class FlatCone(ModelSpace):
             raise InputError("cone radius must be nonnegative")
         return p
 
+    def _centre(self, x) -> np.ndarray:
+        x = super()._centre(x)
+        if np.any((x[..., 1] < 0) | (x[..., 1] >= self.theta_c)):
+            raise InputError(f"a cone centre needs its angle in [0, {self.theta_c!r}), got {x.tolist()!r}")
+        return x
+
     def distance(self, p, q):
         p, q = self._pts(p), self._pts(q)
         dphi = np.abs(p[..., 1] - q[..., 1])
@@ -260,7 +281,7 @@ class FlatCone(ModelSpace):
         as a cross-check.
         """
         r = check_radius(r)
-        rho0 = float(self._pts(x)[..., 0])
+        rho0 = float(self._centre(x)[..., 0])
         half = 0.5 * self.theta_c
         if rho0 == 0.0:
             return 0.5 * self.theta_c * r * r, "exact"
@@ -294,7 +315,7 @@ class FlatCone(ModelSpace):
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from an annulus-sector envelope in (rho, phi)."""
         r = check_radius(r)
-        x = self._pts(x)
+        x = self._centre(x)
         rho0, phi0 = float(x[..., 0]), float(x[..., 1])
         rho_lo, rho_hi = max(0.0, rho0 - r), rho0 + r
         if rho0 > r:
@@ -342,6 +363,14 @@ class CarnotSpace(ModelSpace):
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         return distance_matrix(self.group, self.gauge, pts_a, pts_b, threads)
 
+    def _pts(self, p) -> np.ndarray:
+        return self.group._check(p)
+
+    def translate(self, x, z) -> np.ndarray:
+        """x·z, or z itself, without a group product, at the origin."""
+        x = self._centre(x)
+        return self.group.multiply(x, z) if np.any(x) else z
+
     def unit_ball_volume(self) -> tuple[float, str]:
         """Volume of B_1(0), computed once (quadrature when available)."""
         if self._unit_volume is None:
@@ -360,19 +389,19 @@ class CarnotSpace(ModelSpace):
 
     def ball_volume(self, x, r):
         r = check_radius(r)
+        self._centre(x)
         c, method = self.unit_ball_volume()
         return c * r**self.group.homogeneous_dim, ("exact" if method == "quadrature" else method)
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
-        """Left-translate of box-rejection samples from B_r(0); at the
-        origin, where the translation is the identity, the samples as drawn.
+        """Left-translate of box-rejection samples from B_r(0).
 
         The envelope is the exact gauge-ball bounding box; unbiasedness
         rests on Haar invariance of left translation.
         """
         r = check_radius(r)
         g = self.group
-        x = g._check(np.asarray(x, dtype=np.float64))
+        x = self._centre(x)
         h_bound, v_bound = self.gauge.envelope(g, r)
         attempts = accepted = 0
 
@@ -395,16 +424,16 @@ class CarnotSpace(ModelSpace):
 
         out = fill_by_rejection(n, g.dim, propose)
         logger.debug("gauge-ball rejection acceptance rate %.4f", accepted / attempts)
-        return g.multiply(x, out) if np.any(x) else out
+        return self.translate(x, out)
 
     def antithetic(self, x):
         """The quartic gauges are even, so z -> z⁻¹ = -z maps B_r(0) onto
         itself; a profile gauge need not be."""
         if self.gauge.kind not in ("koranyi", "scaled_koranyi"):
             return None
-        g = self.group
-        x = g._check(np.asarray(x, dtype=np.float64))
-        return lambda z: (g.multiply(x, z), g.multiply(x, g.inverse(z)))
+        x = self._centre(x)
+        inverse = self.group.inverse
+        return lambda z: (self.translate(x, z), self.translate(x, inverse(z)))
 
 
 # ---------------------------------------------------------------------------

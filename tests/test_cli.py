@@ -231,18 +231,45 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
          "--grid-res must be > 0, got 0"),
         (["mm-boundary", "half:2", "--region", "box:0,1:1,0"], "'box:0,1:1,0'"),
         (["mm-boundary", "half:2", "--region", "ball:0,0:-1"], "'ball:0,0:-1'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "nan,0"], "finite coordinates, got [nan, 0.0]"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "nan"], "'nan'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "inf,0.5"], "'inf,0.5'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "1e200,0"], "radius 0.4 is not finite"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--R", "inf"], "got inf"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "1", "--level-radii", "0.5"],
+         "resolution 1 and radius 0.5 has no interior point"),
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
          "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
          "mc-zero", "mc-negative", "mc-one-draw", "mc-one-pair", "mc-n-zero", "directions-zero",
          "directions-negative", "grid-size-zero", "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
          "size-max-one", "resolutions-zero", "R-negative", "grid-zero", "grid-res-zero", "box-inverted",
-         "ball-radius-negative"],
+         "ball-radius-negative", "point-nan", "radii-nan", "radii-inf", "point-overflow", "R-inf",
+         "level-without-interior"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith(f"ERROR {args[0]}:") and typed in err, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["half:2", "--field", "sq1", "--point", "nan,0"],
+        ["cone:4.5", "--field", "coord:1", "--point", "1,20", "--radii", "0.4,0.2"],
+    ],
+    ids=["half-nan", "cone-angle"],
+)
+def test_centre_outside_the_space_exits_2(tmp_path, cli_env, args):
+    # the rejection sampler on such a centre accepts nothing: without the
+    # centre check the run never returns
+    p = subprocess.run(
+        [sys.executable, "-m", "amvlab.cli", "amv-sweep", *args, "--scheme", "mc:1000:1", "--out", "r.json"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, timeout=60,
+    )
+    assert p.returncode == 2 and p.stderr.startswith("ERROR amv-sweep:"), p.stderr
     assert not list(tmp_path.iterdir())
 
 

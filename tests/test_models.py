@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amvlab import carnot as ca
+from amvlab import integrate as it
 from amvlab import models as mo
 from amvlab.mmspace import InputError
 
@@ -145,6 +146,48 @@ def test_carnot_sampler_translates_only_off_the_origin(monkeypatch):
     zx = cs.sample_ball(x, 0.5, 1000, np.random.default_rng(1))
     assert len(calls) == 1
     np.testing.assert_array_equal(zx, multiply(g, x, z))
+    # antithetic pairs and grid quadrature translate through the same method
+    calls.clear()
+    a, b = cs.antithetic(np.zeros(3))(z)
+    grid = it.mean_over_ball(cs, lambda p: p[:, 0] + p[:, 2], np.zeros(3), 0.5, it.GridScheme(6))
+    assert calls == []
+    np.testing.assert_array_equal(a, z)
+    np.testing.assert_array_equal(b, -z)
+    ax, bx = cs.antithetic(x)(z)
+    grid_x = it.mean_over_ball(cs, lambda p: p[:, 0] + p[:, 2], x, 0.5, it.GridScheme(6))
+    assert len(calls) == 3
+    np.testing.assert_array_equal(ax, multiply(g, x, z))
+    np.testing.assert_array_equal(bx, multiply(g, x, -z))
+    nodes, weights = it.carnot_ball_quadrature(g, cs.gauge, 0.5, 6)
+    pts = multiply(g, x, nodes)
+    assert grid_x.value == float(np.sum(weights * (pts[:, 0] + pts[:, 2])) / np.sum(weights))
+    pts = multiply(g, np.zeros(3), nodes)
+    assert grid.value == float(np.sum(weights * (pts[:, 0] + pts[:, 2])) / np.sum(weights))
+
+
+@pytest.mark.parametrize(
+    "space, centre",
+    [
+        (mo.Euclidean(2), [math.nan, 0.0]),
+        (mo.HalfSpace(2), [math.nan, 0.0]),
+        (mo.HalfSpace(2), [1.0, math.inf]),
+        (mo.FlatCone(4.5), [1.0, 20.0]),
+        (mo.FlatCone(4.5), [1.0, 4.5]),
+        (mo.FlatCone(4.5), [1.0, -0.1]),
+        (mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi")), [0.0, math.nan, 0.0]),
+    ],
+    ids=["euclid-nan", "half-nan", "half-inf", "cone-angle-high", "cone-angle-theta", "cone-angle-negative",
+         "carnot-nan"],
+)
+def test_centre_outside_the_space_is_refused(space, centre):
+    # the rejection samplers run the same centre check first; they are
+    # exercised in test_cli, in a subprocess, because without the check
+    # they never return
+    with pytest.raises(InputError):
+        space.ball_volume(centre, 0.4)
+    if not isinstance(space, mo.FlatCone):
+        with pytest.raises(InputError):
+            space.translate(centre, np.zeros((1, space.dim)))
 
 
 def test_carnot_ball_volume_exact_scaling():

@@ -32,7 +32,7 @@ def row_blocks(n_rows: int, row_len: int):
     return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
-def _run_rowchunks(n_rows: int, row_len: int, threads: int, body) -> None:
+def run_rowchunks(n_rows: int, row_len: int, threads: int, body) -> None:
     """Run body(start, stop) over row_blocks(n_rows, row_len), optionally threaded."""
     spans = row_blocks(n_rows, row_len)
     if threads <= 1 or len(spans) <= 1:
@@ -64,14 +64,14 @@ def gauge_fourth(z1: np.ndarray, z2: np.ndarray, beta: float, threads: int = 1) 
             acc = acc + (beta * w) * w
         out[start:stop] = acc
 
-    _run_rowchunks(z1.shape[0], z1.shape[1] + z2.shape[1], threads, rows)
+    run_rowchunks(z1.shape[0], z1.shape[1] + z2.shape[1], threads, rows)
     return out
 
 
 def euclid_dist_matrix(pts_a: np.ndarray, pts_b: np.ndarray, threads: int = 1) -> np.ndarray:
     pts_a, pts_b = _f64(pts_a), _f64(pts_b)
     out = np.empty((pts_a.shape[0], pts_b.shape[0]), dtype=np.float64)
-    _run_rowchunks(
+    run_rowchunks(
         pts_a.shape[0], pts_b.shape[0], threads,
         lambda s, e: cdist(pts_a[s:e], pts_b, "euclidean", out=out[s:e]),
     )
@@ -114,7 +114,7 @@ def carnot_dist_matrix(x1, x2, y1, y2, bracket, beta: float, threads: int = 1) -
         np.sqrt(acc, out=acc)
         np.sqrt(acc, out=acc)
 
-    _run_rowchunks(x1.shape[0], y1.shape[0], threads, rows)
+    run_rowchunks(x1.shape[0], y1.shape[0], threads, rows)
     return out
 
 
@@ -132,5 +132,5 @@ def cone_dist_matrix(rho_a, phi_a, rho_b, phi_b, theta_c: float, threads: int = 
         direct = np.sqrt(np.maximum(q, 0.0))
         out[start:stop] = np.where(delta <= math.pi, direct, ra + rho_b[None, :])
 
-    _run_rowchunks(rho_a.shape[0], rho_b.shape[0], threads, rows)
+    run_rowchunks(rho_a.shape[0], rho_b.shape[0], threads, rows)
     return out

@@ -8,12 +8,15 @@ goes to the declared output path.
 
 A bad spec, size flag or input file exits 2 before anything is written,
 with one "ERROR <command>: ..." line on stderr naming what was typed.
+numpy's floating-point warnings never reach stderr; they are logged at
+debug level on the "amvlab.cli" logger.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict
 
@@ -31,6 +34,8 @@ from .carnot import (
 from .fields import ConeTent, Monomial, ShiftedSquareNorm, Tent, harmonic_cubic
 from .mmspace import InputError, malformed
 from .models import CarnotSpace, Euclidean, FlatCone, HalfSpace
+
+logger = logging.getLogger("amvlab.cli")
 
 
 def _above(flag: str, bound, *values) -> None:
@@ -98,20 +103,21 @@ def build_phi(space, name: str):
     raise InputError(f"unknown pairing function {name!r}")
 
 
-def default_cloud(space, cells: int, seed: int, threads: int = 1):
-    """Canned discretizations per space kind (see README)."""
+def default_cloud(space, cells: int, seed: int, threads: int = 1, cut=None):
+    """Canned discretizations per space kind (see README); with cut, the
+    cloud holds only the pairs within that radius."""
     if isinstance(space, (Euclidean, HalfSpace)) and space.dim != 2:
         raise InputError("canned clouds ship for 2-d spaces")
     if isinstance(space, Euclidean):
-        return models.euclidean_cloud(space, [-1.5, -1.5], [1.5, 1.5], cells, seed, threads=threads)
+        return models.euclidean_cloud(space, [-1.5, -1.5], [1.5, 1.5], cells, seed, threads=threads, cut=cut)
     if isinstance(space, HalfSpace):
         return models.half_space_cloud(
             space, hi=[2.0, 2.0], cells_per_axis=[cells // 2, cells], seed=seed, lo=[0.0, -2.0],
-            threads=threads,
+            threads=threads, cut=cut,
         )
     if isinstance(space, FlatCone):
         return models.cone_cloud(space, rho_max=1.4, n_rho=cells // 2, n_phi=cells, seed=seed,
-                                 threads=threads)
+                                 threads=threads, cut=cut)
     raise InputError(f"no canned cloud for the {space.kind} kind")
 
 
@@ -212,7 +218,7 @@ def cmd_weak_sweep(args) -> int:
     phi = build_phi(space, args.phi)
     radii = parse_radii(args.radii)
     _above("--cloud-cells", 1, args.cloud_cells)
-    cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads)
+    cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads, cut=radii[0])
     fn = experiments.sym_vs_plain_sweep if args.command == "sym-vs-plain" else experiments.weak_amv_sweep
     report = fn(cloud, pts, meta, u, phi, radii, reference=args.reference, tolerance=args.tolerance)
     return _finish(report, args)
@@ -406,10 +412,17 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _log_fp_error(kind: str, flag: int) -> None:
+    logger.debug("numpy floating-point error: %s", kind)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy's floating-point warnings go to the log, not stderr: a
+        # non-finite result is refused where it is checked (exit 2)
+        with np.errstate(divide="call", over="call", invalid="call", call=_log_fp_error):
+            return args.fn(args)
     except (InputError, models.NumericError, OSError) as exc:
         print(f"ERROR {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,12 @@
 """Averaging operators on finite metric measure spaces.
 
-A finite space is a symmetric nonnegative distance matrix plus a positive
-mass per point.  Balls use the open convention B_r(x) = {y : d(x,y) < r},
+A finite space is a positive mass per point plus one table of row
+neighbours: dist[i, c] is the symmetric nonnegative distance from point i
+to point cols[i, c].  With cols None the table is full, the n x n distance
+matrix.  A cut table keeps, per row in ascending column order, every point
+at distance <= the space's cut radius, padded to the widest row with
+entries of distance +inf, which lie in no ball and equal no radius; radii
+above the cut are refused.  Balls use the open convention B_r(x) = {y : d(x,y) < r},
 so every center belongs to its own ball and all ball masses are positive.
 Radii that coincide exactly with a pairwise distance sit on a measure
 discontinuity; callers should perturb such radii (see
@@ -15,8 +20,10 @@ Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
 once and owns the only row-block pass (``_kernels.row_blocks``, about
 1 MiB of float64 per block), which fills a bool mask and two float scratch
-buffers in place, allocated once per pass.  Every row still sums all n
-entries, so the block size never changes a bit.
+buffers in place, allocated once per pass.  Fills read per-point vectors
+at the table's columns through ``FiniteMMSpace.take``, which hands back
+the vector itself on a full table.  Every row still sums its whole table
+row, so the block size never changes a bit.
 
 Text input has one edge, next to ``InputError``: ``opened`` (path or file
 object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
@@ -28,8 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 
 import numpy as np
+from scipy import sparse
 
 from ._kernels import row_blocks
 
@@ -70,39 +79,40 @@ def line_fields(line: str, types, grammar: str) -> list:
 
 
 class FiniteMMSpace:
-    """Finite point set with a symmetric distance matrix and point masses.
+    """Finite point set with symmetric distances and point masses.
 
-    The triangle inequality is deliberately not validated: none of the
-    averaging operators use it, and the identity tests cover arbitrary
-    symmetric "distances".  A space is immutable once built.
+    dist is the full n x n distance matrix, or with cols and cut a cut
+    table (see the module docstring): row i holds every point j with
+    d(i, j) <= cut at dist[i, c], cols[i, c] = j, columns ascending, and
+    padding entries of distance +inf (any column).  The triangle inequality is
+    deliberately not validated: none of the averaging operators use it,
+    and the identity tests cover arbitrary symmetric "distances".  A space
+    is immutable once built.
     """
 
-    def __init__(self, dist, mass, point_ids=None):
+    def __init__(self, dist, mass, point_ids=None, cols=None, cut=None):
         dist = np.asarray(dist, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-            raise InputError("dist must be a square matrix")
+        if dist.ndim != 2 or (cols is None and dist.shape[0] != dist.shape[1]):
+            raise InputError("dist must be a square matrix" if cols is None else "dist must be a table")
         n = dist.shape[0]
         if mass.shape != (n,):
             raise InputError("mass must be a vector matching the point count")
-        # reductions, not elementwise tests: no n x n bool temporary
-        lo, hi = dist.min(initial=0.0), dist.max(initial=0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)) or not np.all(np.isfinite(mass)):
+        if not np.all(np.isfinite(mass)):
             raise InputError("dist and mass must be finite")
-        if lo < 0:
-            raise InputError("dist must be nonnegative")
-        if np.any(np.diag(dist) != 0):
-            raise InputError("dist must have a zero diagonal")
-        # cache-sized tiles of the upper triangle vs their mirrors (dist.T strides columns)
-        t = 64
-        if not all(
-            np.array_equal(dist[i : i + t, j : j + t], dist[j : j + t, i : i + t].T)
-            for i in range(0, n, t) for j in range(i, n, t)
-        ):
-            raise InputError("dist must be symmetric")
+        if cols is None:
+            _check_matrix(dist)
+            self.cut = math.inf
+        else:
+            cols = np.asarray(cols)
+            if cut is None or not (0 < cut < math.inf):
+                raise InputError(f"a cut table needs a positive finite cut radius, got {cut!r}")
+            self.cut = float(cut)
+            _check_table(dist, cols, self.cut)
         if np.any(mass <= 0):
             raise InputError("mass must be positive")
         self.dist = dist
+        self.cols = cols
         self.mass = mass
         if point_ids is None:
             point_ids = list(range(n))
@@ -127,13 +137,83 @@ class FiniteMMSpace:
     def total_mass(self) -> float:
         return float(np.sum(self.mass))
 
+    def radius(self, r) -> float:
+        """r as a radius of this space: positive, finite and not above the cut."""
+        r = check_radius(r)
+        if r > self.cut:
+            raise InputError(f"radius {r!r} is above the cut {self.cut!r} of the space's neighbour table")
+        return r
+
+    def take(self, v, rows) -> np.ndarray:
+        """Per-point vector v at the table columns of rows (an index, slice or
+        index array); on a full table that is v itself, which broadcasts."""
+        return v if self.cols is None else v[self.cols[rows]]
+
+    def as_matrix(self, table, rows=slice(None), fill=0.0) -> np.ndarray:
+        """Table entries of rows spread over all n columns, fill where the
+        table holds no entry; a full table's entries are returned as they are."""
+        if self.cols is None:
+            return table
+        real = self.dist[rows] != np.inf
+        out = np.full((real.shape[0], self.n), fill)
+        out[np.nonzero(real)[0], self.cols[rows][real]] = table[real]
+        return out
+
     def _balls(self, r) -> _Balls:
         """The ball object at radius r; the last one is kept for reuse."""
-        r = check_radius(r)
+        r = self.radius(r)
         balls = self._last_balls
         if balls is None or balls.r != r:
             balls = self._last_balls = _Balls(self, r)
         return balls
+
+
+def _check_matrix(dist) -> None:
+    """Refuse a full table that is not a distance matrix."""
+    # reductions, not elementwise tests: no n x n bool temporary
+    lo, hi = dist.min(initial=0.0), dist.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError("dist and mass must be finite")
+    if lo < 0:
+        raise InputError("dist must be nonnegative")
+    if np.any(np.diag(dist) != 0):
+        raise InputError("dist must have a zero diagonal")
+    # cache-sized tiles of the upper triangle vs their mirrors (dist.T strides columns)
+    n, t = dist.shape[0], 64
+    if not all(
+        np.array_equal(dist[i : i + t, j : j + t], dist[j : j + t, i : i + t].T)
+        for i in range(0, n, t) for j in range(i, n, t)
+    ):
+        raise InputError("dist must be symmetric")
+
+
+def _check_table(dist, cols, cut: float) -> None:
+    """Refuse a cut table that breaks the layout of FiniteMMSpace."""
+    n = dist.shape[0]
+    if cols.shape != dist.shape or not np.issubdtype(cols.dtype, np.integer):
+        raise InputError("cols must be an integer table of the shape of dist")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise InputError("cols must hold point indices")
+    real = dist != np.inf
+    lo = dist.min(initial=0.0)
+    if not np.isfinite(lo):
+        raise InputError("dist and mass must be finite")
+    if lo < 0:
+        raise InputError("dist must be nonnegative")
+    if dist.max(where=real, initial=0.0) > cut:
+        raise InputError(f"a table cut at {cut!r} holds no larger distance")
+    table = sparse.csr_array(
+        (dist[real], cols[real], np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))), shape=(n, n)
+    )
+    if not table.has_canonical_format:
+        raise InputError("table columns must ascend along each row")
+    diag = real & (cols == np.arange(n)[:, None])
+    if np.any(np.count_nonzero(diag, axis=1) != 1) or np.any(dist[diag] != 0):
+        raise InputError("dist must have a zero diagonal")
+    # a symmetric table is its own transpose, entry for entry
+    mirror = table.T.tocsr()
+    if not all(np.array_equal(getattr(mirror, a), getattr(table, a)) for a in ("indptr", "indices", "data")):
+        raise InputError("dist must be symmetric")
 
 
 def as_field(space: FiniteMMSpace, values) -> np.ndarray:
@@ -155,36 +235,37 @@ def check_radius(r) -> float:
 def is_collision_radius(space: FiniteMMSpace, r) -> bool:
     """True when r equals some pairwise distance (ball membership is
     discontinuous in r there)."""
-    return bool(np.any(space.dist == float(r)))
+    return bool(np.any(space.dist == space.radius(r)))
 
 
 def ball(space: FiniteMMSpace, x, r):
     """Members and total mass of the open ball around point id x."""
-    r = check_radius(r)
+    r = space.radius(r)
     i = space.index_of(x)
-    members = np.flatnonzero(space.dist[i] < r)
+    members = space.take(np.arange(space.n), i)[space.dist[i] < r]
     return members, float(np.sum(space.mass[members]))
 
 
 class _Balls:
     """Ball masses mu(B_r(x)) of one space at one checked radius r and their
-    inverses, computed once and never changed; row_sums is the one dense
-    pass over the distance matrix."""
+    inverses, computed once and never changed; row_sums is the one pass
+    over the distance table."""
 
     def __init__(self, space: FiniteMMSpace, r: float):
         self.dist, self.r = space.dist, r
-        self.masses = self.row_sums(lambda rows, w, a, b: np.multiply(w, space.mass, out=a))
+        self.masses = self.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(space.mass, rows), out=a))
         self.inv = 1.0 / self.masses
 
     def row_sums(self, fill) -> np.ndarray:
         """Row sums of the summands fill(rows, w, a, b) leaves in a, per row
         block (the slice rows), with w = (dist < r) and a, b scratch of the
-        block's shape.  Scratch is per pass, so passes on one object stay
-        independent."""
-        n = self.dist.shape[0]
-        spans = row_blocks(n, n)
+        block's shape; fills read per-point vectors at the block's columns
+        as space.take(v, rows).  Scratch is per pass, so passes on one
+        object stay independent."""
+        n, k = self.dist.shape
+        spans = row_blocks(n, k)
         step = spans[0][1] if spans else 0
-        w_buf, a_buf, b_buf = np.empty((step, n), dtype=bool), np.empty((step, n)), np.empty((step, n))
+        w_buf, a_buf, b_buf = np.empty((step, k), dtype=bool), np.empty((step, k)), np.empty((step, k))
         out = np.empty(n)
         for s, e in spans:
             w, a, b = w_buf[: e - s], a_buf[: e - s], b_buf[: e - s]
@@ -204,7 +285,7 @@ def average(space: FiniteMMSpace, u, r) -> np.ndarray:
     u = as_field(space, u)
     balls = space._balls(r)
     um = u * space.mass
-    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, um, out=a)) / balls.masses
+    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(um, rows), out=a)) / balls.masses
 
 
 def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
@@ -212,7 +293,7 @@ def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
     u = as_field(space, u)
     balls = space._balls(r)
     coef = u * space.mass / balls.masses
-    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, coef, out=a))
+    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(coef, rows), out=a))
 
 
 def a_r(space: FiniteMMSpace, r) -> np.ndarray:
@@ -235,11 +316,11 @@ def adjoint_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
 def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
     """Symmetric mean value kernel k_r(x,y), zero off the open ball; with
     rows given, only the rows x of those point indices."""
-    r = check_radius(r)
-    inv = space._balls(r).inv
+    balls = space._balls(r)
+    inv = balls.inv
     rows = slice(None) if rows is None else rows
-    w = space.dist[rows] < r
-    return np.where(w, 0.5 * (inv[rows, None] + inv[None, :]), 0.0)
+    w = space.dist[rows] < balls.r
+    return space.as_matrix(np.where(w, 0.5 * (inv[rows, None] + space.take(inv, rows)), 0.0), rows)
 
 
 def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
@@ -254,10 +335,10 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     inv, m = balls.inv, space.mass
 
     def fill(rows, w, a, b):  # 0.5 (inv_x + inv_y) * w * (u_y - u_x) * m_y
-        np.multiply(0.5, np.add(inv[rows, None], inv, out=a), out=a)
+        np.multiply(0.5, np.add(inv[rows, None], space.take(inv, rows), out=a), out=a)
         a *= w
-        a *= np.subtract(u, u[rows, None], out=b)
-        a *= m
+        a *= np.subtract(space.take(u, rows), u[rows, None], out=b)
+        a *= space.take(m, rows)
 
     return balls.row_sums(fill) / balls.r**2
 
@@ -279,10 +360,10 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
     m = space.mass
 
     def fill(rows, w, a, b):  # w * (u_y - u_x) * (v_y - v_x) * m_y
-        np.subtract(u, u[rows, None], out=a)
+        np.subtract(space.take(u, rows), u[rows, None], out=a)
         a *= w
-        a *= np.subtract(v, v[rows, None], out=b)
-        a *= m
+        a *= np.subtract(space.take(v, rows), v[rows, None], out=b)
+        a *= space.take(m, rows)
 
     return 0.5 * balls.row_sums(fill) / balls.masses / balls.r**2
 
@@ -310,6 +391,8 @@ def weak_pairing(space: FiniteMMSpace, phi, u, r) -> float:
 
 
 def save_space(space: FiniteMMSpace, path_or_file) -> None:
+    if space.cols is not None:
+        raise InputError("a space with a cut neighbour table has no file form; save a full one")
     with opened(path_or_file, "w") as f:
         f.write(f"{space.n}\n")
         # tolist() converts a row in C; repr of a float is the shortest round-trip decimal
@@ -460,9 +543,14 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
 
     # deviation identity: int v (lap - sym) u = mass-deficit pairing
     masses = ball_masses(space, r)
-    w = space.dist < r
-    dlt = 1.0 - masses[:, None] / masses[None, :]
-    inner = (w * dlt * (u[None, :] - u[:, None]) * m[None, :]).sum(axis=1) / masses
+
+    def fill(rows, w, a, b):  # w * (1 - mu_x / mu_y) * (u_y - u_x) * m_y
+        np.subtract(1.0, np.divide(masses[rows, None], space.take(masses, rows), out=a), out=a)
+        a *= w
+        a *= np.subtract(space.take(u, rows), u[rows, None], out=b)
+        a *= space.take(m, rows)
+
+    inner = space._balls(r).row_sums(fill) / masses
     rhs = float(np.sum(0.5 * v * inner / r**2 * m))
     lhs = float(np.sum(v * (lap_u - sym_u) * m))
     # lhs is a difference of two pairings, so its roundoff scales with the
@@ -473,7 +561,7 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     # kernel symmetry and support
     k = kernel_matrix(space, r)
     out["kernel_symmetry"] = float(np.max(np.abs(k - k.T)) / max(np.max(np.abs(k)), 1e-300))
-    out["kernel_support"] = float(np.max(np.abs(k[space.dist >= r]), initial=0.0))
+    out["kernel_support"] = float(np.max(np.abs(k[space.as_matrix(space.dist, fill=np.inf) >= r]), initial=0.0))
 
     # constants are annihilated (adjoint only up to c * adj(1));
     # normalize by the c/r^2 magnitude of the averaging sums

@@ -16,6 +16,12 @@ on a cone, an angle outside [0, theta_c)).
 The three rejection samplers (half-space, cone, Carnot) share one loop,
 ``fill_by_rejection``; each keeps only its proposal.
 
+Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
+carnot_ball_cloud) return finite spaces.  With cut=, a cloud keeps only the
+pairs within that radius (see mmspace), filtered from row blocks of the
+distance kernel; either way a table larger than the memory budget is
+refused before anything is allocated.
+
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
 dimension N; they are offered for the Euclidean, half-space and cone kinds
 only (there is no canonical normalization on a Carnot group, where the
@@ -666,19 +672,58 @@ class CloudMeta:
         return self._boundary_distance(np.asarray(pts, dtype=np.float64))
 
 
-def _dense_cloud(space: ModelSpace, pts, mass, threads: int) -> FiniteMMSpace:
-    """The cloud as a dense finite space; refuses, before allocating, a
-    distance matrix larger than physical memory or than the process's
-    soft address-space limit, whichever is smaller."""
+def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> FiniteMMSpace:
+    """The cloud as a finite space: the full distance matrix, or with cut
+    the table of every pair at distance <= cut, filtered from row blocks of
+    the space's distance kernel without an n x n matrix.
+
+    Before it allocates or scans anything, it refuses a table larger than
+    physical memory or than the process's soft address-space limit,
+    whichever is smaller.  A cut table's width is estimated as the number
+    of cells of the smallest mass that fill a ball of radius cut (a ball of
+    a flat kind or of a cone, curvature >= 0, is at most Euclidean), at 12
+    bytes per entry (float64 distance, int32 column).
+    """
     n = pts.shape[0]
+    if cut is None:
+        size, table = 8 * n * n, "distance matrix"
+    else:
+        cut = check_radius(cut)
+        vol = (space.ball_volume(np.zeros(space.dim), cut)[0] if isinstance(space, CarnotSpace)
+               else unit_ball_volume(space.dim) * cut**space.dim)
+        size, table = 12 * n * min(n, math.ceil(vol / np.min(mass))), "neighbour table"
     budget, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY and soft < budget:
         budget, limit = soft, "the address-space limit (RLIMIT_AS)"
-    if 8 * n * n > budget:
-        raise InputError(f"a cloud of n={n} points needs a {8 * n * n / 1e9:.1f} GB distance "
-                         f"matrix, more than the {budget / 1e9:.1f} GB of {limit}")
-    return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
+    if size > budget:
+        raise InputError(f"a cloud of n={n} points needs a {size / 1e9:.1f} GB {table}, "
+                         f"more than the {budget / 1e9:.1f} GB of {limit}")
+    if cut is None:
+        return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
+    dist, cols = _cut_table(space, pts, cut, threads)
+    return FiniteMMSpace(dist, mass, cols=cols, cut=cut)
+
+
+def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
+    """The distances <= cut and their columns, per row in ascending column
+    order, padded with +inf (column 0) to the widest row; row blocks run on
+    threads.  The kernels are exactly symmetric, so the kept pairs are too."""
+    n = pts.shape[0]
+    blocks = {}  # row block start -> (stop, row counts, columns, distances)
+
+    def rows(s, e):
+        d = space.distance_matrix(pts[s:e], pts).ravel()
+        kept = np.flatnonzero(d <= cut)
+        blocks[s] = (e, np.bincount(kept // n, minlength=e - s), kept % n, d[kept])
+
+    _kernels.run_rowchunks(n, n, threads, rows)
+    width = max(int(counts.max()) for _, counts, _, _ in blocks.values())
+    dist, cols = np.full((n, width), np.inf), np.zeros((n, width), dtype=np.int32)
+    for s, (e, counts, c, d) in blocks.items():
+        real = np.arange(width) < counts[:, None]
+        dist[s:e][real], cols[s:e][real] = d, c
+    return dist, cols
 
 
 def _jitter_grid(lo, hi, cells, rng):
@@ -693,14 +738,15 @@ def _jitter_grid(lo, hi, cells, rng):
     return corners + jit * widths[None, :], float(np.prod(widths))
 
 
-def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, threads: int = 1):
+def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, threads: int = 1,
+                    cut=None):
     """Jittered grid over a box; one point per cell, mass = cell volume."""
     rng = np.random.default_rng(seed)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     cells = np.full(space.dim, int(cells_per_axis))
     pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
+    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
 
     def boundary_distance(q):
         return np.minimum((q - lo).min(axis=-1), (hi - q).min(axis=-1))
@@ -709,7 +755,8 @@ def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, th
     return fms, pts, CloudMeta(space, boundary_distance, widths)
 
 
-def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, threads: int = 1):
+def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, threads: int = 1,
+                     cut=None):
     """Jittered grid over a box resting on the boundary {x[0] = 0}.
 
     Only the lateral and top faces count as artificial boundary.
@@ -723,7 +770,7 @@ def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, t
     if cells.ndim == 0:
         cells = np.full(space.dim, int(cells))
     pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
+    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
 
     def boundary_distance(q):
         lateral = np.minimum((q[..., 1:] - lo[1:]).min(axis=-1), (hi[1:] - q[..., 1:]).min(axis=-1))
@@ -733,7 +780,8 @@ def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, t
     return fms, pts, CloudMeta(space, boundary_distance, widths)
 
 
-def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: int, threads: int = 1):
+def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: int, threads: int = 1,
+               cut=None):
     """Jittered polar grid on the cone; masses are exact cell areas."""
     rng = np.random.default_rng(seed)
     rho_max = float(rho_max)
@@ -752,7 +800,7 @@ def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: in
         masses.append(np.full(n_phi, area))
     pts = np.concatenate(pts, axis=0)
     masses = np.concatenate(masses)
-    fms = _dense_cloud(space, pts, masses, threads)
+    fms = _cloud_space(space, pts, masses, threads, cut)
 
     def boundary_distance(q):
         return rho_max - q[..., 0]
@@ -761,7 +809,8 @@ def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: in
     return fms, pts, CloudMeta(space, boundary_distance, cell)
 
 
-def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: int, threads: int = 1):
+def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: int, threads: int = 1,
+                      cut=None):
     """Jittered Cartesian grid restricted to the closed gauge ball B_R(0).
 
     A cell survives when its jittered point lands in the ball; the kept
@@ -778,7 +827,7 @@ def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: i
     vals = space.gauge.value(g, pts, threads)
     keep = vals <= R
     pts = pts[keep]
-    fms = _dense_cloud(space, pts, np.full(pts.shape[0], cell_vol), threads)
+    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
     gauge_vals = vals[keep]
 
     def boundary_distance(q):

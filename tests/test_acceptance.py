@@ -159,29 +159,32 @@ def test_criterion_4_strong_amv_fundamental_solution():
 
 def produce_sym_vs_plain():
     eu = mo.Euclidean(2)
-    cloud, pts, meta = mo.euclidean_cloud(eu, [-1.5, -1.5], [1.5, 1.5], 72, seed=99)
+    radii = ex.default_radii(0.5, 6, 0.8)
+    cloud, pts, meta = mo.euclidean_cloud(eu, [-1.5, -1.5], [1.5, 1.5], 72, seed=99, cut=radii[0])
     u_eu = Callable1(2, lambda p: np.sin(2 * p[..., 0]) + 0.5 * np.cos(3 * p[..., 1]))
     rep_eu = ex.sym_vs_plain_sweep(
         cloud, pts, meta, u_eu, Tent(2, [0.0, 0.0], 0.4, 0.8),
-        ex.default_radii(0.5, 6, 0.8), reference=0.0, tolerance=SYM_FIT_TOL,
+        radii, reference=0.0, tolerance=SYM_FIT_TOL,
     )
 
     cone = mo.FlatCone(math.pi)
-    ccloud, cpts, cmeta = mo.cone_cloud(cone, 1.4, 48, 96, seed=11)
+    radii = ex.default_radii(0.35, 6, 0.8)
+    ccloud, cpts, cmeta = mo.cone_cloud(cone, 1.4, 48, 96, seed=11, cut=radii[0])
     u_cone = Callable1(2, lambda p: p[..., 0] * np.cos(2.0 * p[..., 1]) + 0.3 * p[..., 0])
     rep_cone = ex.sym_vs_plain_sweep(
         ccloud, cpts, cmeta, u_cone, ConeTent(0.3, 0.6),
-        ex.default_radii(0.35, 6, 0.8), reference=0.0, tolerance=SYM_FIT_TOL,
+        radii, reference=0.0, tolerance=SYM_FIT_TOL,
     )
 
     hs = mo.HalfSpace(2)
+    radii = ex.default_radii(0.45, 6, 0.8)
     hcloud, hpts, hmeta = mo.half_space_cloud(
-        hs, hi=[2.0, 2.0], cells_per_axis=[40, 80], seed=7, lo=[0.0, -2.0]
+        hs, hi=[2.0, 2.0], cells_per_axis=[40, 80], seed=7, lo=[0.0, -2.0], cut=radii[0]
     )
     u_half = ca.coordinate(2, 0)  # distance to the boundary
     rep_half = ex.sym_vs_plain_sweep(
         hcloud, hpts, hmeta, u_half, Tent(2, [0.0, 0.0], 1.0, 1.25),
-        ex.default_radii(0.45, 6, 0.8), reference=None, tolerance=SYM_FIT_TOL,
+        radii, reference=None, tolerance=SYM_FIT_TOL,
     )
     return rep_eu, rep_cone, rep_half
 

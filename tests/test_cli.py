@@ -282,8 +282,14 @@ def test_two_mc_draws_on_half_space_have_error_bars(tmp_path):
     assert all(s > 0 for s in rep.std_errors)
 
 
+# The cut radius is the largest radius, 3.0, so every row of the 3 x 3 box
+# is estimated full: n entries of 12 bytes (distance and column).
+WHOLE_BOX = ["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6",
+             "--radii", "3.0:2:0.5", "--out", "big.json"]
+
+
 def test_cloud_beyond_address_space_limit_exits_2(tmp_path, cli_env):
-    # n=25600 needs a 5.2 GB distance matrix, more than the subprocess's
+    # n=25600 needs a 7.9 GB neighbour table, more than the subprocess's
     # 4 GiB address-space cap; with more physical memory than that, only
     # the address-space limit can refuse it
     cap = 4 << 30
@@ -292,36 +298,38 @@ def test_cloud_beyond_address_space_limit_exits_2(tmp_path, cli_env):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     p = subprocess.run(
-        [sys.executable, "-m", "amvlab.cli", "sym-vs-plain", "euclidean:2", "--field", "harmonic3",
-         "--phi", "tent:0,0:0.3:0.6", "--cloud-cells", "160", "--out", "big.json"],
-        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=limit,
+        [sys.executable, "-m", "amvlab.cli", *WHOLE_BOX, "--cloud-cells", "160"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=limit, timeout=60,
     )
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("ERROR sym-vs-plain:") and "n=25600 " in p.stderr
+    assert "needs a 7.9 GB neighbour table" in p.stderr
     if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > cap:
         assert "4.3 GB of the address-space limit" in p.stderr
     assert not (tmp_path / "big.json").exists()
 
 
 def test_cloud_beyond_physical_memory_exits_2(tmp_path, cli_env):
-    # 256 cells per axis is n=65536, a 34.4 GB distance matrix (more cells on
+    # 256 cells per axis is n=65536, a 51.5 GB neighbour table (more cells on
     # a host with more memory); the guard must refuse it before allocating.
     # The address-space cap only keeps a build without the guard from taking
-    # the machine's memory.
+    # the machine's memory; the guard names whichever budget is smaller.
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    cells = max(256, math.ceil((phys / 8) ** 0.25) + 1)
+    cells = max(256, math.ceil((phys / 12) ** 0.25) + 1)
+    cap = 6 << 30
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (6 << 30, 6 << 30))
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     p = subprocess.run(
-        [sys.executable, "-m", "amvlab.cli", "sym-vs-plain", "euclidean:2", "--field", "harmonic3",
-         "--phi", "tent:0,0:0.3:0.6", "--cloud-cells", str(cells), "--out", "big.json"],
-        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=cap,
+        [sys.executable, "-m", "amvlab.cli", *WHOLE_BOX, "--cloud-cells", str(cells)],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=limit, timeout=60,
     )
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("ERROR sym-vs-plain:")
-    assert f"n={cells**2} " in p.stderr and f"{8 * cells**4 / 1e9:.1f} GB" in p.stderr
+    assert f"n={cells**2} " in p.stderr and f"{12 * cells**4 / 1e9:.1f} GB neighbour table" in p.stderr
+    budget = "physical memory" if phys <= cap else "the address-space limit"
+    assert f"{min(phys, cap) / 1e9:.1f} GB of {budget}" in p.stderr
     assert not (tmp_path / "big.json").exists()
 
 
@@ -352,3 +360,27 @@ def test_repeat_runs_byte_identical(tmp_path, cli_env):
     b = json.loads((tmp_path / "b.json").read_text())
     a["metadata"]["config"]["out"] = b["metadata"]["config"]["out"] = None
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_weak_sweep_on_a_cut_cloud_keeps_bits_across_threads(tmp_path):
+    base = ["weak-sweep", "cone:4.5", "--field", "coord:1", "--phi", "conetent:0.3:0.6",
+            "--cloud-cells", "32", "--seed", "5"]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        assert main([*base, "--threads", threads, "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        rep["metadata"]["config"]["threads"] = rep["metadata"]["config"]["out"] = None
+        reports.append((json.dumps(rep, sort_keys=True), (tmp_path / f"t{threads}.csv").read_text()))
+    assert reports[0] == reports[1]
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path, cli_env):
+    # the field overflows at this point: the run exits 2 with one ERROR line
+    p = run_cli(["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "1e200,0", "--out", "r.json"],
+                cwd=tmp_path, env=cli_env)
+    assert p.returncode == 2
+    assert p.stderr.splitlines() == [
+        "ERROR amv-sweep: the estimate at radius 0.4 is not finite (value nan, std error 0.0)"
+    ], p.stderr
+    assert not list(tmp_path.iterdir())

@@ -271,3 +271,50 @@ def test_field_serialization_roundtrip():
     for bad in ("1.0\nabc\n", "1.0 2.0\n"):
         with pytest.raises(mm.InputError, match=repr(bad.splitlines()[-1])):
             mm.load_field(io.StringIO(bad))
+
+
+def _line3_table():
+    # line3 cut at 1.5: each row its points within 1.5, padded to width 3
+    inf = np.inf
+    dist = np.array([[0.0, 1.0, inf], [1.0, 0.0, 1.0], [1.0, 0.0, inf]])
+    cols = np.array([[0, 1, 0], [0, 1, 2], [1, 2, 0]])
+    return dist, cols
+
+
+def test_cut_table_operators_match_the_matrix(line3):
+    dist, cols = _line3_table()
+    table = mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
+    u = np.array([1.0, -0.5, 2.0])
+    for r in (1.5, 1.0, 0.5):
+        for op in (mm.average, mm.adjoint_average, mm.sym_r_laplacian, mm.r_laplacian):
+            np.testing.assert_allclose(op(table, u, r), op(line3, u, r), rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(mm.kernel_matrix(table, r), mm.kernel_matrix(line3, r))
+    assert mm.is_collision_radius(table, 1.0) and not mm.is_collision_radius(table, 1.1)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda d, c: d.__setitem__((0, 1), 1.25), "dist must be symmetric"),
+        (lambda d, c: c.__setitem__((1, 2), 1), "table columns must ascend along each row"),
+        (lambda d, c: c.__setitem__((1, 1), 0), "table columns must ascend along each row"),
+        (lambda d, c: d.__setitem__((1, 1), 0.5), "dist must have a zero diagonal"),
+        (lambda d, c: d.__setitem__((2, 1), np.nan), "dist and mass must be finite"),
+        (lambda d, c: (d.__setitem__((1, 2), 2.0), d.__setitem__((2, 0), 2.0)), "holds no larger distance"),
+        (lambda d, c: c.__setitem__((2, 2), 3), "cols must hold point indices"),
+    ],
+    ids=["asymmetric", "unsorted", "duplicate", "diagonal", "nan", "above-cut", "column-range"],
+)
+def test_cut_table_validation(fault, message):
+    dist, cols = _line3_table()
+    mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
+    fault(dist, cols)
+    with pytest.raises(mm.InputError, match=message):
+        mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
+
+
+def test_cut_table_needs_its_cut():
+    dist, cols = _line3_table()
+    for cut in (None, 0.0, np.inf):
+        with pytest.raises(mm.InputError, match="cut"):
+            mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=cut)

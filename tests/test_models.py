@@ -5,6 +5,7 @@ import pytest
 
 from amvlab import carnot as ca
 from amvlab import integrate as it
+from amvlab import mmspace as mm
 from amvlab import models as mo
 from amvlab.mmspace import InputError
 
@@ -275,3 +276,70 @@ def test_clouds_have_exact_masses_and_margins():
     # only lateral/top faces count as artificial boundary
     low_point = np.array([[0.01, 0.0]])
     assert hmeta.boundary_distance(low_point)[0] == pytest.approx(0.99)
+
+
+# small clouds of every kind, each with a cut below its diameter: (cut, build(seed, cut))
+CUT_CLOUDS = {
+    "euclidean": (0.5, lambda seed, cut: mo.euclidean_cloud(
+        mo.Euclidean(2), [-1.0, -1.0], [1.0, 1.0], 14, seed, cut=cut)[0]),
+    "half": (0.45, lambda seed, cut: mo.half_space_cloud(
+        mo.HalfSpace(2), [1.0, 1.0], [7, 14], seed, lo=[0.0, -1.0], cut=cut)[0]),
+    "cone": (0.4, lambda seed, cut: mo.cone_cloud(mo.FlatCone(4.5), 1.0, 7, 14, seed, cut=cut)[0]),
+    "carnot": (0.6, lambda seed, cut: mo.carnot_ball_cloud(
+        mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi")), 1.0, 7, seed, cut=cut)[0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_CLOUDS))
+def test_cut_table_agrees_with_the_full_one(kind):
+    cut, build = CUT_CLOUDS[kind]
+    for seed in (1, 2):
+        table, full = build(seed, cut), build(seed, None)
+        assert full.cols is None and table.cut == cut and table.dist.shape[1] < table.n
+        # exactly the kernel's distances <= cut, every other pair absent
+        assert np.array_equal(table.as_matrix(table.dist, fill=np.inf),
+                              np.where(full.dist <= cut, full.dist, np.inf))
+        u, v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, table.n))
+        for r in (cut, 0.7 * cut, 0.31 * cut):
+            ops = {
+                "ball_masses": lambda s: mm.ball_masses(s, r),
+                "average": lambda s: mm.average(s, u, r),
+                "adjoint_average": lambda s: mm.adjoint_average(s, u, r),
+                "sym_r_laplacian": lambda s: mm.sym_r_laplacian(s, u, r),
+                "energy_density": lambda s: mm.energy_density(s, u, v, r),
+                "kernel_matrix": lambda s: mm.kernel_matrix(s, r, rows=[0, 5, table.n - 1]),
+            }
+            for name, op in ops.items():
+                got, want = op(table), op(full)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, r)
+            for x in (0, table.n // 2):
+                assert np.array_equal(mm.ball(table, x, r)[0], mm.ball(full, x, r)[0])
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_CLOUDS))
+def test_identities_hold_on_a_cut_cloud(kind):
+    cut, build = CUT_CLOUDS[kind]
+    table = build(4, cut)
+    u, v = np.random.default_rng(4).uniform(-3.0, 3.0, size=(2, table.n))
+    for r in (cut, 0.6 * cut):
+        res = mm.identity_residuals(table, u, v, r)
+        assert max(res.values()) < 1e-12, res
+
+
+def test_radius_above_the_cut_is_refused():
+    cut, build = CUT_CLOUDS["euclidean"]
+    table = build(3, cut)
+    u = np.ones(table.n)
+    above = np.nextafter(cut, np.inf)
+    for call in (
+        lambda: mm.average(table, u, above),
+        lambda: mm.sym_r_laplacian(table, u, 2 * cut),
+        lambda: mm.ball(table, 0, above),
+        lambda: mm.is_collision_radius(table, above),
+        lambda: mm.kernel_matrix(table, above, rows=[0]),
+    ):
+        with pytest.raises(InputError, match="above the cut"):
+            call()
+    np.testing.assert_array_equal(mm.average(table, u, cut), u)  # the cut itself is a radius
+    with pytest.raises(InputError, match="no file form"):
+        mm.space_to_text(table)

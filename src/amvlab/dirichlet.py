@@ -6,13 +6,23 @@ every interior point: the energy is (1/2) sum_xy w_xy (u(y) - u(x))^2 with
 graph weights w_xy = m(x) m(y) k_r(x,y) / r^2 >= 0, so the stationary
 system is a symmetric positive semidefinite graph Laplacian, positive
 definite when every interior point reaches the boundary through r-chains.
-The solver takes only the interior rows of the kernel from
-mmspace.kernel_matrix, the one definition of k_r, and hands the assembled
-rows to library routines: scipy.sparse.csgraph for boundary reachability,
-LU for small systems and scipy's conjugate gradients for large ones.  It
-returns the stationarity residual it checked together with the solution.
+
+The interior system is sparse from the start.  The interior rows of the
+kernel come as CSR from mmspace, the one definition of k_r, read off the
+space's neighbour table (full or cut alike), so neither a k x n block nor
+an n x n matrix is formed.  The weights, the interior block
+A = diag(row sums of w) - w[:, interior] and the right-hand side
+w @ (boundary values) stay CSR.  Library routines take it from there:
+scipy.sparse.csgraph checks boundary reachability on the CSR pattern, LU
+solves small systems on the densified k x k block and scipy's conjugate
+gradients solve large ones on the CSR matrix itself.  The solver returns
+the stationarity residual it checked together with the solution, and logs
+its conjugate-gradient iterations on the ``amvlab.dirichlet`` logger.
 Boundary data is a BoundaryPartition, built in code or read from a mask
 file by load_mask through the text-input edge of mmspace.
+
+bpz_demo cuts each level's cloud at that level's radius, so its memory
+grows with n times the neighbours per point, not with n^2.
 
 The barrier-field construction used in the pointwise-to-everywhere
 regularity upgrade on step-2 groups ships as an analytic catalog field so
@@ -21,6 +31,7 @@ its inequality chain can be reproduced on data.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,6 +49,8 @@ from .mmspace import FiniteMMSpace, InputError
 from .models import CarnotSpace, NumericError, carnot_ball_cloud
 
 _RESIDUAL_TOL = 1e-10  # stationarity residual allowed per unit of max |g|
+
+logger = logging.getLogger("amvlab.dirichlet")
 
 
 class DisconnectedInteriorError(InputError):
@@ -83,14 +96,12 @@ def load_mask(path_or_file, n: int) -> BoundaryPartition:
     return BoundaryPartition(np.setdiff1d(np.arange(n), boundary), boundary, [v for _, v in pairs])
 
 
-def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, near: np.ndarray) -> None:
+def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, points, cols) -> None:
     """Every interior point must share a component of the r-neighbour graph
     with some boundary point.  A path from the boundary never needs to pass
-    through another boundary point, so the interior rows' edges suffice."""
-    rows, cols = np.nonzero(near)
-    graph = sparse.coo_array(
-        (np.ones(rows.size), (part.interior[rows], cols)), shape=(space.n, space.n)
-    )
+    through another boundary point, so the interior rows' edges suffice:
+    (points[e], cols[e]), the CSR pattern of the interior kernel rows."""
+    graph = sparse.coo_array((np.ones(cols.size), (points, cols)), shape=(space.n, space.n))
     _, label = connected_components(graph, directed=False)
     anchored = np.zeros(space.n, dtype=bool)
     anchored[label[part.boundary]] = True
@@ -99,22 +110,22 @@ def _check_connectivity(space: FiniteMMSpace, part: BoundaryPartition, near: np.
         raise DisconnectedInteriorError(missing)
 
 
-def _interior_system(space: FiniteMMSpace, part: BoundaryPartition, r: float):
-    """Interior block A and right-hand side of the stationarity system.
+def _interior_system(space: FiniteMMSpace, part: BoundaryPartition, r: float, u_boundary):
+    """Interior block A (CSR) and right-hand side of the stationarity system.
 
-    Only the interior rows x of the graph weights w_xy are formed; with a
-    zero diagonal, A = diag(row sums of w) - w[:, interior] and the boundary
-    values enter as rhs = w[:, boundary] @ g.
+    Only the interior rows x of the graph weights w_xy are formed, as CSR on
+    the pattern of the kernel rows; with a zero diagonal,
+    A = diag(row sums of w) - w[:, interior], and the boundary values enter
+    as rhs = w @ u_boundary, which is zero at the interior points.
     """
-    idx_i = part.interior
-    w = mmspace.kernel_matrix(space, r, rows=idx_i)
-    _check_connectivity(space, part, w > 0)
-    w = w * (space.mass[idx_i, None] * space.mass[None, :]) / r**2
-    w[np.arange(idx_i.size), idx_i] = 0.0
-    # take() keeps the column blocks C-ordered, so the products below
-    # sum in the same order as on a full row-major Laplacian
-    a_mat = np.diag(w.sum(axis=1)) - w.take(idx_i, axis=1)
-    return a_mat, w.take(part.boundary, axis=1) @ part.g
+    kernel = mmspace._kernel_rows(space, r, part.interior)
+    point = np.repeat(part.interior, np.diff(kernel.indptr))  # the row's point, per entry
+    _check_connectivity(space, part, point, kernel.indices)
+    data = kernel.data * (space.mass[point] * space.mass[kernel.indices]) / r**2
+    data[kernel.indices == point] = 0.0
+    w = sparse.csr_array((data, kernel.indices, kernel.indptr), shape=kernel.shape)
+    a_mat = (sparse.diags_array(w.sum(axis=1)) - w[:, part.interior]).tocsr()
+    return a_mat, w @ u_boundary
 
 
 def solve(
@@ -126,28 +137,40 @@ def solve(
     """Unique r-energy minimizer u with the given boundary values, and
     its stationarity residual: (u, residual).
 
-    The interior system (see _interior_system) is solved by LU up to
-    dense_cutoff interior points and above it by scipy's conjugate
-    gradients on CSR with a Jacobi preconditioner.  Interior values satisfy
-    the symmetrized-laplacian stationarity system; because the graph
-    weights are nonnegative, they are convex combinations of neighbor
-    values and the maximum principle holds.  The residual
-    max |sym laplacian| over the interior, computed independently by
-    mmspace.sym_r_laplacian, is checked against _RESIDUAL_TOL * max|g|.
+    The interior system (see _interior_system) is CSR.  Up to dense_cutoff
+    interior points LU solves its k x k block, densified; above it scipy's
+    conjugate gradients solve the CSR matrix itself with a Jacobi
+    preconditioner.  Their iteration count and info go to the
+    ``amvlab.dirichlet`` logger at debug level, and a breakdown (info < 0)
+    raises NumericError.  Interior values satisfy the symmetrized-laplacian
+    stationarity system; because the graph weights are nonnegative, they
+    are convex combinations of neighbor values and the maximum principle
+    holds.  The residual max |sym laplacian| over the interior, computed
+    independently by mmspace.sym_r_laplacian, is checked against
+    _RESIDUAL_TOL * max|g|.
     """
     r = mmspace.check_radius(r)
     part.validate(space)
-    a_mat, rhs = _interior_system(space, part, r)
     u = np.zeros(space.n)
     u[part.boundary] = part.g
+    a_mat, rhs = _interior_system(space, part, r, u)
     k = part.interior.size
     if k <= dense_cutoff:
-        u[part.interior] = np.linalg.solve(a_mat, rhs)
+        u[part.interior] = np.linalg.solve(a_mat.toarray(), rhs)
     else:
-        jacobi = sparse.diags_array(1.0 / np.diag(a_mat))
-        u[part.interior], _ = cg(
-            sparse.csr_array(a_mat), rhs, rtol=1e-14, atol=0.0, maxiter=10 * k + 50, M=jacobi
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        jacobi = sparse.diags_array(1.0 / a_mat.diagonal())
+        u[part.interior], info = cg(
+            a_mat, rhs, rtol=1e-14, atol=0.0, maxiter=10 * k + 50, M=jacobi, callback=count
         )
+        logger.debug("conjugate gradients on %d interior points: %d iterations, info %d", k, iterations, info)
+        if info < 0:
+            raise NumericError(f"conjugate gradients broke down (info {info})")
     scale = float(np.max(np.abs(part.g), initial=0.0))
     resid = residual(space, part, u, r)
     if resid > _RESIDUAL_TOL * max(scale, 1e-300) and scale > 0:
@@ -218,11 +241,12 @@ def bpz_demo(
 ) -> ExperimentReport:
     """Reproduce a horizontally-harmonic field from its boundary values.
 
-    Discretizes the gauge ball B_R(0) at each (resolution, r) level, solves
-    the discrete Dirichlet problem with the field's values on the boundary
-    layer, and reports the interior sup difference.  The verdict compares
-    the smallest-level difference against the declared tolerance; a level
-    without an interior point is refused.
+    Discretizes the gauge ball B_R(0) at each (resolution, r) level, as a
+    cloud whose neighbour table is cut at r, solves the discrete Dirichlet
+    problem with the field's values on the boundary layer, and reports the
+    interior sup difference.  The verdict compares the smallest-level
+    difference against the declared tolerance; a level without an interior
+    point is refused.
     """
     R = mmspace.check_radius(R)
     radii = check_radii(radii)
@@ -233,7 +257,7 @@ def bpz_demo(
     estimates = []
     sizes = []
     for level, (res, r) in enumerate(zip(resolutions, radii)):
-        cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads)
+        cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads, cut=r)
         u_vals = u_field.value(pts)
         part = gauge_ball_partition(space, gauge_vals, R, r, u_vals)
         if not part.interior.size:

@@ -23,7 +23,9 @@ once and owns the only row-block pass (``_kernels.row_blocks``, about
 buffers in place, allocated once per pass.  Fills read per-point vectors
 at the table's columns through ``FiniteMMSpace.take``, which hands back
 the vector itself on a full table.  Every row still sums its whole table
-row, so the block size never changes a bit.
+row, so the block size never changes a bit.  The mean value kernel k_r
+has one definition, ``_kernel_rows``: the requested rows as CSR on the
+ball pattern, read off the table; ``kernel_matrix`` is its dense form.
 
 Text input has one edge, next to ``InputError``: ``opened`` (path or file
 object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
@@ -149,14 +151,14 @@ class FiniteMMSpace:
         index array); on a full table that is v itself, which broadcasts."""
         return v if self.cols is None else v[self.cols[rows]]
 
-    def as_matrix(self, table, rows=slice(None), fill=0.0) -> np.ndarray:
-        """Table entries of rows spread over all n columns, fill where the
-        table holds no entry; a full table's entries are returned as they are."""
+    def as_matrix(self, table, fill=0.0) -> np.ndarray:
+        """Table entries spread over an n x n matrix, fill where the table
+        holds no entry; a full table's entries are returned as they are."""
         if self.cols is None:
             return table
-        real = self.dist[rows] != np.inf
-        out = np.full((real.shape[0], self.n), fill)
-        out[np.nonzero(real)[0], self.cols[rows][real]] = table[real]
+        real = self.dist != np.inf
+        out = np.full((self.n, self.n), fill)
+        out[np.nonzero(real)[0], self.cols[real]] = table[real]
         return out
 
     def _balls(self, r) -> _Balls:
@@ -313,14 +315,24 @@ def adjoint_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     return (adjoint_average(space, u, r) - u) / r**2
 
 
-def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
-    """Symmetric mean value kernel k_r(x,y), zero off the open ball; with
-    rows given, only the rows x of those point indices."""
+def _kernel_rows(space: FiniteMMSpace, r, rows) -> sparse.csr_array:
+    """Rows x (point indices) of the symmetric mean value kernel
+    k_r(x,y) = (1/mu(B_r(x)) + 1/mu(B_r(y)))/2 on the open ball, as a
+    len(rows) x n CSR matrix whose pattern is the balls: every y with
+    d(x,y) < r, x itself included, in ascending column order."""
     balls = space._balls(r)
+    rows = np.asarray(rows, dtype=np.intp)
+    entry_row, c = np.nonzero(space.dist[rows] < balls.r)
+    cols = c if space.cols is None else space.cols[rows[entry_row], c]
     inv = balls.inv
-    rows = slice(None) if rows is None else rows
-    w = space.dist[rows] < balls.r
-    return space.as_matrix(np.where(w, 0.5 * (inv[rows, None] + space.take(inv, rows)), 0.0), rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_row, minlength=rows.size))))
+    return sparse.csr_array((0.5 * (inv[rows[entry_row]] + inv[cols]), cols, indptr), shape=(rows.size, space.n))
+
+
+def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
+    """Symmetric mean value kernel k_r(x,y), zero off the open ball, as a
+    dense matrix; with rows given, only the rows x of those point indices."""
+    return _kernel_rows(space, r, np.arange(space.n) if rows is None else rows).toarray()
 
 
 def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:

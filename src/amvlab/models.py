@@ -680,17 +680,22 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
     Before it allocates or scans anything, it refuses a table larger than
     physical memory or than the process's soft address-space limit,
     whichever is smaller.  A cut table's width is estimated as the number
-    of cells of the smallest mass that fill a ball of radius cut (a ball of
-    a flat kind or of a cone, curvature >= 0, is at most Euclidean), at 12
-    bytes per entry (float64 distance, int32 column).
+    of cells of the smallest mass that fill a ball of radius cut, at 12
+    bytes per entry (float64 distance, int32 column).  A ball of a flat
+    kind or of a cone (curvature >= 0) is at most Euclidean; a gauge ball
+    lies in its envelope box, a horizontal v1-ball of radius h times a
+    second-layer cube of half-width v, so no volume is computed.
     """
     n = pts.shape[0]
     if cut is None:
         size, table = 8 * n * n, "distance matrix"
     else:
         cut = check_radius(cut)
-        vol = (space.ball_volume(np.zeros(space.dim), cut)[0] if isinstance(space, CarnotSpace)
-               else unit_ball_volume(space.dim) * cut**space.dim)
+        if isinstance(space, CarnotSpace):
+            h, v = space.gauge.envelope(space.group, cut)
+            vol = unit_ball_volume(space.group.v1) * h**space.group.v1 * (2 * v) ** space.group.v2
+        else:
+            vol = unit_ball_volume(space.dim) * cut**space.dim
         size, table = 12 * n * min(n, math.ceil(vol / np.min(mass))), "neighbour table"
     budget, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]

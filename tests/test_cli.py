@@ -10,6 +10,7 @@ import pytest
 
 from amvlab import dirichlet as di
 from amvlab import experiments as ex
+from amvlab import integrate as it
 from amvlab import mmspace as mm
 from amvlab import models as mo
 from amvlab.cli import main, make_parser, parse_point, parse_radii
@@ -331,6 +332,47 @@ def test_cloud_beyond_physical_memory_exits_2(tmp_path, cli_env):
     budget = "physical memory" if phys <= cap else "the address-space limit"
     assert f"{min(phys, cap) / 1e9:.1f} GB of {budget}" in p.stderr
     assert not (tmp_path / "big.json").exists()
+
+
+def test_cut_gauge_cloud_guard_computes_no_ball_volume(tmp_path, monkeypatch, capsys):
+    # no grid ships for heisenberg:2, so a ball volume would fall back to a
+    # 4M-draw Monte Carlo estimate; the guard bounds the ball by its
+    # envelope box instead
+    def no_volume(*args, **kwargs):
+        raise AssertionError("the memory guard computed a ball volume")
+
+    monkeypatch.setattr(it, "carnot_ball_volume_mc", no_volume)
+    space = mo.carnot_preset("heisenberg:2", "scaled", 16.0)
+    cloud, pts, _, _ = mo.carnot_ball_cloud(space, 1.0, 5, seed=1, cut=0.6)
+    assert cloud.cut == 0.6 and cloud.n == pts.shape[0]
+    # r = 0.95 of R = 1 makes every row full width: 12 n^2 bytes, with
+    # n about 0.2 res^5 cloud points, past twice the physical memory
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    res = max(12, math.ceil((math.sqrt(phys / 6) / 0.18) ** 0.2))
+    rc = main(["bpz-demo", "heisenberg:2", "scaled", "--beta", "16", "--resolutions", str(res),
+               "--level-radii", "0.95", "--out", str(tmp_path / "big.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("ERROR bpz-demo:") and "GB neighbour table" in err, err
+    assert not (tmp_path / "big.json").exists()
+
+
+@pytest.mark.slow
+def test_bpz_demo_runs_where_the_dense_route_is_refused(tmp_path, cli_env):
+    # the finest level has n=13564 points: a 1.5 GB distance matrix, over
+    # the child's 1.2 GB address-space limit; its table cut at r=0.3 fits
+    cap = int(1.2e9)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    p = subprocess.run(
+        [sys.executable, "-m", "amvlab.cli", "bpz-demo", "heisenberg:1", "koranyi", "--field", "coord:1",
+         "--resolutions", "12,20,28", "--level-radii", "0.5,0.38,0.3", "--out", "r.json"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert p.returncode == 0, p.stderr
+    rep = ex.ExperimentReport.from_json((tmp_path / "r.json").read_text())
+    assert rep.metadata["cloud_sizes"][-1] == 13564 and rep.verdict == "pass"
 
 
 def test_threads_do_not_change_bits(tmp_path, cli_env):

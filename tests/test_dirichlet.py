@@ -1,4 +1,5 @@
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from amvlab import mmspace as mm
 from amvlab import models as mo
 from amvlab.integrate import SeedSpec, sample_ball
 from amvlab.mmspace import InputError
+from amvlab.models import NumericError
 
 
 @pytest.fixture
@@ -139,6 +141,68 @@ def test_cg_matches_dense():
     dense, _ = di.solve(space, part, r, dense_cutoff=500)
     iterative, _ = di.solve(space, part, r, dense_cutoff=0)
     np.testing.assert_allclose(dense, iterative, atol=1e-10, rtol=1e-10)
+
+
+def gauge_ball_problem(r, seed=4, res=12):
+    """A full and a cut (at r) table of one H1 gauge-ball cloud, and the
+    partition of its r-thick boundary layer carrying the field x1 - x2/2."""
+    space = mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi"))
+    full, pts, _, gv = mo.carnot_ball_cloud(space, 1.0, res, seed)
+    cut, _, _, _ = mo.carnot_ball_cloud(space, 1.0, res, seed, cut=r)
+    field = ca.coordinate(3, 0) - 0.5 * ca.coordinate(3, 1)
+    return full, cut, di.gauge_ball_partition(space, gv, 1.0, r, field.value(pts))
+
+
+@pytest.mark.parametrize("cutoff", [0, 500], ids=["cg", "lu"])
+def test_cut_and_full_tables_solve_alike(cutoff):
+    full, cut, part = gauge_ball_problem(0.5)
+    assert cut.cols is not None and full.cols is None
+    u_full, _ = di.solve(full, part, 0.5, dense_cutoff=cutoff)
+    u_cut, _ = di.solve(cut, part, 0.5, dense_cutoff=cutoff)
+    assert np.max(np.abs(u_cut - u_full)) <= 1e-12 * np.max(np.abs(u_full))
+
+
+def test_cut_and_full_tables_list_the_same_unreachable_points():
+    # at r = 0.2 most points of the 12-cell cloud have no neighbour
+    full, cut, part = gauge_ball_problem(0.2)
+    lists = []
+    for space in (full, cut):
+        with pytest.raises(di.DisconnectedInteriorError) as err:
+            di.solve(space, part, 0.2)
+        lists.append(err.value.component)
+    assert lists[0] == lists[1] and len(lists[0]) > 1
+
+
+def test_bpz_demo_gaps_match_full_tables(monkeypatch):
+    h1, gauge = ca.heisenberg(1), ca.Gauge("koranyi")
+    field = ca.coordinate(3, 0) - 0.5 * ca.coordinate(3, 1)
+
+    def run():
+        return di.bpz_demo(h1, gauge, field, R=1.0, resolutions=[10, 12], radii=[0.6, 0.5], seed=2).values
+
+    cut_gaps = run()
+    seen = []
+
+    def full_cloud(*args, cut=None, **kwargs):
+        out = mo.carnot_ball_cloud(*args, **kwargs)
+        seen.append(cut)
+        return out
+
+    monkeypatch.setattr(di, "carnot_ball_cloud", full_cloud)
+    full_gaps = run()
+    assert seen == [0.6, 0.5]  # bpz_demo asks for each level cut at its radius
+    np.testing.assert_allclose(cut_gaps, full_gaps, rtol=1e-12, atol=0)
+
+
+def test_cg_reports_iterations_and_refuses_breakdown(monkeypatch, caplog):
+    full, _, part = gauge_ball_problem(0.5)
+    with caplog.at_level(logging.DEBUG, logger="amvlab.dirichlet"):
+        di.solve(full, part, 0.5, dense_cutoff=0)
+    [msg] = [rec.getMessage() for rec in caplog.records if rec.name == "amvlab.dirichlet"]
+    assert f"on {part.interior.size} interior points" in msg and msg.endswith("info 0")
+    monkeypatch.setattr(di, "cg", lambda a, b, **kwargs: (np.zeros(b.size), -10))
+    with pytest.raises(NumericError, match="info -10"):
+        di.solve(full, part, 0.5, dense_cutoff=0)
 
 
 def test_barrier_field_properties():

@@ -118,19 +118,23 @@ def carnot_dist_matrix(x1, x2, y1, y2, bracket, beta: float, threads: int = 1) -
     return out
 
 
+def cone_distance(rho_a, phi_a, rho_b, phi_b, theta_c: float) -> np.ndarray:
+    """Cone distances of broadcast pairs (rho_a, phi_a), (rho_b, phi_b) by the
+    law of cosines over the shorter angular gap delta; past delta = pi the
+    geodesic runs through the apex, rho_a + rho_b."""
+    dphi = np.abs(phi_a - phi_b)
+    delta = np.minimum(dphi, theta_c - dphi)
+    q = rho_a * rho_a + rho_b * rho_b - ((2.0 * rho_a) * rho_b) * np.cos(delta)
+    return np.where(delta <= math.pi, np.sqrt(np.maximum(q, 0.0)), rho_a + rho_b)
+
+
 def cone_dist_matrix(rho_a, phi_a, rho_b, phi_b, theta_c: float, threads: int = 1) -> np.ndarray:
     rho_a, phi_a, rho_b, phi_b = map(_f64, (rho_a, phi_a, rho_b, phi_b))
     theta_c = float(theta_c)
     out = np.empty((rho_a.shape[0], rho_b.shape[0]), dtype=np.float64)
 
     def rows(start, stop):
-        ra = rho_a[start:stop, None]
-        pa = phi_a[start:stop, None]
-        dphi = np.abs(pa - phi_b[None, :])
-        delta = np.minimum(dphi, theta_c - dphi)
-        q = ra * ra + rho_b[None, :] * rho_b[None, :] - ((2.0 * ra) * rho_b[None, :]) * np.cos(delta)
-        direct = np.sqrt(np.maximum(q, 0.0))
-        out[start:stop] = np.where(delta <= math.pi, direct, ra + rho_b[None, :])
+        out[start:stop] = cone_distance(rho_a[start:stop, None], phi_a[start:stop, None], rho_b, phi_b, theta_c)
 
     run_rowchunks(rho_a.shape[0], rho_b.shape[0], threads, rows)
     return out

@@ -265,10 +265,7 @@ def left_field(group: CarnotStep2, j: int, u: AnalyticField, pts) -> np.ndarray:
     j = int(j)
     if not (0 <= j < group.v1):
         raise InputError(f"horizontal index {j} out of range for v1={group.v1}")
-    pts = group._check(pts)
-    grad = u.gradient(pts)
-    c = field_coefficients(group, pts)
-    return grad[..., j] + np.einsum("...k,...k->...", c[..., :, j], grad[..., group.v1 :])
+    return horizontal_gradient(group, u, pts)[..., j]
 
 
 def horizontal_gradient(group: CarnotStep2, u: AnalyticField, pts) -> np.ndarray:

@@ -7,7 +7,8 @@ stdout carries a single verdict line plus the report path; everything else
 goes to the declared output path.
 
 A bad spec, size flag or input file exits 2 before anything is written,
-with one "ERROR <command>: ..." line on stderr naming what was typed.
+with one "ERROR <command>: ..." line on stderr naming what was typed; a
+failed allocation (MemoryError) is reported the same way.
 numpy's floating-point warnings never reach stderr; they are logged at
 debug level on the "amvlab.cli" logger.
 """
@@ -423,8 +424,8 @@ def main(argv=None) -> int:
         # non-finite result is refused where it is checked (exit 2)
         with np.errstate(divide="call", over="call", invalid="call", call=_log_fp_error):
             return args.fn(args)
-    except (InputError, models.NumericError, OSError) as exc:
-        print(f"ERROR {args.command}: {exc}", file=sys.stderr)
+    except (InputError, models.NumericError, OSError, MemoryError) as exc:
+        print(f"ERROR {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,9 @@ offset), which is enough to assemble the shipped catalog: coordinate
 monomials up to degree four, translated horizontal square norms, second
 layer coordinates, gauge powers and the fundamental-solution power of the
 gauge.  Derivatives are closed form by construction; finite differences are
-the independent oracle in the tests.
+the independent oracle in the tests.  A monomial's value, gradient and
+Hessian come from one derivative routine (``Monomial._term``), and a sum's
+from one linear-combination loop (``FieldSum._combine``).
 
 Lipschitz-only bumps used as compactly supported pairing functions carry
 just a value; asking them for derivatives raises.  Invalid construction
@@ -98,57 +100,31 @@ class Monomial(AnalyticField):
         self.exponents = exps
         self.coeff = float(coeff)
 
-    def _pow(self, x, e):
-        if e == 0:
-            return np.ones_like(x)
-        return x**e
+    def _term(self, pts, *wrt):
+        """The monomial differentiated once along each axis in wrt (each one
+        scales the coefficient by the exponent and lowers it), powers in axis order."""
+        exps, c = list(self.exponents), self.coeff
+        for i in wrt:
+            if exps[i] == 0:
+                return np.zeros(pts.shape[:-1])
+            c *= exps[i]
+            exps[i] -= 1
+        out = np.full(pts.shape[:-1], c)
+        for i, e in enumerate(exps):
+            if e:
+                out = out * pts[..., i] ** e
+        return out
 
     def value(self, pts):
-        pts = self._check(pts)
-        out = np.full(pts.shape[:-1], self.coeff)
-        for i, e in enumerate(self.exponents):
-            if e:
-                out = out * self._pow(pts[..., i], e)
-        return out
+        return self._term(self._check(pts))
 
     def gradient(self, pts):
         pts = self._check(pts)
-        grad = np.zeros(pts.shape)
-        for j, ej in enumerate(self.exponents):
-            if ej == 0:
-                continue
-            term = np.full(pts.shape[:-1], self.coeff * ej)
-            for i, e in enumerate(self.exponents):
-                d = e - 1 if i == j else e
-                if d:
-                    term = term * self._pow(pts[..., i], d)
-            grad[..., j] = term
-        return grad
+        return np.stack([self._term(pts, j) for j in range(self.dim)], axis=-1)
 
     def hessian(self, pts):
-        pts = self._check(pts)
-        hess = np.zeros(pts.shape[:-1] + (self.dim, self.dim))
-        for j, ej in enumerate(self.exponents):
-            for k, ek in enumerate(self.exponents):
-                if j == k:
-                    if ej < 2:
-                        continue
-                    c = self.coeff * ej * (ej - 1)
-                else:
-                    if ej == 0 or ek == 0:
-                        continue
-                    c = self.coeff * ej * ek
-                term = np.full(pts.shape[:-1], c)
-                for i, e in enumerate(self.exponents):
-                    d = e
-                    if i == j:
-                        d -= 1
-                    if i == k:
-                        d -= 1
-                    if d:
-                        term = term * self._pow(pts[..., i], d)
-                hess[..., j, k] = term
-        return hess
+        pts, axes = self._check(pts), range(self.dim)
+        return np.stack([np.stack([self._term(pts, j, k) for k in axes], axis=-1) for j in axes], axis=-2)
 
 
 class ShiftedSquareNorm(AnalyticField):
@@ -254,26 +230,22 @@ class FieldSum(AnalyticField):
                 flat.append((float(c), f))
         self.terms = flat
 
-    def value(self, pts):
+    def _combine(self, part, pts, trailing):
+        """Sum of c * f.part(pts) over the terms, in order, from zeros(pts.shape[:-1] + trailing)."""
         pts = self._check(pts)
-        out = np.zeros(pts.shape[:-1])
+        out = np.zeros(pts.shape[:-1] + trailing)
         for c, f in self.terms:
-            out = out + c * f.value(pts)
+            out = out + c * getattr(f, part)(pts)
         return out
+
+    def value(self, pts):
+        return self._combine("value", pts, ())
 
     def gradient(self, pts):
-        pts = self._check(pts)
-        out = np.zeros(pts.shape)
-        for c, f in self.terms:
-            out = out + c * f.gradient(pts)
-        return out
+        return self._combine("gradient", pts, (self.dim,))
 
     def hessian(self, pts):
-        pts = self._check(pts)
-        out = np.zeros(pts.shape[:-1] + (self.dim, self.dim))
-        for c, f in self.terms:
-            out = out + c * f.hessian(pts)
-        return out
+        return self._combine("hessian", pts, (self.dim, self.dim))
 
 
 class Tent(LipschitzField):
@@ -293,25 +265,22 @@ class Tent(LipschitzField):
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
 
-    def value(self, pts):
-        pts = self._check(pts)
-        d = np.sqrt(np.sum((pts - self.center) ** 2, axis=-1))
+    def _ramp(self, d):
         return np.clip((self.r_outer - d) / (self.r_outer - self.r_inner), 0.0, 1.0)
 
-
-class ConeTent(LipschitzField):
-    """Apex-centered bump on cone points (rho, phi)."""
-
-    def __init__(self, r_inner, r_outer):
-        super().__init__(2)
-        if not (0 <= r_inner < r_outer):
-            raise InputError("need 0 <= r_inner < r_outer")
-        self.r_inner = float(r_inner)
-        self.r_outer = float(r_outer)
-
     def value(self, pts):
         pts = self._check(pts)
-        return np.clip((self.r_outer - pts[..., 0]) / (self.r_outer - self.r_inner), 0.0, 1.0)
+        return self._ramp(np.sqrt(np.sum((pts - self.center) ** 2, axis=-1)))
+
+
+class ConeTent(Tent):
+    """Apex-centered bump on cone points (rho, phi): the ramp of rho."""
+
+    def __init__(self, r_inner, r_outer):
+        super().__init__(2, [0.0, 0.0], r_inner, r_outer)
+
+    def value(self, pts):
+        return self._ramp(self._check(pts)[..., 0])
 
 
 class Callable1(LipschitzField):

@@ -20,7 +20,8 @@ Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
 once and owns the only row-block pass (``_kernels.row_blocks``, about
 1 MiB of float64 per block), which fills a bool mask and two float scratch
-buffers in place, allocated once per pass.  Fills read per-point vectors
+buffers in place, allocated once per pass.  The ball masses, A_r and A_r*
+are one ball sum, ``_Balls.sums``.  Fills read per-point vectors
 at the table's columns through ``FiniteMMSpace.take``, which hands back
 the vector itself on a full table.  Every row still sums its whole table
 row, so the block size never changes a bit.  The mean value kernel k_r
@@ -38,6 +39,8 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
+import resource
 
 import numpy as np
 from scipy import sparse
@@ -57,6 +60,18 @@ def malformed(kind: str, spec: str):
         yield
     except ValueError as exc:
         raise InputError(f"malformed {kind} spec {spec!r}: {exc}") from None
+
+
+def check_memory(size: int, owner: str, table: str) -> None:
+    """Refuse a table of size bytes, before it is allocated, above the smaller of
+    physical memory and the soft address-space limit (RLIMIT_AS)."""
+    budget, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < budget:
+        budget, limit = soft, "the address-space limit (RLIMIT_AS)"
+    if size > budget:
+        raise InputError(f"{owner} needs a {size / 1e9:.1f} GB {table}, "
+                         f"more than the {budget / 1e9:.1f} GB of {limit}")
 
 
 def opened(path_or_file, mode: str = "r"):
@@ -254,9 +269,15 @@ class _Balls:
     over the distance table."""
 
     def __init__(self, space: FiniteMMSpace, r: float):
-        self.dist, self.r = space.dist, r
-        self.masses = self.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(space.mass, rows), out=a))
+        # the space's arrays, not the space, which keeps this object: no cycle
+        self.dist, self.cols, self.r = space.dist, space.cols, r
+        self.masses = self.sums(space.mass)
         self.inv = 1.0 / self.masses
+
+    def sums(self, v) -> np.ndarray:
+        """Row sums of w * v_y: the sum of the per-point vector v over each ball."""
+        cols = self.cols
+        return self.row_sums(lambda rows, w, a, b: np.multiply(w, v if cols is None else v[cols[rows]], out=a))
 
     def row_sums(self, fill) -> np.ndarray:
         """Row sums of the summands fill(rows, w, a, b) leaves in a, per row
@@ -286,16 +307,14 @@ def average(space: FiniteMMSpace, u, r) -> np.ndarray:
     """Ball average A_r u(x) = mean of u over B_r(x) against the masses."""
     u = as_field(space, u)
     balls = space._balls(r)
-    um = u * space.mass
-    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(um, rows), out=a)) / balls.masses
+    return balls.sums(u * space.mass) / balls.masses
 
 
 def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
     """Formal adjoint A_r* u(x) = sum over the ball of u(y) m(y)/mu(B_r(y))."""
     u = as_field(space, u)
     balls = space._balls(r)
-    coef = u * space.mass / balls.masses
-    return balls.row_sums(lambda rows, w, a, b: np.multiply(w, space.take(coef, rows), out=a))
+    return balls.sums(u * space.mass / balls.masses)
 
 
 def a_r(space: FiniteMMSpace, r) -> np.ndarray:
@@ -319,9 +338,13 @@ def _kernel_rows(space: FiniteMMSpace, r, rows) -> sparse.csr_array:
     """Rows x (point indices) of the symmetric mean value kernel
     k_r(x,y) = (1/mu(B_r(x)) + 1/mu(B_r(y)))/2 on the open ball, as a
     len(rows) x n CSR matrix whose pattern is the balls: every y with
-    d(x,y) < r, x itself included, in ascending column order."""
+    d(x,y) < r, x itself included, in ascending column order.  rows must be
+    point indices: integers in [0, n)."""
     balls = space._balls(r)
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size and not (rows.dtype.kind in "iu" and 0 <= rows.min() <= rows.max() < space.n):
+        raise InputError(f"rows must be point indices, integers in [0, {space.n})")
+    rows = rows.astype(np.intp)
     entry_row, c = np.nonzero(space.dist[rows] < balls.r)
     cols = c if space.cols is None else space.cols[rows[entry_row], c]
     inv = balls.inv
@@ -423,6 +446,7 @@ def load_space(path_or_file) -> FiniteMMSpace:
         raise InputError("point count must be >= 1")
     if len(lines) != n + 1:
         raise InputError(f"expected {n + 1} content lines for n={n}, got {len(lines)}")
+    check_memory(8 * n * n, f"a space file of n={n} points", "distance matrix")
 
     def numbers(k):
         try:

@@ -17,23 +17,24 @@ The three rejection samplers (half-space, cone, Carnot) share one loop,
 ``fill_by_rejection``; each keeps only its proposal.
 
 Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
-carnot_ball_cloud) return finite spaces.  With cut=, a cloud keeps only the
+carnot_ball_cloud) return finite spaces; the Euclidean and half-space
+clouds are one jittered box build (``_box_cloud``) with their own bounds,
+cell counts and boundary distance.  With cut=, a cloud keeps only the
 pairs within that radius (see mmspace), filtered from row blocks of the
-distance kernel; either way a table larger than the memory budget is
-refused before anything is allocated.
+distance kernel; either way a table larger than the memory budget
+(``mmspace.check_memory``) is refused before anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
-dimension N; they are offered for the Euclidean, half-space and cone kinds
-only (there is no canonical normalization on a Carnot group, where the
-request raises).
+dimension N: one formula on ModelSpace, offered for the Euclidean,
+half-space and cone kinds (there is no canonical normalization on a Carnot
+group, where the request raises).  The cone distance is the law of cosines
+of ``_kernels.cone_distance``, which the matrix kernel shares.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import resource
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -41,7 +42,7 @@ from scipy import special as _special
 
 from . import _kernels
 from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
-from .mmspace import FiniteMMSpace, InputError, check_radius, malformed
+from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed
 
 
 logger = logging.getLogger("amvlab.models")
@@ -74,7 +75,9 @@ class ModelSpace:
         raise NotImplementedError
 
     def theta_r(self, x, r) -> float:
-        raise InputError(f"theta_r is not defined for the {self.kind} kind")
+        """Volume density vol(B_r(x)) / (omega_N r^N), N the topological dimension."""
+        vol, _ = self.ball_volume(x, r)
+        return vol / (unit_ball_volume(self.dim) * float(r) ** self.dim)
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         raise NotImplementedError
@@ -133,10 +136,6 @@ class Euclidean(_Flat):
         r = check_radius(r)
         self._centre(x)
         return unit_ball_volume(self.dim) * r**self.dim, "exact"
-
-    def theta_r(self, x, r) -> float:
-        check_radius(r)
-        return 1.0
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         r = check_radius(r)
@@ -208,10 +207,6 @@ class HalfSpace(_Flat):
             return full, "exact"
         return full * (1.0 - float(_halfspace_deficit(h / r, self.dim))), "exact"
 
-    def theta_r(self, x, r) -> float:
-        vol, _ = self.ball_volume(x, r)
-        return vol / (unit_ball_volume(self.dim) * float(r) ** self.dim)
-
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
         r = check_radius(r)
@@ -260,14 +255,7 @@ class FlatCone(ModelSpace):
 
     def distance(self, p, q):
         p, q = self._pts(p), self._pts(q)
-        dphi = np.abs(p[..., 1] - q[..., 1])
-        delta = np.minimum(dphi, self.theta_c - dphi)
-        law = np.sqrt(
-            np.maximum(
-                p[..., 0] ** 2 + q[..., 0] ** 2 - 2.0 * p[..., 0] * q[..., 0] * np.cos(delta), 0.0
-            )
-        )
-        return np.where(delta <= math.pi, law, p[..., 0] + q[..., 0])
+        return _kernels.cone_distance(p[..., 0], p[..., 1], q[..., 0], q[..., 1], self.theta_c)
 
     def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
         pts_a = np.atleast_2d(self._pts(pts_a))
@@ -313,10 +301,6 @@ class FlatCone(ModelSpace):
             hi = np.maximum(rho0 * np.cos(nodes) + np.sqrt(disc), 0.0)
             total += float(np.sum(weights * 0.5 * hi * hi))
         return 2.0 * total, "quadrature"
-
-    def theta_r(self, x, r) -> float:
-        vol, _ = self.ball_volume(x, r)
-        return vol / (math.pi * float(r) ** 2)
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         """Rejection from an annulus-sector envelope in (rho, phi)."""
@@ -371,6 +355,9 @@ class CarnotSpace(ModelSpace):
 
     def _pts(self, p) -> np.ndarray:
         return self.group._check(p)
+
+    def theta_r(self, x, r) -> float:
+        raise InputError(f"theta_r is not defined for the {self.kind} kind")
 
     def translate(self, x, z) -> np.ndarray:
         """x·z, or z itself, without a group product, at the origin."""
@@ -677,14 +664,14 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
     the table of every pair at distance <= cut, filtered from row blocks of
     the space's distance kernel without an n x n matrix.
 
-    Before it allocates or scans anything, it refuses a table larger than
-    physical memory or than the process's soft address-space limit,
-    whichever is smaller.  A cut table's width is estimated as the number
-    of cells of the smallest mass that fill a ball of radius cut, at 12
-    bytes per entry (float64 distance, int32 column).  A ball of a flat
-    kind or of a cone (curvature >= 0) is at most Euclidean; a gauge ball
-    lies in its envelope box, a horizontal v1-ball of radius h times a
-    second-layer cube of half-width v, so no volume is computed.
+    Before it allocates or scans anything, it refuses a table over the
+    memory budget (``mmspace.check_memory``).  A cut table's width is
+    estimated as the number of cells of the smallest mass that fill a ball
+    of radius cut, at 12 bytes per entry (float64 distance, int32 column).
+    A ball of a flat kind or of a cone (curvature >= 0) is at most
+    Euclidean; a gauge ball lies in its envelope box, a horizontal v1-ball
+    of radius h times a second-layer cube of half-width v, so no volume is
+    computed.
     """
     n = pts.shape[0]
     if cut is None:
@@ -697,13 +684,7 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
         else:
             vol = unit_ball_volume(space.dim) * cut**space.dim
         size, table = 12 * n * min(n, math.ceil(vol / np.min(mass))), "neighbour table"
-    budget, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY and soft < budget:
-        budget, limit = soft, "the address-space limit (RLIMIT_AS)"
-    if size > budget:
-        raise InputError(f"a cloud of n={n} points needs a {size / 1e9:.1f} GB {table}, "
-                         f"more than the {budget / 1e9:.1f} GB of {limit}")
+    check_memory(size, f"a cloud of n={n} points", table)
     if cut is None:
         return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
     dist, cols = _cut_table(space, pts, cut, threads)
@@ -743,21 +724,24 @@ def _jitter_grid(lo, hi, cells, rng):
     return corners + jit * widths[None, :], float(np.prod(widths))
 
 
+def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, boundary_distance):
+    """Jittered grid over the box [lo, hi]; one point per cell, mass = cell volume."""
+    pts, cell_vol = _jitter_grid(lo, hi, cells, np.random.default_rng(seed))
+    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
+    return fms, pts, CloudMeta(space, boundary_distance, float(np.max((hi - lo) / cells)))
+
+
 def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, threads: int = 1,
                     cut=None):
     """Jittered grid over a box; one point per cell, mass = cell volume."""
-    rng = np.random.default_rng(seed)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    cells = np.full(space.dim, int(cells_per_axis))
-    pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
 
     def boundary_distance(q):
         return np.minimum((q - lo).min(axis=-1), (hi - q).min(axis=-1))
 
-    widths = float(np.max((hi - lo) / cells))
-    return fms, pts, CloudMeta(space, boundary_distance, widths)
+    cells = np.full(space.dim, int(cells_per_axis))
+    return _box_cloud(space, lo, hi, cells, seed, threads, cut, boundary_distance)
 
 
 def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, threads: int = 1,
@@ -766,23 +750,19 @@ def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, t
 
     Only the lateral and top faces count as artificial boundary.
     """
-    rng = np.random.default_rng(seed)
     hi = np.asarray(hi, dtype=np.float64)
     lo = np.zeros(space.dim) if lo is None else np.asarray(lo, dtype=np.float64)
     if lo[0] != 0.0:
         raise InputError("half-space clouds must rest on the boundary")
-    cells = np.asarray(cells_per_axis, dtype=int)
-    if cells.ndim == 0:
-        cells = np.full(space.dim, int(cells))
-    pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
 
     def boundary_distance(q):
         lateral = np.minimum((q[..., 1:] - lo[1:]).min(axis=-1), (hi[1:] - q[..., 1:]).min(axis=-1))
         return np.minimum(lateral, hi[0] - q[..., 0])
 
-    widths = float(np.max((hi - lo) / cells))
-    return fms, pts, CloudMeta(space, boundary_distance, widths)
+    cells = np.asarray(cells_per_axis, dtype=int)
+    if cells.ndim == 0:
+        cells = np.full(space.dim, int(cells))
+    return _box_cloud(space, lo, hi, cells, seed, threads, cut, boundary_distance)
 
 
 def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: int, threads: int = 1,

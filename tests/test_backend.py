@@ -60,6 +60,17 @@ def test_self_distance_exactly_symmetric(name):
     assert np.array_equal(one, two)
 
 
+@pytest.mark.parametrize("theta", [1.9, 4.5, 2 * np.pi])
+def test_cone_pair_distance_is_the_matrix_entry(theta):
+    # FlatCone.distance and the matrix kernel share one law of cosines, so
+    # broadcast pairs reproduce the matrix bit for bit
+    cone = mo.FlatCone(theta)
+    rng = np.random.default_rng(10)
+    pts = np.stack([rng.uniform(0.0, 1.9, 600), rng.uniform(0.0, theta, 600)], axis=1)
+    pts[::40, 0] = 0.0  # apex points
+    assert np.array_equal(cone.distance(pts[:, None, :], pts[None, :, :]), cone.distance_matrix(pts))
+
+
 def test_threads_bitwise_wrappers():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(5000, 2))

@@ -181,6 +181,37 @@ def test_dirichlet_bad_input_exits_2(tmp_path, capsys, name, text, message):
     assert err.startswith("ERROR dirichlet:") and message in err
 
 
+def test_space_file_over_the_memory_budget_exits_2(tmp_path, capsys):
+    # a small file that declares more points than an n x n matrix can hold
+    # in twice the physical memory: refused before the matrix is allocated
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = math.isqrt(phys // 4) + 1
+    (tmp_path / "space.txt").write_text(f"{n}\n" + "0\n" * n)
+    (tmp_path / "mask.txt").write_text("0 0.0\n")
+    rc = main(["dirichlet", str(tmp_path / "space.txt"), str(tmp_path / "mask.txt"),
+               "--r", "1.5", "--out", str(tmp_path / "sol.txt")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and err.startswith("ERROR dirichlet: a space file of "), err
+    assert f"n={n} points needs a {8 * n * n / 1e9:.1f} GB distance matrix" in err
+    assert not list(tmp_path.glob("sol.txt*"))
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 16.7 GiB for an array with shape (47000, 47000)"), "Unable to allocate 16.7 GiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(mm, "run_identity_suite", exhausted)
+    rc = main(["identities", "--out", str(tmp_path / "id.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR identities: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "id.json").exists()
+
+
 @pytest.mark.parametrize(
     "args, typed",
     [

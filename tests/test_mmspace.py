@@ -120,6 +120,22 @@ def test_kernel_symmetry_and_support(line3):
     assert np.all(k[line3.dist < 1.5] > 0.0)
 
 
+@pytest.mark.parametrize("rows", [[-1], [3], [0.5], [True, False, True], [[0, 1]], 1])
+def test_kernel_rows_must_be_point_indices(line3, rows):
+    # a negative index would wrap to the last point, a float would be
+    # truncated to a row, and n would be a bare IndexError
+    with pytest.raises(mm.InputError, match="point indices"):
+        mm.kernel_matrix(line3, 1.5, rows=rows)
+    with pytest.raises(mm.InputError, match="point indices"):
+        mm._kernel_rows(line3, 1.5, rows)
+
+
+def test_kernel_rows_accept_any_integer_indices(line3):
+    full = mm.kernel_matrix(line3, 1.5)
+    np.testing.assert_array_equal(mm.kernel_matrix(line3, 1.5, rows=np.array([2, 0], dtype=np.int8)), full[[2, 0]])
+    assert mm.kernel_matrix(line3, 1.5, rows=[]).shape == (0, 3)
+
+
 def test_monotone_ball_growth():
     rng = np.random.default_rng(12)
     space = mm.random_space(rng, 25)

@@ -128,6 +128,24 @@ def test_cone_sampler_uniform():
     assert abs(frac - vol_half / vol_full) < 3 * math.sqrt(0.25 / 40_000) + 0.005
 
 
+@pytest.mark.parametrize("space", [mo.Euclidean(3), mo.HalfSpace(2), mo.FlatCone(1.9)], ids=lambda s: s.kind)
+def test_theta_r_is_the_ball_volume_over_the_euclidean_one(space):
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        x = rng.uniform(0.0, 1.8, size=space.dim)  # inside the cone's angle range too
+        r = float(rng.uniform(0.05, 3.0))
+        vol, _ = space.ball_volume(x, r)
+        assert space.theta_r(x, r) == vol / (mo.unit_ball_volume(space.dim) * r**space.dim)
+    with pytest.raises(InputError, match="finite coordinates"):
+        space.theta_r(np.full(space.dim, np.nan), 1.0)
+
+
+def test_euclidean_theta_r_is_exactly_one():
+    plane = mo.Euclidean(2)
+    for r in (1e-3, 0.37, 1.0, 12.5):
+        assert plane.theta_r(np.array([0.3, -4.0]), r) == 1.0
+
+
 def test_theta_r_not_defined_on_carnot():
     cs = mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi"))
     with pytest.raises(InputError):

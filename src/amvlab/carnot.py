@@ -9,6 +9,11 @@ Sign convention: the bracket data b[k][i][j] (antisymmetric in i, j) enters
 the product as (x*y)2_k = x2_k + y2_k + (1/2) sum_ij b[k][i][j] x1_i y1_j,
 and the horizontal field X_j generates the right-translation curve
 t -> x * (t e_j, 0).  The left-invariance tests pin this convention.
+
+A group (CarnotStep2) is its layer dimensions and brackets, with the
+product, inverse, dilation and text form; points are plain arrays, split
+into layers by slicing.  A gauge gives values and the bounding box of its
+balls (``envelope``), on which the samplers and clouds of ``models`` rest.
 """
 
 from __future__ import annotations
@@ -50,25 +55,11 @@ class CarnotStep2:
     def homogeneous_dim(self) -> int:
         return self.v1 + 2 * self.v2
 
-    def split(self, pts):
-        pts = self._check(pts)
-        return pts[..., : self.v1], pts[..., self.v1 :]
-
     def _check(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise InputError(f"points must have last axis {self.dim}, got shape {pts.shape}")
         return pts
-
-    def point(self, z1, z2) -> np.ndarray:
-        z1 = np.atleast_1d(np.asarray(z1, dtype=np.float64))
-        z2 = np.atleast_1d(np.asarray(z2, dtype=np.float64)) if self.v2 else np.zeros(0)
-        if z1.shape[-1] != self.v1 or (self.v2 and z2.shape[-1] != self.v2):
-            raise InputError("layer sizes do not match the group")
-        return np.concatenate([z1, z2], axis=-1)
-
-    def identity(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def multiply(self, x, y) -> np.ndarray:
         x = self._check(x)

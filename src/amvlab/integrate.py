@@ -10,7 +10,9 @@ function of (inputs, seed) no matter how evaluation is laid out.  An
 estimate needs at least two independent draws for its error bar.
 Grid quadrature over Euclidean balls is a Gauss-Jacobi radial rule times a
 product sphere rule (exact for polynomials); gauge balls use slice-adapted
-coordinates where the slice measure is smooth.
+coordinates where the slice measure is smooth.  Each rule counts its nodes
+from res and the dimensions and refuses a node set over the memory budget
+(``mmspace.check_memory``) before it builds one.
 
 The Monte Carlo r-laplacian draws antithetic pairs (x·z, x·z⁻¹) on the
 spaces whose balls are symmetric under z -> z⁻¹ (Euclidean space, Carnot
@@ -29,7 +31,7 @@ import numpy as np
 from scipy import special as _special
 
 from .carnot import CarnotStep2, Gauge, distance
-from .mmspace import InputError, malformed
+from .mmspace import InputError, check_memory, malformed
 from .models import (
     CarnotSpace,
     Euclidean,
@@ -40,6 +42,12 @@ from .models import (
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1_000_000
+CONSTANT_REL_TOL = 1e-3  # grid-versus-MC agreement of carnot_constant_checked, relative
+# peak bytes of a grid ball mean per node and coordinate (the weight counts as
+# one).  The growth of amv-sweep's peak RSS between two resolutions gives
+# 96.1 bytes per node on H1 (grid:60 to 100, 4 values per node), 80.2 on
+# euclidean:3 (60 to 120) and 64.4 on euclidean:2 (400 to 800).
+_GRID_BYTES = 25
 
 
 class GridUnavailable(InputError):
@@ -150,6 +158,18 @@ def _sphere_rule(k: int, res: int):
     raise GridUnavailable(f"no sphere rule for S^{k - 1}; use a Monte Carlo scheme")
 
 
+def _sphere_size(k: int, res: int) -> int:
+    """Node count of _sphere_rule(k, res) for k in 1..3, without building it."""
+    m = max(4, 2 * res + 1)
+    return {1: 2, 2: m, 3: max(2, res) * m}[k]
+
+
+def _check_grid(nodes: int, dim: int, res: int) -> None:
+    """Refuse a rule of nodes points in dim coordinates over the memory
+    budget (``mmspace.check_memory``), before any node is built."""
+    check_memory(_GRID_BYTES * (dim + 1) * nodes, f"grid:{res} ({nodes} nodes in {dim} coordinates)", "node set")
+
+
 def _radial_rule(k: int, res: int):
     """Nodes/weights for int_0^1 t^(k-1) g(t) dt (Gauss-Jacobi)."""
     x, w = _special.roots_jacobi(max(2, res), 0.0, float(k - 1))
@@ -161,6 +181,7 @@ def euclid_ball_quadrature(n: int, r: float, res: int):
     n = int(n)
     if n > 3:
         raise GridUnavailable(f"no grid rule ships for {n}-dimensional balls; use mc")
+    _check_grid(max(2, res) * _sphere_size(n, res), n, res)
     t, wt = _radial_rule(n, res)
     omega, womega = _sphere_rule(n, res)
     nodes = (r * t)[:, None, None] * omega[None, :, :]
@@ -184,6 +205,7 @@ def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, r: float, res: int)
         return nodes1, w1
     if v1 > 3 or v2 > 3:
         raise GridUnavailable("grid rule ships for v1 <= 3 and v2 <= 3 only; use mc")
+    _check_grid(max(4, res) * _sphere_size(v2, res) * max(2, res) * _sphere_size(v1, res), group.dim, res)
     w_max = r * r / math.sqrt(gauge.beta)
     psi, wpsi = np.polynomial.legendre.leggauss(max(4, res))
     psi = 0.25 * math.pi * (psi + 1.0)
@@ -328,24 +350,17 @@ def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) 
 
 
 def carnot_constant_checked(
-    group: CarnotStep2,
-    gauge: Gauge,
-    mc_scheme: MCScheme | None = None,
-    grid_res: int = 32,
-    rel_tol: float = 1e-3,
-    threads: int = 1,
+    group: CarnotStep2, gauge: Gauge, mc_scheme: MCScheme, grid_res: int, threads: int = 1
 ) -> tuple[Estimate, Estimate]:
     """Grid and Monte Carlo estimates of the constant, cross-validated.
 
     Raises NumericError when the two schemes disagree beyond
-    max(3 sigma, rel_tol * value).
+    max(3 sigma, CONSTANT_REL_TOL * value).
     """
-    if mc_scheme is None:
-        mc_scheme = MCScheme(10_000_000, SeedSpec(20260809))
     grid = carnot_constant(group, gauge, GridScheme(grid_res), threads)
     mc = carnot_constant(group, gauge, mc_scheme, threads)
     gap = abs(grid.value - mc.value)
-    allowed = max(3.0 * mc.std_error, rel_tol * abs(grid.value))
+    allowed = max(3.0 * mc.std_error, CONSTANT_REL_TOL * abs(grid.value))
     if gap > allowed:
         raise NumericError(
             f"scheme disagreement: grid {grid.value!r} vs mc {mc.value!r} "

@@ -17,11 +17,15 @@ The three rejection samplers (half-space, cone, Carnot) share one loop,
 ``fill_by_rejection``; each keeps only its proposal.
 
 Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
-carnot_ball_cloud) return finite spaces; the Euclidean and half-space
-clouds are one jittered box build (``_box_cloud``) with their own bounds,
-cell counts and boundary distance.  With cut=, a cloud keeps only the
-pairs within that radius (see mmspace), filtered from row blocks of the
-distance kernel; either way a table larger than the memory budget
+carnot_ball_cloud) return finite spaces whose points are cell points and
+whose masses are exact cell measures.  The Euclidean, half-space and
+Carnot clouds are one jittered box build (``_box_cloud``: jitter, masses,
+``_cloud_space``, CloudMeta) with their own bounds, cell counts and
+boundary distance; the Carnot cloud is the box of its gauge envelope with
+the points outside the closed ball B_R(0) dropped.  The cone cloud is a
+polar grid drawn in one call, ring by ring.  With cut=, a cloud keeps only
+the pairs within that radius (see mmspace), filtered from row blocks of
+the distance kernel; either way a table larger than the memory budget
 (``mmspace.check_memory``) is refused before anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
@@ -77,7 +81,9 @@ class ModelSpace:
     def theta_r(self, x, r) -> float:
         """Volume density vol(B_r(x)) / (omega_N r^N), N the topological dimension."""
         vol, _ = self.ball_volume(x, r)
-        return vol / (unit_ball_volume(self.dim) * float(r) ** self.dim)
+        # float64, not float: an overflowing power is inf (the estimate turns
+        # non-finite and is refused downstream), not an OverflowError
+        return vol / (unit_ball_volume(self.dim) * np.float64(r) ** self.dim)
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
         raise NotImplementedError
@@ -289,9 +295,7 @@ class FlatCone(ModelSpace):
             area = 2.0 * float(np.sum(weights * 2.0 * r * r * np.cos(nodes) ** 2))
             return area, "quadrature"
         # apex inside the ball: smooth slice profile, split at pi/2
-        pieces = [p for p in (0.0, 0.5 * math.pi, half) if p <= half]
-        if pieces[-1] != half:
-            pieces.append(half)
+        pieces = [0.0, min(0.5 * math.pi, half), half]
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
             if b <= a:
@@ -569,6 +573,19 @@ def _gl_nodes(n, a, b):
     return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
+def _deficit_integral(n: int, r: float, top: float, width) -> float:
+    """Integral over heights h in [0, min(r, top)] of the half-space deficit
+    at h / r times the region's cross-section width(h) at height h.
+
+    The substitution h = r sin(a) makes the segment-deficit integrand
+    smooth in a, removing the sqrt kink at h = r.
+    """
+    a_top = math.asin(min(1.0, min(r, top) / r))
+    nodes, weights = _gl_nodes(96, 0.0, a_top)
+    f = _halfspace_deficit(np.sin(nodes), n)
+    return float(np.sum(weights * f * width(r * np.sin(nodes)) * np.cos(nodes)))
+
+
 def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
     """Total variation of the scaled density deficit (1 - theta_r)/r on the
     region: integral of |1 - theta_r(x)| / r over the region."""
@@ -585,26 +602,14 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
             if region.lo[0] != 0.0:
                 raise InputError("half-space boxes must start at the boundary (lo[0] = 0)")
             cross = float(np.prod(region.hi[1:] - region.lo[1:]))
-            h_top = min(r, float(region.hi[0]))
-            # substitute h = r sin(a): the segment-deficit integrand is
-            # smooth in a, removing the sqrt kink at h = r
-            a_top = math.asin(min(1.0, h_top / r))
-            nodes, weights = _gl_nodes(96, 0.0, a_top)
-            f = _halfspace_deficit(np.sin(nodes), n)
-            return cross * float(np.sum(weights * f * np.cos(nodes)))
+            return cross * _deficit_integral(n, r, float(region.hi[0]), lambda h: 1.0)
         if region.kind == "ball":
             if n != 2:
                 raise InputError("ball regions on the half-space are supported in dimension 2")
             c, R = region.center, region.radius
             if abs(float(c[0])) > 1e-12:
                 raise InputError("half-space ball regions must be centered on the boundary")
-            h_top = min(r, R)
-            a_top = math.asin(min(1.0, h_top / r))
-            nodes, weights = _gl_nodes(96, 0.0, a_top)
-            h = r * np.sin(nodes)
-            chord = 2.0 * np.sqrt(np.maximum(R * R - h * h, 0.0))
-            f = _halfspace_deficit(np.sin(nodes), n)
-            return float(np.sum(weights * f * chord * np.cos(nodes)))
+            return _deficit_integral(n, r, R, lambda h: 2.0 * np.sqrt(np.maximum(R * R - h * h, 0.0)))
         raise InputError(f"unsupported region kind {region.kind!r}")
     if isinstance(space, FlatCone):
         if region.kind != "ball" or float(region.center[0]) != 0.0:
@@ -626,14 +631,10 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
 
 
 def _default_region(space: ModelSpace) -> Region:
-    if isinstance(space, Euclidean):
+    if isinstance(space, (Euclidean, FlatCone)):
         return Region.ball(np.zeros(space.dim), 1.0)
     if isinstance(space, HalfSpace):
-        lo = np.zeros(space.dim)
-        hi = np.ones(space.dim)
-        return Region.box(lo, hi)
-    if isinstance(space, FlatCone):
-        return Region.ball(np.array([0.0, 0.0]), 1.0)
+        return Region.box(np.zeros(space.dim), np.ones(space.dim))
     raise InputError(f"no default region for the {space.kind} kind")
 
 
@@ -712,23 +713,21 @@ def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
     return dist, cols
 
 
-def _jitter_grid(lo, hi, cells, rng):
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    cells = np.asarray(cells, dtype=int)
+def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, boundary_distance,
+               keep=None):
+    """Jittered grid over the box [lo, hi] with cells per axis (one count or
+    one per axis); one point per cell, mass = cell volume.  With keep, only
+    the points where the mask keep(pts) holds stay, each still carrying its
+    full cell volume."""
+    cells = np.broadcast_to(np.asarray(cells, dtype=int), lo.shape)
     widths = (hi - lo) / cells
-    axes = [lo[d] + widths[d] * (np.arange(cells[d]) + 0.0) for d in range(len(cells))]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[lo[d] + widths[d] * np.arange(cells[d]) for d in range(len(cells))], indexing="ij")
     corners = np.stack([m.ravel() for m in mesh], axis=1)
-    jit = rng.random(corners.shape)
-    return corners + jit * widths[None, :], float(np.prod(widths))
-
-
-def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, boundary_distance):
-    """Jittered grid over the box [lo, hi]; one point per cell, mass = cell volume."""
-    pts, cell_vol = _jitter_grid(lo, hi, cells, np.random.default_rng(seed))
-    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
-    return fms, pts, CloudMeta(space, boundary_distance, float(np.max((hi - lo) / cells)))
+    pts = corners + np.random.default_rng(seed).random(corners.shape) * widths[None, :]
+    if keep is not None:
+        pts = pts[keep(pts)]
+    fms = _cloud_space(space, pts, np.full(pts.shape[0], float(np.prod(widths))), threads, cut)
+    return fms, pts, CloudMeta(space, boundary_distance, float(np.max(widths)))
 
 
 def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, threads: int = 1,
@@ -740,8 +739,7 @@ def euclidean_cloud(space: Euclidean, lo, hi, cells_per_axis: int, seed: int, th
     def boundary_distance(q):
         return np.minimum((q - lo).min(axis=-1), (hi - q).min(axis=-1))
 
-    cells = np.full(space.dim, int(cells_per_axis))
-    return _box_cloud(space, lo, hi, cells, seed, threads, cut, boundary_distance)
+    return _box_cloud(space, lo, hi, cells_per_axis, seed, threads, cut, boundary_distance)
 
 
 def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, threads: int = 1,
@@ -759,32 +757,25 @@ def half_space_cloud(space: HalfSpace, hi, cells_per_axis, seed: int, lo=None, t
         lateral = np.minimum((q[..., 1:] - lo[1:]).min(axis=-1), (hi[1:] - q[..., 1:]).min(axis=-1))
         return np.minimum(lateral, hi[0] - q[..., 0])
 
-    cells = np.asarray(cells_per_axis, dtype=int)
-    if cells.ndim == 0:
-        cells = np.full(space.dim, int(cells))
-    return _box_cloud(space, lo, hi, cells, seed, threads, cut, boundary_distance)
+    return _box_cloud(space, lo, hi, cells_per_axis, seed, threads, cut, boundary_distance)
 
 
 def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: int, threads: int = 1,
                cut=None):
-    """Jittered polar grid on the cone; masses are exact cell areas."""
-    rng = np.random.default_rng(seed)
+    """Jittered polar grid on the cone; masses are exact cell areas.
+
+    Ring by ring, the stream gives n_phi radial then n_phi angular jitters;
+    rho is uniform with respect to area inside each cell."""
     rho_max = float(rho_max)
-    rho_edges = np.linspace(0.0, rho_max, n_rho + 1)
+    rho_edges = np.linspace(0.0, rho_max, n_rho + 1)[:, None]
+    r0, r1 = rho_edges[:-1], rho_edges[1:]
     phi_edges = np.linspace(0.0, space.theta_c, n_phi + 1)
-    pts = []
-    masses = []
-    for i in range(n_rho):
-        r0, r1 = rho_edges[i], rho_edges[i + 1]
-        area = 0.5 * (r1 * r1 - r0 * r0) * (phi_edges[1] - phi_edges[0])
-        # sample rho uniformly w.r.t. area inside the cell
-        u = rng.random(n_phi)
-        rho = np.sqrt(r0 * r0 + u * (r1 * r1 - r0 * r0))
-        phi = phi_edges[:-1] + rng.random(n_phi) * (phi_edges[1] - phi_edges[0])
-        pts.append(np.stack([rho, phi], axis=1))
-        masses.append(np.full(n_phi, area))
-    pts = np.concatenate(pts, axis=0)
-    masses = np.concatenate(masses)
+    dphi = phi_edges[1] - phi_edges[0]
+    draws = np.random.default_rng(seed).random((n_rho, 2, n_phi))
+    u, jit = draws[:, 0], draws[:, 1]
+    rho = np.sqrt(r0 * r0 + u * (r1 * r1 - r0 * r0))
+    pts = np.stack([rho, phi_edges[:-1] + jit * dphi], axis=-1).reshape(-1, 2)
+    masses = np.repeat(0.5 * (r1 * r1 - r0 * r0) * dphi, n_phi)
     fms = _cloud_space(space, pts, masses, threads, cut)
 
     def boundary_distance(q):
@@ -796,27 +787,26 @@ def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: in
 
 def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: int, threads: int = 1,
                       cut=None):
-    """Jittered Cartesian grid restricted to the closed gauge ball B_R(0).
+    """The box build over the envelope of the closed gauge ball B_R(0),
+    without the points outside the ball, and the kept points' gauge values.
 
     A cell survives when its jittered point lands in the ball; the kept
     point carries the full cell volume (unbiased for the ball measure).
     """
-    rng = np.random.default_rng(seed)
     g = space.group
     R = float(R)
     h_bound, v_bound = space.gauge.envelope(g, R)
     lo = np.concatenate([np.full(g.v1, -h_bound), np.full(g.v2, -v_bound)])
-    hi = -lo
-    cells = np.full(g.dim, int(cells_per_axis))
-    pts, cell_vol = _jitter_grid(lo, hi, cells, rng)
-    vals = space.gauge.value(g, pts, threads)
-    keep = vals <= R
-    pts = pts[keep]
-    fms = _cloud_space(space, pts, np.full(pts.shape[0], cell_vol), threads, cut)
-    gauge_vals = vals[keep]
+    kept = {}
+
+    def in_ball(pts):
+        vals = space.gauge.value(g, pts, threads)
+        inside = vals <= R
+        kept["gauge"] = vals[inside]
+        return inside
 
     def boundary_distance(q):
         return R - space.gauge.value(g, q)
 
-    meta = CloudMeta(space, boundary_distance, float(np.max((hi - lo) / cells)))
-    return fms, pts, meta, gauge_vals
+    fms, pts, meta = _box_cloud(space, lo, -lo, cells_per_axis, seed, threads, cut, boundary_distance, in_ball)
+    return fms, pts, meta, kept["gauge"]

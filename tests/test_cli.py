@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +460,71 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, cli_env):
         "ERROR amv-sweep: the estimate at radius 0.4 is not finite (value nan, std error 0.0)"
     ], p.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_huge_radii_on_a_cone_exit_2(tmp_path, capsys):
+    # theta_r's power overflows to inf in float64, the mass turns NaN, and
+    # the report refuses it
+    rc = main(["mm-boundary", "cone:1.5", "--region", "ball:0,0:1.0", "--radii", "1e200,1e199",
+               "--out", str(tmp_path / "big.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR mm-boundary: the estimate at radius 1e+200 is not finite (value nan, std error 0.0)"
+    ]
+    assert not list(tmp_path.iterdir())
+    assert main(["mm-boundary", "cone:1.5", "--region", "ball:0,0:1.0", "--radii", "1e150,1e149",
+                 "--out", str(tmp_path / "ok.json")]) == 0
+
+
+def _budget() -> str:
+    """How mmspace.check_memory names its budget on this process."""
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < phys:
+        return f"more than the {soft / 1e9:.1f} GB of the address-space limit (RLIMIT_AS)"
+    return f"more than the {phys / 1e9:.1f} GB of physical memory"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("allocated before the memory guard")
+
+
+@pytest.mark.parametrize("argv, patches, owner", [
+    (["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
+      "--scheme", "grid:100000", "--reference", "0"],
+     [(np.polynomial.legendre, "leggauss"), (it, "_radial_rule"), (it, "_sphere_rule")],
+     "grid:100000 (4000020000000000 nodes in 3 coordinates) needs a 400002000.0 GB node set"),
+    (["amv-sweep", "euclidean:3", "--field", "sq1", "--point", "0,0,0", "--scheme", "grid:100000"],
+     [(it, "_radial_rule"), (it, "_sphere_rule")],
+     "grid:100000 (2000010000000000 nodes in 3 coordinates) needs a 200001000.0 GB node set"),
+    (["carnot-constant", "heisenberg:1", "koranyi", "--grid-res", "100000"],
+     [(np.polynomial.legendre, "leggauss"), (it, "_radial_rule"), (it, "_sphere_rule")],
+     "grid:100000 (4000020000000000 nodes in 3 coordinates)"),
+    (["identities", "--size-max", "10000000"], [(mm, "random_space")],
+     "an identity-suite instance of up to n=10000000 points needs a 4800000.0 GB working set"),
+    (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "folland", "--grid-size", "10000000000000"],
+     [(ex, "sample_ball")],
+     "a gauge annulus grid of 10000000000000 points needs a 5120000.0 GB sample batch"),
+], ids=["grid-carnot", "grid-euclidean", "grid-res", "size-max", "grid-size"])
+def test_allocating_size_flags_are_refused_before_they_allocate(tmp_path, capsys, monkeypatch, argv, patches,
+                                                                 owner):
+    for module, name in patches:
+        monkeypatch.setattr(module, name, _never)
+    rc = main([*argv, "--out", str(tmp_path / "big.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1, err
+    assert err.startswith(f"ERROR {argv[0]}: {owner}") and _budget() in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_lines_parse():
+    # every command line of README's CLI block parses, and together they
+    # cover every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("amvlab ")]
+    assert len(lines) >= 12
+    parser = make_parser()
+    commands = {parser.parse_args(shlex.split(ln)[1:]).command for ln in lines}
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)

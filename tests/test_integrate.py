@@ -22,6 +22,22 @@ def koranyi():
     return ca.Gauge("koranyi")
 
 
+@pytest.mark.parametrize("res", [1, 2, 5, 8])
+def test_grid_guard_counts_the_nodes_the_rule_builds(monkeypatch, h1, koranyi, res):
+    # the memory guard sizes a rule from res and the layer dimensions alone;
+    # its node count must be the one the rule then builds
+    sizes = []
+    monkeypatch.setattr(it, "check_memory", lambda size, owner, table: sizes.append(size))
+    for n in (1, 2, 3):
+        nodes, w = it.euclid_ball_quadrature(n, 1.0, res)
+        assert sizes[-1] == it._GRID_BYTES * (n + 1) * w.size and nodes.shape == (w.size, n)
+    b = np.random.default_rng(1).standard_normal((2, 3, 3))
+    for group in (h1, ca.CarnotStep2(3, 2, b - b.swapaxes(1, 2)), ca.CarnotStep2(1, 3, np.zeros((3, 1, 1)))):
+        sizes.clear()
+        nodes, w = it.carnot_ball_quadrature(group, koranyi, 1.0, res)
+        assert sizes[0] == it._GRID_BYTES * (group.dim + 1) * w.size and nodes.shape == (w.size, group.dim)
+
+
 def test_euclid_ball_quadrature_volume_and_moments():
     for n in (1, 2, 3):
         nodes, w = it.euclid_ball_quadrature(n, 1.3, res=8)

@@ -37,6 +37,20 @@ def test_ball_unknown_point(line3):
         mm.ball(line3, 0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, "nope"])
+def test_points_are_indices(line3, bad):
+    with pytest.raises(mm.InputError, match="indices 0 .. 2"):
+        mm.ball(line3, bad, 1.5)
+    with pytest.raises(mm.InputError, match="indices 0 .. 2"):
+        mm.delta_r(line3, 0, bad, 1.5)
+
+
+def test_numpy_integer_points(line3):
+    assert line3.index_of(np.int64(2)) == 2 and type(line3.index_of(np.int64(2))) is int
+    assert mm.ball(line3, np.int64(0), 1.5)[0].tolist() == [0, 1]
+    assert mm.delta_r(line3, np.int32(0), np.int64(1), 1.5) == mm.delta_r(line3, 0, 1, 1.5)
+
+
 def test_average(two_point, line3):
     assert mm.average(two_point, [0.0, 3.0], 2.0).tolist() == [2.0, 2.0]
     np.testing.assert_allclose(

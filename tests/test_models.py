@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -294,6 +295,53 @@ def test_clouds_have_exact_masses_and_margins():
     # only lateral/top faces count as artificial boundary
     low_point = np.array([[0.01, 0.0]])
     assert hmeta.boundary_distance(low_point)[0] == pytest.approx(0.99)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_canned_cloud_bits_are_pinned():
+    # The cone and gauge-ball clouds feed weak-cone and dirichlet-bpz, whose
+    # expected results depend on every point; the hashes pin the draw order
+    # of the seeded stream and the arithmetic of the builds.
+    _, pts, meta = mo.cone_cloud(mo.FlatCone(4.5), 1.0, 4, 6, seed=5)
+    cloud, _, _ = mo.cone_cloud(mo.FlatCone(4.5), 1.0, 4, 6, seed=5, cut=0.5)
+    assert pts.shape == (24, 2) and meta.cell_size == 0.75
+    assert pts[0].tolist() == [0.22430488789610953, 0.306354904064999]
+    assert pts[-1].tolist() == [0.9550057734361458, 3.9271455962968975]
+    assert _sha256(pts, cloud.mass) == "88cf17aa5f5d8916dd35c18237f6ead3a35c4258421f17c1cd17cdc2be175f41"
+    space = mo.carnot_preset("heisenberg:1", "koranyi")
+    for cut in (None, 0.6):
+        cloud, pts, meta, gauge_vals = mo.carnot_ball_cloud(space, 1.0, 6, seed=3, cut=cut)
+        assert pts.shape == (140, 3) and cloud.cut == (cut or math.inf) and meta.cell_size == 1 / 3
+        assert pts[0].tolist() == [-0.6755132417445291, -0.5671995923277082, -0.5620046659885545]
+        assert gauge_vals[0] == 0.9796856830151142 and cloud.mass[0] == 1 / 27
+        assert _sha256(pts, cloud.mass, gauge_vals) == (
+            "32fae13b04c9ba969aa58e8f9a40e145f85f8ac6bb947cddc232be3e7e0b3a6e"
+        )
+
+
+@pytest.mark.parametrize("theta", [1.9, 4.5, 2 * math.pi])
+@pytest.mark.parametrize("rho_max, n_rho, n_phi", [(1.0, 5, 8), (1.4, 24, 48), (2.0, 7, 3)])
+def test_cone_cloud_is_the_ring_loop(theta, rho_max, n_rho, n_phi):
+    # reference: ring by ring, n_phi radial then n_phi angular jitters; the
+    # one-draw build must match it bit for bit
+    rng = np.random.default_rng(11)
+    rho_edges = np.linspace(0.0, rho_max, n_rho + 1)
+    phi_edges = np.linspace(0.0, theta, n_phi + 1)
+    pts, masses = [], []
+    for r0, r1 in zip(rho_edges[:-1], rho_edges[1:]):
+        rho = np.sqrt(r0 * r0 + rng.random(n_phi) * (r1 * r1 - r0 * r0))
+        phi = phi_edges[:-1] + rng.random(n_phi) * (phi_edges[1] - phi_edges[0])
+        pts.append(np.stack([rho, phi], axis=1))
+        masses.append(np.full(n_phi, 0.5 * (r1 * r1 - r0 * r0) * (phi_edges[1] - phi_edges[0])))
+    cloud, got, _ = mo.cone_cloud(mo.FlatCone(theta), rho_max, n_rho, n_phi, seed=11)
+    assert got.tobytes() == np.concatenate(pts).tobytes()
+    assert cloud.mass.tobytes() == np.concatenate(masses).tobytes()
 
 
 # small clouds of every kind, each with a cut below its diameter: (cut, build(seed, cut))

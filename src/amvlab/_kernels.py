@@ -19,7 +19,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Entries per row block, 1 MiB of float64, so temporaries stay in cache.  Block
 # boundaries depend only on the shape, never on threads: --threads keeps every bit.
@@ -69,6 +68,8 @@ def gauge_fourth(z1: np.ndarray, z2: np.ndarray, beta: float, threads: int = 1) 
 
 
 def euclid_dist_matrix(pts_a: np.ndarray, pts_b: np.ndarray, threads: int = 1) -> np.ndarray:
+    from scipy.spatial.distance import cdist  # only Euclidean and half-space clouds need scipy.spatial
+
     pts_a, pts_b = _f64(pts_a), _f64(pts_b)
     out = np.empty((pts_a.shape[0], pts_b.shape[0]), dtype=np.float64)
     run_rowchunks(

@@ -16,6 +16,7 @@ debug level on the "amvlab.cli" logger.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -23,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, dirichlet, experiments, integrate, mmspace, models
+from . import __version__, experiments, integrate, mmspace, models
 from .carnot import (
     coordinate,
     fundamental_power,
@@ -278,6 +279,8 @@ def cmd_isotropy(args) -> int:
 
 
 def cmd_dirichlet(args) -> int:
+    from . import dirichlet  # with scipy's sparse solvers, which only this and cmd_bpz_demo use
+
     space = mmspace.load_space(args.space_file)
     part = dirichlet.load_mask(args.mask_file, space.n)
     u, resid = dirichlet.solve(space, part, args.r)
@@ -289,6 +292,8 @@ def cmd_dirichlet(args) -> int:
 
 
 def cmd_bpz_demo(args) -> int:
+    from . import dirichlet  # as in cmd_dirichlet
+
     space = models.carnot_preset(args.preset, args.gauge, args.beta)
     u = build_field(space, args.field)
     with malformed("resolutions", args.resolutions):
@@ -334,7 +339,10 @@ def _group_parser(sub, name: str, summary: str, seed: int):
     return p
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args never
+    changes it, and a fresh tree per main call is only cyclic garbage."""
     ap = argparse.ArgumentParser(
         prog="amvlab",
         description="Finite-scale mean value calculus: operators, constants, and sweeps.",

@@ -185,7 +185,9 @@ def euclid_ball_quadrature(n: int, r: float, res: int):
     t, wt = _radial_rule(n, res)
     omega, womega = _sphere_rule(n, res)
     nodes = (r * t)[:, None, None] * omega[None, :, :]
-    weights = (r**n * wt)[:, None] * womega[None, :]
+    # float64, not float: an overflowing r**n is inf, so the mean turns
+    # non-finite and is refused downstream, as in ModelSpace.theta_r
+    weights = (np.float64(r) ** n * wt)[:, None] * womega[None, :]
     return nodes.reshape(-1, n), weights.reshape(-1)
 
 
@@ -314,6 +316,10 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
     and Estimate.n counts the pairs.  Other spaces sample plainly.
     """
     r = float(r)
+    r2 = float(np.float64(r) ** 2)
+    if not math.isfinite(r2):
+        # a finite mean over an infinite r**2 would read as an exact 0
+        raise NumericError(f"the radius {r!r} is too large: its square overflows")
     x = np.asarray(x, dtype=np.float64)
     ux = float(u(x[None, :])[0])
     pair = space.antithetic(x) if isinstance(scheme, MCScheme) else None
@@ -327,7 +333,7 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
 
         pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
         est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs, threads)
-    return Estimate(est.value / r**2, est.std_error / r**2, est.n, est.method)
+    return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
 
 
 # ---------------------------------------------------------------------------

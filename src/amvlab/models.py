@@ -41,7 +41,6 @@ import logging
 import math
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import special as _special
 
 from . import _kernels
@@ -400,6 +399,8 @@ class CarnotSpace(ModelSpace):
         g = self.group
         x = self._centre(x)
         h_bound, v_bound = self.gauge.envelope(g, r)
+        if not math.isfinite(v_bound):
+            raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
         attempts = accepted = 0
 
         def propose(need):
@@ -510,7 +511,9 @@ def v_kn(K: float, N: float, r: float) -> float:
             raise InputError(f"radius {r} outside the model domain (0, {r_max})")
     if K == 0:
         return unit_ball_volume(N) * r**N
-    val, err = _sciint.quad(lambda t: s_kn(K, N, t) ** (N - 1.0), 0.0, r, limit=200)
+    from scipy.integrate import quad  # only K != 0 needs it, and it loads scipy.optimize too
+
+    val, err = quad(lambda t: s_kn(K, N, t) ** (N - 1.0), 0.0, r, limit=200)
     if err > 1e-9 * max(abs(val), 1.0):
         raise NumericError(f"volume profile quadrature failed to converge (err={err:.2e})")
     return N * unit_ball_volume(N) * val

@@ -476,6 +476,94 @@ def test_huge_radii_on_a_cone_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "ok.json")]) == 0
 
 
+@pytest.mark.parametrize("argv, field, at_1e150", [
+    (["amv-sweep", "euclidean:2", "--point", "0,0"], "sq1",
+     "ERROR amv-sweep: the estimate at radius 1e+150 is not finite (value inf, std error 0.0)"),
+    (["amv-sweep", "half:2", "--point", "0,1", "--scheme", "mc:1000:1"], "sq1",
+     "ERROR amv-sweep: the estimate at radius 1e+150 is not finite (value 0.22652058649449705, std error nan)"),
+    (["amv-sweep", "half:2", "--point", "0,1", "--scheme", "mc:1000:1"], "coord:2", None),
+    (["strong-scan", "carnot:heisenberg:1:koranyi", "--grid-size", "2", "--scheme", "mc:100:1"], "hsq",
+     "ERROR strong-scan: rejection acceptance rate 0.00e+00 < 1e-3; the gauge envelope looks misconfigured"),
+], ids=["grid", "half-space-mc", "half-space-finite-mean", "strong-scan"])
+def test_huge_radii_exit_2(tmp_path, capsys, argv, field, at_1e150):
+    # r**2 overflows above about 1.3e154: the radius is refused before any
+    # estimate, since a finite mean over an infinite r**2 would read as 0
+    rc = main([*argv, "--field", field, "--radii", "1e200,1e199", "--out", str(tmp_path / "big.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ERROR {argv[0]}: the radius 1e+200 is too large: its square overflows"
+    ]
+    assert not list(tmp_path.iterdir())
+    # 1e150 passes the guard and runs to its estimates, which only a field
+    # that overflows itself makes non-finite
+    rc = main([*argv, "--field", field, "--radii", "1e150,1e149", "--out", str(tmp_path / "ok.json")])
+    err = capsys.readouterr().err
+    if at_1e150 is None:
+        assert rc in (0, 1) and err == "" and (tmp_path / "ok.json").exists()
+    else:
+        assert rc == 2 and err.splitlines() == [at_1e150]
+
+
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg",
+             "scipy.sparse.csgraph", "amvlab.dirichlet")
+
+
+def _deferred_loaded_after(runs, cwd, env) -> list[str]:
+    """The deferred modules a fresh interpreter holds after importing the
+    CLI and running each argv through cli.main."""
+    code = (f"import json, sys\nfrom amvlab import cli\nfor argv in {runs!r}:\n    cli.main(argv)\n"
+            f"print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))")
+    p = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+def test_sampling_commands_start_without_the_deferred_scipy(tmp_path, cli_env):
+    # scipy.integrate, scipy.spatial and the sparse solvers are imported by
+    # the one function that uses each; none of these commands calls one
+    runs = [["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
+             "--scheme", "mc:2000:1"],
+            ["isotropy", "heisenberg:1", "koranyi", "--scheme", "mc:2000:1"],
+            ["identities", "--count", "3"]]
+    assert _deferred_loaded_after(runs, tmp_path, cli_env) == []
+    # positive control: the Dirichlet solver does load the sparse solvers
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    mm.save_space(mm.FiniteMMSpace(d, np.ones(3)), tmp_path / "space.txt")
+    (tmp_path / "mask.txt").write_text("0 0.0\n2 6.0\n")
+    loaded = _deferred_loaded_after([["dirichlet", "space.txt", "mask.txt", "--r", "1.5"]], tmp_path, cli_env)
+    assert {"scipy.sparse.linalg", "scipy.sparse.csgraph", "amvlab.dirichlet"} <= set(loaded)
+
+
+def test_consecutive_main_calls_write_what_separate_runs_write(tmp_path, cli_env, capsys, monkeypatch):
+    # the parser is built once per process: the options of one call must not
+    # reach the defaults of the next
+    runs = [
+        ["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0.5,0", "--radii", "0.5,0.25",
+         "--scheme", "mc:1000:3", "--reference", "0.25", "--tolerance", "0.5", "--out", "a1.json"],
+        ["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--radii", "0.5,0.25", "--out", "a2.json"],
+        ["identities", "--count", "3", "--size-max", "5", "--fault-inject", "--out", "i1.json"],
+        ["identities", "--count", "3", "--size-max", "5", "--out", "i2.json"],
+        ["mm-boundary", "half:2", "--radii", "0.5,0.25"],
+    ]
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    together.mkdir()
+    apart.mkdir()
+    monkeypatch.chdir(together)
+    stdout_together = []
+    for argv in runs:
+        rc = main(argv)
+        stdout_together.append((rc, capsys.readouterr().out))
+    stdout_apart = []
+    for argv in runs:
+        p = run_cli(argv, cwd=apart, env=cli_env)
+        stdout_apart.append((p.returncode, p.stdout))
+    assert stdout_together == stdout_apart
+    files = sorted(f.name for f in together.iterdir())
+    assert files == sorted(f.name for f in apart.iterdir()) and len(files) == 8
+    for name in files:
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+
 def _budget() -> str:
     """How mmspace.check_memory names its budget on this process."""
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -299,3 +299,11 @@ def test_carnot_ball_volume_mc_is_the_hit_fraction(h1, koranyi):
     assert (est.n, est.method) == (n, "monte_carlo")
     with pytest.raises(InputError):
         it.carnot_ball_volume_mc(space, x, r, 1, seed)
+
+
+def test_euclidean_ball_weights_overflow_to_inf():
+    # r**3 overflows at r = 1e103 while r**2 does not: the weights turn inf,
+    # as ModelSpace.theta_r's power does, and the sweep refuses the mean
+    with np.errstate(over="ignore"):
+        nodes, weights = it.euclid_ball_quadrature(3, 1e103, 4)
+    assert np.all(np.isfinite(nodes)) and np.all(np.isinf(weights))

@@ -409,3 +409,11 @@ def test_radius_above_the_cut_is_refused():
     np.testing.assert_array_equal(mm.average(table, u, cut), u)  # the cut itself is a radius
     with pytest.raises(InputError, match="no file form"):
         mm.space_to_text(table)
+
+
+def test_carnot_sampler_refuses_an_overflowing_envelope():
+    # a small beta overflows the second-layer half-width r^2/sqrt(beta)
+    # while r^2 itself is finite
+    space = mo.parse_space("carnot:heisenberg:1:scaled:1e-12")
+    with pytest.raises(mo.NumericError, match="gauge-ball envelope overflows"):
+        space.sample_ball(np.zeros(3), 1e153, 10, np.random.default_rng(0))

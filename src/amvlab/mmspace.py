@@ -22,13 +22,16 @@ Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
 once and owns the only row-block pass (``_kernels.row_blocks``, about
 1 MiB of float64 per block), which fills a bool mask and two float scratch
-buffers in place, allocated once per pass.  The ball masses, A_r and A_r*
-are one ball sum, ``_Balls.sums``.  Fills read per-point vectors
-at the table's columns through ``FiniteMMSpace.take``, which hands back
-the vector itself on a full table.  Every row still sums its whole table
-row, so the block size never changes a bit.  The mean value kernel k_r
-has one definition, ``_kernel_rows``: the requested rows as CSR on the
-ball pattern, read off the table; ``kernel_matrix`` is its dense form.
+buffers in place, allocated once per pass.  Below a cut table's cut the
+ball object sums over its own table, the entries < r compacted from the
+last ball's table (a shrinking radius) or the space's; a full table is
+never compacted.  The ball masses, A_r and A_r* are one ball sum,
+``_Balls.sums``.  Fills read per-point vectors at the ball table's
+columns through ``_Balls.take``, which hands back the vector itself on a
+full table.  Every row still sums its whole table row, so the block size
+never changes a bit.  The mean value kernel k_r has one definition,
+``_kernel_rows``: the requested rows as CSR on the ball pattern, read off
+the ball's table; ``kernel_matrix`` is its dense form.
 
 Text input has one edge, next to ``InputError``: ``opened`` (path or file
 object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import logging
 import math
 import os
 import resource
@@ -48,6 +52,8 @@ import numpy as np
 from scipy import sparse
 
 from ._kernels import row_blocks
+
+logger = logging.getLogger("amvlab.mmspace")
 
 
 class InputError(ValueError):
@@ -172,11 +178,13 @@ class FiniteMMSpace:
         return out
 
     def _balls(self, r) -> _Balls:
-        """The ball object at radius r; the last one is kept for reuse."""
+        """The ball object at radius r; the last one is kept for reuse, and a
+        smaller radius compacts its table from the last one's."""
         r = self.radius(r)
         balls = self._last_balls
         if balls is None or balls.r != r:
-            balls = self._last_balls = _Balls(self, r)
+            source = balls if balls is not None and r < balls.r else self
+            balls = self._last_balls = _Balls(self, r, source)
         return balls
 
 
@@ -214,9 +222,10 @@ def _check_table(dist, cols, cut: float) -> None:
         raise InputError("dist must be nonnegative")
     if dist.max(where=real, initial=0.0) > cut:
         raise InputError(f"a table cut at {cut!r} holds no larger distance")
-    table = sparse.csr_array(
-        (dist[real], cols[real], np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))), shape=(n, n)
-    )
+    # offsets as narrow as the table allows, or scipy widens int32 columns to int64 copies
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1)))).astype(
+        sparse.get_index_dtype(maxval=dist.size))
+    table = sparse.csr_array((dist[real], cols[real], indptr), shape=(n, n))
     if not table.has_canonical_format:
         raise InputError("table columns must ascend along each row")
     diag = real & (cols == np.arange(n)[:, None])
@@ -258,27 +267,65 @@ def ball(space: FiniteMMSpace, x, r):
     return members, float(np.sum(space.mass[members]))
 
 
+def packed_table(counts, blocks):
+    """The cut-table layout of rows holding counts[i] entries each: entries
+    left-packed in their given order, padded with +inf (column 0) to the
+    widest row.  blocks yields (start, stop, distances, columns), the
+    entries of rows start .. stop-1 in row-major order."""
+    width = int(counts.max(initial=0))
+    dist, cols = np.full((counts.size, width), np.inf), np.zeros((counts.size, width), dtype=np.int32)
+    for s, e, d, c in blocks:
+        real = np.arange(width) < counts[s:e, None]
+        dist[s:e][real], cols[s:e][real] = d, c
+    return dist, cols
+
+
 class _Balls:
     """Ball masses mu(B_r(x)) of one space at one checked radius r and their
     inverses, computed once and never changed; row_sums is the one pass
-    over the distance table."""
+    over the ball's table.
 
-    def __init__(self, space: FiniteMMSpace, r: float):
+    On a full table, and on a cut table at its cut, that table is the
+    space's own.  Below the cut it is the source's table (the space's, or
+    the last ball's when the radius shrinks) compacted row block by row
+    block to its entries < r, in the same layout, so each sum runs over its
+    own balls and not over the cut's.  A full table is never compacted.
+    """
+
+    def __init__(self, space: FiniteMMSpace, r: float, source):
         # the space's arrays, not the space, which keeps this object: no cycle
         self.dist, self.cols, self.r = space.dist, space.cols, r
+        if space.cols is not None and r < space.cut:
+            self.dist, self.cols = self._compacted(source.dist, source.cols)
         self.masses = self.sums(space.mass)
         self.inv = 1.0 / self.masses
 
+    take = FiniteMMSpace.take
+
+    def _compacted(self, dist, cols):
+        """The entries of the table (dist, cols) at distance < r."""
+        spans, counts = row_blocks(*dist.shape), np.empty(dist.shape[0], dtype=np.intp)
+        for s, e in spans:
+            counts[s:e] = np.count_nonzero(dist[s:e] < self.r, axis=1)
+
+        def blocks():
+            for s, e in spans:
+                keep = dist[s:e] < self.r
+                yield s, e, dist[s:e][keep], cols[s:e][keep]
+
+        out = packed_table(counts, blocks())
+        logger.debug("ball table at radius %r: width %d -> %d", self.r, dist.shape[1], out[0].shape[1])
+        return out
+
     def sums(self, v) -> np.ndarray:
         """Row sums of w * v_y: the sum of the per-point vector v over each ball."""
-        cols = self.cols
-        return self.row_sums(lambda rows, w, a, b: np.multiply(w, v if cols is None else v[cols[rows]], out=a))
+        return self.row_sums(lambda rows, w, a, b: np.multiply(w, self.take(v, rows), out=a))
 
     def row_sums(self, fill) -> np.ndarray:
         """Row sums of the summands fill(rows, w, a, b) leaves in a, per row
         block (the slice rows), with w = (dist < r) and a, b scratch of the
         block's shape; fills read per-point vectors at the block's columns
-        as space.take(v, rows).  Scratch is per pass, so passes on one
+        as take(v, rows).  Scratch is per pass, so passes on one
         object stay independent."""
         n, k = self.dist.shape
         spans = row_blocks(n, k)
@@ -340,8 +387,8 @@ def _kernel_rows(space: FiniteMMSpace, r, rows) -> sparse.csr_array:
     if rows.ndim != 1 or rows.size and not (rows.dtype.kind in "iu" and 0 <= rows.min() <= rows.max() < space.n):
         raise InputError(f"rows must be point indices, integers in [0, {space.n})")
     rows = rows.astype(np.intp)
-    entry_row, c = np.nonzero(space.dist[rows] < balls.r)
-    cols = c if space.cols is None else space.cols[rows[entry_row], c]
+    entry_row, c = np.nonzero(balls.dist[rows] < balls.r)
+    cols = c if balls.cols is None else balls.cols[rows[entry_row], c]
     inv = balls.inv
     indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_row, minlength=rows.size))))
     return sparse.csr_array((0.5 * (inv[rows[entry_row]] + inv[cols]), cols, indptr), shape=(rows.size, space.n))
@@ -365,10 +412,10 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     inv, m = balls.inv, space.mass
 
     def fill(rows, w, a, b):  # 0.5 (inv_x + inv_y) * w * (u_y - u_x) * m_y
-        np.multiply(0.5, np.add(inv[rows, None], space.take(inv, rows), out=a), out=a)
+        np.multiply(0.5, np.add(inv[rows, None], balls.take(inv, rows), out=a), out=a)
         a *= w
-        a *= np.subtract(space.take(u, rows), u[rows, None], out=b)
-        a *= space.take(m, rows)
+        a *= np.subtract(balls.take(u, rows), u[rows, None], out=b)
+        a *= balls.take(m, rows)
 
     return balls.row_sums(fill) / balls.r**2
 
@@ -390,10 +437,10 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
     m = space.mass
 
     def fill(rows, w, a, b):  # w * (u_y - u_x) * (v_y - v_x) * m_y
-        np.subtract(space.take(u, rows), u[rows, None], out=a)
+        np.subtract(balls.take(u, rows), u[rows, None], out=a)
         a *= w
-        a *= np.subtract(space.take(v, rows), v[rows, None], out=b)
-        a *= space.take(m, rows)
+        a *= np.subtract(balls.take(v, rows), v[rows, None], out=b)
+        a *= balls.take(m, rows)
 
     return 0.5 * balls.row_sums(fill) / balls.masses / balls.r**2
 
@@ -574,14 +621,15 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
 
     # deviation identity: int v (lap - sym) u = mass-deficit pairing
     masses = ball_masses(space, r)
+    balls = space._balls(r)
 
     def fill(rows, w, a, b):  # w * (1 - mu_x / mu_y) * (u_y - u_x) * m_y
-        np.subtract(1.0, np.divide(masses[rows, None], space.take(masses, rows), out=a), out=a)
+        np.subtract(1.0, np.divide(masses[rows, None], balls.take(masses, rows), out=a), out=a)
         a *= w
-        a *= np.subtract(space.take(u, rows), u[rows, None], out=b)
-        a *= space.take(m, rows)
+        a *= np.subtract(balls.take(u, rows), u[rows, None], out=b)
+        a *= balls.take(m, rows)
 
-    inner = space._balls(r).row_sums(fill) / masses
+    inner = balls.row_sums(fill) / masses
     rhs = float(np.sum(0.5 * v * inner / r**2 * m))
     lhs = float(np.sum(v * (lap_u - sym_u) * m))
     # lhs is a difference of two pairings, so its roundoff scales with the

@@ -24,8 +24,9 @@ Carnot clouds are one jittered box build (``_box_cloud``: jitter, masses,
 boundary distance; the Carnot cloud is the box of its gauge envelope with
 the points outside the closed ball B_R(0) dropped.  The cone cloud is a
 polar grid drawn in one call, ring by ring.  With cut=, a cloud keeps only
-the pairs within that radius (see mmspace), filtered from row blocks of
-the distance kernel; either way a table larger than the memory budget
+the pairs within that radius (see mmspace), from row blocks of the
+distance kernel run on a band of first coordinates (``_cut_table``);
+either way a table larger than the memory budget
 (``mmspace.check_memory``) is refused before anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
@@ -45,7 +46,7 @@ from scipy import special as _special
 
 from . import _kernels
 from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
-from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed
+from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed, packed_table
 
 
 logger = logging.getLogger("amvlab.models")
@@ -401,6 +402,13 @@ class CarnotSpace(ModelSpace):
         h_bound, v_bound = self.gauge.envelope(g, r)
         if not math.isfinite(v_bound):
             raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
+        # where the gauge at the envelope corner overflows, no candidate could be accepted
+        corner = np.zeros(g.dim)
+        corner[0], corner[g.v1 :] = h_bound, v_bound
+        with np.errstate(over="ignore"):
+            corner_gauge = self.gauge.value(g, corner)
+        if not np.isfinite(corner_gauge):
+            raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
         attempts = accepted = 0
 
         def propose(need):
@@ -665,8 +673,8 @@ class CloudMeta:
 
 def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> FiniteMMSpace:
     """The cloud as a finite space: the full distance matrix, or with cut
-    the table of every pair at distance <= cut, filtered from row blocks of
-    the space's distance kernel without an n x n matrix.
+    the table of every pair at distance <= cut (``_cut_table``), built
+    without an n x n matrix.
 
     Before it allocates or scans anything, it refuses a table over the
     memory budget (``mmspace.check_memory``).  A cut table's width is
@@ -697,22 +705,38 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
 
 def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
     """The distances <= cut and their columns, per row in ascending column
-    order, padded with +inf (column 0) to the widest row; row blocks run on
-    threads.  The kernels are exactly symmetric, so the kept pairs are too."""
-    n = pts.shape[0]
-    blocks = {}  # row block start -> (stop, row counts, columns, distances)
+    order, in the layout of ``mmspace.packed_table``; row blocks run on
+    threads.  The kernels are exactly symmetric, so the kept pairs are too.
+
+    A band, not all n^2 pairs: the first coordinate of a point (its key)
+    moves by at most reach along a distance of cut, so each row block runs
+    the kernel only on the columns whose key lies within reach, widened by
+    a relative 1e-9 against rounding, of the block's key range.  reach is
+    cut on the flat kinds (x0) and on cones (rho, the distance to the apex,
+    is 1-Lipschitz), and the gauge envelope's horizontal radius on Carnot
+    groups (|x1_0 - y1_0| <= |(y^-1 x)_1|).  The kernel still decides
+    d <= cut on each candidate, in ascending index order, so the table is
+    the same for any point order; the builders' row-major order only keeps
+    the band narrow.
+    """
+    n, key = pts.shape[0], pts[:, 0]
+    reach = space.gauge.envelope(space.group, cut)[0] if isinstance(space, CarnotSpace) else cut
+    reach += 1e-9 * (reach + np.abs(key).max(initial=0.0))
+    index, counts = np.arange(n, dtype=np.int32), np.empty(n, dtype=np.intp)
+    blocks, scanned = [], []  # (start, stop, kept distances, kept columns); kernel pairs per block
 
     def rows(s, e):
-        d = space.distance_matrix(pts[s:e], pts).ravel()
-        kept = np.flatnonzero(d <= cut)
-        blocks[s] = (e, np.bincount(kept // n, minlength=e - s), kept % n, d[kept])
+        near = index[(key >= key[s:e].min() - reach) & (key <= key[s:e].max() + reach)]
+        d = space.distance_matrix(pts[s:e], pts[near])
+        kept = d <= cut
+        counts[s:e] = np.count_nonzero(kept, axis=1)
+        blocks.append((s, e, d[kept], np.broadcast_to(near, d.shape)[kept]))
+        scanned.append(d.size)
 
     _kernels.run_rowchunks(n, n, threads, rows)
-    width = max(int(counts.max()) for _, counts, _, _ in blocks.values())
-    dist, cols = np.full((n, width), np.inf), np.zeros((n, width), dtype=np.int32)
-    for s, (e, counts, c, d) in blocks.items():
-        real = np.arange(width) < counts[:, None]
-        dist[s:e][real], cols[s:e][real] = d, c
+    dist, cols = packed_table(counts, blocks)
+    logger.debug("cut table of n=%d at cut %r: kernel on %.4f of the n^2 pairs, width %d, mean row %.1f",
+                 n, cut, sum(scanned) / n**2, dist.shape[1], counts.mean())
     return dist, cols
 
 

@@ -483,8 +483,10 @@ def test_huge_radii_on_a_cone_exit_2(tmp_path, capsys):
      "ERROR amv-sweep: the estimate at radius 1e+150 is not finite (value 0.22652058649449705, std error nan)"),
     (["amv-sweep", "half:2", "--point", "0,1", "--scheme", "mc:1000:1"], "coord:2", None),
     (["strong-scan", "carnot:heisenberg:1:koranyi", "--grid-size", "2", "--scheme", "mc:100:1"], "hsq",
-     "ERROR strong-scan: rejection acceptance rate 0.00e+00 < 1e-3; the gauge envelope looks misconfigured"),
-], ids=["grid", "half-space-mc", "half-space-finite-mean", "strong-scan"])
+     "ERROR strong-scan: the radius 1e+150 is too large: its gauge overflows"),
+    (["amv-sweep", "carnot:heisenberg:1:koranyi", "--point", "0,0,0", "--scheme", "mc:1000:1"], "coord:1",
+     "ERROR amv-sweep: the radius 1e+150 is too large: its gauge overflows"),
+], ids=["grid", "half-space-mc", "half-space-finite-mean", "strong-scan", "carnot-mc"])
 def test_huge_radii_exit_2(tmp_path, capsys, argv, field, at_1e150):
     # r**2 overflows above about 1.3e154: the radius is refused before any
     # estimate, since a finite mean over an infinite r**2 would read as 0

@@ -1,9 +1,11 @@
 import hashlib
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from amvlab import _kernels
 from amvlab import carnot as ca
 from amvlab import integrate as it
 from amvlab import mmspace as mm
@@ -366,7 +368,8 @@ def test_cut_table_agrees_with_the_full_one(kind):
         assert np.array_equal(table.as_matrix(table.dist, fill=np.inf),
                               np.where(full.dist <= cut, full.dist, np.inf))
         u, v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, table.n))
-        for r in (cut, 0.7 * cut, 0.31 * cut):
+        # every order of reuse: shrink, grow after a shrink, repeat, back to the cut
+        for r in (cut, 0.5 * cut, 0.7 * cut, 0.7 * cut, cut, 0.31 * cut):
             ops = {
                 "ball_masses": lambda s: mm.ball_masses(s, r),
                 "average": lambda s: mm.average(s, u, r),
@@ -380,6 +383,11 @@ def test_cut_table_agrees_with_the_full_one(kind):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (name, r)
             for x in (0, table.n // 2):
                 assert np.array_equal(mm.ball(table, x, r)[0], mm.ball(full, x, r)[0])
+            # a full table is never compacted, nor a cut table at its cut
+            assert full._balls(r).dist is full.dist and full._balls(r).cols is None
+            balls = table._balls(r)
+            assert (balls.dist is table.dist) == (r == cut)
+            assert np.all(balls.dist[balls.dist != np.inf] < r) or r == cut
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_CLOUDS))
@@ -411,9 +419,81 @@ def test_radius_above_the_cut_is_refused():
         mm.space_to_text(table)
 
 
-def test_carnot_sampler_refuses_an_overflowing_envelope():
+@pytest.mark.parametrize("spec, r, match", [
     # a small beta overflows the second-layer half-width r^2/sqrt(beta)
     # while r^2 itself is finite
-    space = mo.parse_space("carnot:heisenberg:1:scaled:1e-12")
-    with pytest.raises(mo.NumericError, match="gauge-ball envelope overflows"):
-        space.sample_ball(np.zeros(3), 1e153, 10, np.random.default_rng(0))
+    ("carnot:heisenberg:1:scaled:1e-12", 1e153, "gauge-ball envelope overflows"),
+    # the envelope is finite, but |z1|^4 overflows from about 1e77
+    ("carnot:heisenberg:1:koranyi", 1e100, "the radius 1e\\+100 is too large: its gauge overflows"),
+])
+def test_carnot_sampler_refuses_an_overflowing_envelope(spec, r, match):
+    space = mo.parse_space(spec)
+    with pytest.raises(mo.NumericError, match=match):
+        space.sample_ball(np.zeros(3), r, 10, np.random.default_rng(0))
+    assert space.sample_ball(np.zeros(3), 1e70, 10, np.random.default_rng(0)).shape == (10, 3)
+
+
+def _cloud(space, build, cut):
+    fms, pts = build(space)[:2]
+    return space, pts, fms.mass, cut
+
+
+# every cloud kind, the second-layer shapes of heisenberg:2 and beta = 16, and
+# the widest and a thin cone: (space, points, masses, cut)
+BAND_CLOUDS = {
+    "euclidean": lambda: _cloud(mo.Euclidean(2), lambda s: mo.euclidean_cloud(s, [-1.0, -1.0], [1.0, 1.0], 14, 5),
+                                0.5),
+    "half": lambda: _cloud(mo.HalfSpace(2), lambda s: mo.half_space_cloud(s, [1.0, 1.0], [7, 14], 5,
+                                                                          lo=[0.0, -1.0]), 0.45),
+    "cone": lambda: _cloud(mo.FlatCone(4.5), lambda s: mo.cone_cloud(s, 1.0, 7, 14, 5), 0.4),
+    "cone-plane": lambda: _cloud(mo.FlatCone(2 * math.pi), lambda s: mo.cone_cloud(s, 1.0, 7, 14, 5), 0.4),
+    "cone-thin": lambda: _cloud(mo.FlatCone(0.5), lambda s: mo.cone_cloud(s, 1.0, 14, 7, 5), 0.3),
+    "carnot": lambda: _cloud(mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi")),
+                             lambda s: mo.carnot_ball_cloud(s, 1.0, 7, 5), 0.6),
+    "heisenberg2": lambda: _cloud(mo.carnot_preset("heisenberg:2", "koranyi"),
+                                  lambda s: mo.carnot_ball_cloud(s, 1.0, 4, 5), 0.7),
+    "scaled16": lambda: _cloud(mo.carnot_preset("heisenberg:1", "scaled", 16.0),
+                               lambda s: mo.carnot_ball_cloud(s, 1.0, 7, 5), 0.6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAND_CLOUDS))
+def test_band_table_is_the_filtered_full_matrix(kind, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1 << 10)  # many row blocks on a small cloud
+    space, pts, mass, cut = BAND_CLOUDS[kind]()
+    perm = np.random.default_rng(7).permutation(pts.shape[0])
+    for p, m in ((pts, mass), (pts[perm], mass[perm])):  # the builder's order and a random one
+        full = space.distance_matrix(p)
+        assert np.any(full > cut)
+        one, two = (mo._cloud_space(space, p, m, threads, cut) for threads in (1, 2))
+        assert one.dist.tobytes() == two.dist.tobytes() and one.cols.tobytes() == two.cols.tobytes()
+        assert np.array_equal(one.as_matrix(one.dist, fill=np.inf), np.where(full <= cut, full, np.inf))
+        assert np.all(one.cols[one.dist == np.inf] == 0)
+
+
+@pytest.mark.parametrize("space, pts", [
+    (mo.Euclidean(2), [[0.0, 0.0], [0.5, 0.0], [0.2, 0.3]]),
+    (mo.FlatCone(4.5), [[0.3, 1.0], [0.8, 1.0], [0.5, 2.0]]),
+    (mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi")), [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.1, 0.2, 0.3]]),
+], ids=["euclidean", "cone", "carnot"])
+def test_points_exactly_cut_apart_stay_in_the_table(space, pts, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)  # a block per row: each band is one point's
+    pts = np.array(pts)
+    cut = float(space.distance_matrix(pts)[0, 1])  # the first coordinates are about cut apart too
+    table = mo._cloud_space(space, pts, np.ones(3), 1, cut)
+    assert 1 in table.cols[0][table.dist[0] == cut] and 0 in table.cols[1][table.dist[1] == cut]
+
+
+def test_cut_build_and_ball_compaction_log_their_pairs(caplog):
+    cut, build = CUT_CLOUDS["euclidean"]
+    with caplog.at_level(logging.DEBUG, logger="amvlab"):
+        table = build(1, cut)
+        mm.ball_masses(table, 0.5 * cut)
+    [built] = [rec.getMessage() for rec in caplog.records if rec.name == "amvlab.models"]
+    [compacted] = [rec.getMessage() for rec in caplog.records if rec.name == "amvlab.mmspace"]
+    real = np.count_nonzero(table.dist != np.inf, axis=1)
+    assert built.startswith(f"cut table of n={table.n} at cut {cut!r}: kernel on ")
+    assert built.endswith(f" of the n^2 pairs, width {table.dist.shape[1]}, mean row {real.mean():.1f}")
+    assert 0 < float(built.split("kernel on ")[1].split()[0]) <= 1
+    assert compacted == (f"ball table at radius {0.5 * cut!r}: "
+                         f"width {table.dist.shape[1]} -> {table._balls(0.5 * cut).dist.shape[1]}")

@@ -137,9 +137,10 @@ class Gauge:
     beta = 16 is the kernel normalization under which the power 2-Q of the
     gauge is annihilated by the horizontal Laplacian.
 
-    Arbitrary profile gauges rho(z) = F(|z1|, z2) can be wrapped via
-    ProfileGauge; only the two named kinds ship with exact sampling
-    envelopes.
+    The two named kinds have closed-form balls: models.CarnotSpace samples
+    them exactly and knows their volume and mean value constant.  Arbitrary
+    profile gauges rho(z) = F(|z1|, z2) can be wrapped via ProfileGauge,
+    whose balls are sampled by rejection from the caller's envelope box.
     """
 
     def __init__(self, kind: str = "koranyi", beta: float = 1.0):

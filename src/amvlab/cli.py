@@ -156,15 +156,15 @@ def _finish(report, args) -> int:
 
 def _auto_reference(space, u, x) -> float | None:
     """Known small-scale limits: trace Hessian / (2(n+2)) on flat space,
-    group constant times the horizontal Laplacian on a Carnot group."""
+    the group's closed-form constant times the horizontal Laplacian on a
+    Carnot group with a quartic gauge."""
     try:
         if isinstance(space, Euclidean):
             tr = float(np.trace(u.hessian(x[None, :])[0]))
             return tr / (2.0 * (space.dim + 2))
         if isinstance(space, CarnotSpace):
-            c = integrate.carnot_constant(space.group, space.gauge, integrate.GridScheme(24))
-            return c.value * float(sub_laplacian(space.group, u, x[None, :])[0])
-    except (NotImplementedError, InputError, models.NumericError):
+            return space.mean_value_constant() * float(sub_laplacian(space.group, u, x[None, :])[0])
+    except (NotImplementedError, InputError):
         return None
     return None
 

@@ -13,8 +13,13 @@ to B_r(x) by one method, ``translate(x, z)``.  sample_ball, ball_volume
 and translate refuse a centre outside the space (a non-finite coordinate;
 on a cone, an angle outside [0, theta_c)).
 
-The three rejection samplers (half-space, cone, Carnot) share one loop,
-``fill_by_rejection``; each keeps only its proposal.
+The three samplers that test their draws (half-space, cone, Carnot) share
+one loop, ``fill_by_rejection``; each keeps only its proposal.  The Carnot
+proposal is exact for the quartic gauges (the law of |z1| on the ball is a
+Beta law, ``CarnotSpace._quartic_law``), so its gauge check only guards the
+open ball against rounding; a profile gauge proposes from its envelope box.
+The same law gives the quartic ball volume and mean value constant in
+closed form.
 
 Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
 carnot_ball_cloud) return finite spaces whose points are cell points and
@@ -155,9 +160,14 @@ class Euclidean(_Flat):
 def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
     """n points uniform in the centered Euclidean r-ball (polar method)."""
     g = rng.standard_normal((n, dim))
+    return _to_radii(g, r * rng.random(n) ** (1.0 / dim))
+
+
+def _to_radii(g, radii) -> np.ndarray:
+    """The rows of g, normal draws, scaled to the given lengths: points
+    isotropic on spheres of those radii."""
     norms = np.sqrt(np.sum(g * g, axis=1))
     norms[norms == 0] = 1.0
-    radii = r * rng.random(n) ** (1.0 / dim)
     return g * (radii / norms)[:, None]
 
 
@@ -368,33 +378,57 @@ class CarnotSpace(ModelSpace):
         x = self._centre(x)
         return self.group.multiply(x, z) if np.any(x) else z
 
-    def unit_ball_volume(self) -> tuple[float, str]:
-        """Volume of B_1(0), computed once (quadrature when available)."""
-        if self._unit_volume is None:
-            # lazy: integrate imports this module
-            from .integrate import GridUnavailable, SeedSpec, carnot_ball_quadrature, carnot_ball_volume_mc
+    def _quartic_law(self) -> tuple[float, float]:
+        """(a, b) with u = (|z1|/r)^4 ~ Beta(a, b) for z uniform in a quartic
+        gauge ball B_r(0): the horizontal slice at |z1| = s is a second-layer
+        ball of radius sqrt((r^4 - s^4)/beta), so u has density
+        u^(v1/4 - 1) (1 - u)^(v2/2) (the marginal method; Devroye,
+        Non-Uniform Random Variate Generation, 1986, ch. 4-5)."""
+        if self.gauge.kind == "profile":
+            raise InputError("a profile gauge ball has no closed form")
+        return self.group.v1 / 4.0, self.group.v2 / 2.0 + 1.0
 
-            try:
-                nodes, weights = carnot_ball_quadrature(self.group, self.gauge, 1.0, res=48)
-                self._unit_volume = float(np.sum(weights))
-                self._unit_volume_method = "quadrature"
-            except GridUnavailable:
+    def unit_ball_volume(self) -> tuple[float, str]:
+        """Volume of B_1(0), computed once: |S^(v1-1)| omega_v2 beta^(-v2/2)
+        B(a, b) / 4 for a quartic gauge, Monte Carlo for a profile gauge."""
+        if self._unit_volume is None:
+            if self.gauge.kind == "profile":
+                # lazy: integrate imports this module
+                from .integrate import SeedSpec, carnot_ball_volume_mc
+
                 est = carnot_ball_volume_mc(self, np.zeros(self.dim), 1.0, 4_000_000, SeedSpec(20260809, 0))
-                self._unit_volume = est.value
-                self._unit_volume_method = "monte_carlo"
+                self._unit_volume, self._unit_volume_method = est.value, "monte_carlo"
+            else:
+                v1, v2 = self.group.v1, self.group.v2
+                sphere_ball = v1 * unit_ball_volume(v1) * unit_ball_volume(v2)  # |S^(v1-1)| omega_v2
+                self._unit_volume = float(sphere_ball * self.gauge.beta ** (-v2 / 2.0)
+                                          * _special.beta(*self._quartic_law()) / 4.0)
+                self._unit_volume_method = "exact"
         return self._unit_volume, self._unit_volume_method
+
+    def mean_value_constant(self) -> float:
+        """C in the ball mean u(x) + C r^2 (horizontal Laplacian of u) + o(r^2),
+        in closed form for a quartic gauge: the mean of |z1|^2 over B_1(0)
+        over 2 v1, where that mean is E[u^(1/2)] = B(a + 1/2, b) / B(a, b)."""
+        a, b = self._quartic_law()
+        return float(_special.beta(a + 0.5, b) / (2.0 * self.group.v1 * _special.beta(a, b)))
 
     def ball_volume(self, x, r):
         r = check_radius(r)
         self._centre(x)
         c, method = self.unit_ball_volume()
-        return c * r**self.group.homogeneous_dim, ("exact" if method == "quadrature" else method)
+        return c * r**self.group.homogeneous_dim, method
 
     def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
-        """Left-translate of box-rejection samples from B_r(0).
+        """Left-translate of uniform draws from B_r(0); unbiasedness rests on
+        Haar invariance of left translation.
 
-        The envelope is the exact gauge-ball bounding box; unbiasedness
-        rests on Haar invariance of left translation.
+        A quartic gauge draws exactly: u ~ Beta(a, b) (``_quartic_law``),
+        z1 a normal direction scaled to r u^(1/4), and z2 uniform in the
+        second-layer ball of radius (r^2/sqrt(beta)) sqrt(1 - u).  A profile
+        gauge draws from its envelope box.  Both proposals pass the same
+        gauge check (< r), which keeps every draw inside the open ball under
+        rounding, and the same acceptance-rate guard, which bounds the loop.
         """
         r = check_radius(r)
         g = self.group
@@ -402,6 +436,9 @@ class CarnotSpace(ModelSpace):
         h_bound, v_bound = self.gauge.envelope(g, r)
         if not math.isfinite(v_bound):
             raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
+        if min(h_bound, v_bound) < np.finfo(np.float64).tiny:
+            # subnormal half-widths lose the digits that place a draw
+            raise NumericError(f"the radius {r!r} is too small: its gauge-ball envelope underflows")
         # where the gauge at the envelope corner overflows, no candidate could be accepted
         corner = np.zeros(g.dim)
         corner[0], corner[g.v1 :] = h_bound, v_bound
@@ -409,15 +446,22 @@ class CarnotSpace(ModelSpace):
             corner_gauge = self.gauge.value(g, corner)
         if not np.isfinite(corner_gauge):
             raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
+        law = None if self.gauge.kind == "profile" else self._quartic_law()
         attempts = accepted = 0
 
         def propose(need):
             nonlocal attempts, accepted
-            m = max(2 * need, 512)
+            m = need if law else max(2 * need, 512)
             z = np.empty((m, g.dim))
-            z[:, : g.v1] = ball_point_cloud(g.v1, h_bound, m, rng)
-            if g.v2:
-                z[:, g.v1 :] = rng.uniform(-v_bound, v_bound, (m, g.v2))
+            if law:
+                u = rng.beta(*law, m)
+                z[:, : g.v1] = _to_radii(rng.standard_normal((m, g.v1)), r * np.sqrt(np.sqrt(u)))
+                if g.v2:
+                    z[:, g.v1 :] = ball_point_cloud(g.v2, 1.0, m, rng) * (v_bound * np.sqrt(1.0 - u))[:, None]
+            else:
+                z[:, : g.v1] = ball_point_cloud(g.v1, h_bound, m, rng)
+                if g.v2:
+                    z[:, g.v1 :] = rng.uniform(-v_bound, v_bound, (m, g.v2))
             keep = z[self.gauge.value(g, z, threads) < r]
             attempts += m
             accepted += keep.shape[0]
@@ -429,7 +473,8 @@ class CarnotSpace(ModelSpace):
             return keep
 
         out = fill_by_rejection(n, g.dim, propose)
-        logger.debug("gauge-ball rejection acceptance rate %.4f", accepted / attempts)
+        logger.debug("gauge-ball sampling, %s proposal: kept %d of %d draws",
+                     "exact" if law else "box", accepted, attempts)
         return self.translate(x, out)
 
     def antithetic(self, x):

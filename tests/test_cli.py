@@ -506,6 +506,37 @@ def test_huge_radii_exit_2(tmp_path, capsys, argv, field, at_1e150):
         assert rc == 2 and err.splitlines() == [at_1e150]
 
 
+def test_tiny_carnot_radii(tmp_path, capsys):
+    # at r = 1e-100 the quartic gauge underflows to 0, so a gauge check
+    # cannot keep box-proposal draws inside the ball (21% fall outside and
+    # the limit reads 0.50); exact draws need none.  Below about 1.5e-154
+    # the second-layer half-width r^2 is subnormal, and the radius is refused
+    base = ["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
+            "--scheme", "mc:20000:1"]
+    assert main([*base, "--radii", "1e-100,5e-101", "--out", str(tmp_path / "ok.json")]) in (0, 1)
+    rep = ex.ExperimentReport.from_json((tmp_path / "ok.json").read_text())
+    assert rep.reference == pytest.approx(4 / (3 * math.pi), rel=1e-14)
+    # the reported error bars underflow at this radius; 10000 pairs of
+    # |z1|^2 / r^2 (standard deviation 0.26) put 0.012 at 4.5 sigma
+    assert all(abs(v - rep.reference) < 0.012 for v in rep.values)
+    capsys.readouterr()
+    rc = main([*base, "--radii", "1e-160,5e-161", "--out", str(tmp_path / "tiny.json")])
+    assert rc == 2 and capsys.readouterr().err.splitlines() == [
+        "ERROR amv-sweep: the radius 1e-160 is too small: its gauge-ball envelope underflows"
+    ]
+    assert not (tmp_path / "tiny.json").exists()
+
+
+def test_heisenberg_2_sweeps_get_a_closed_form_reference(tmp_path):
+    # no grid rule ships for v1 = 4; hsq's horizontal Laplacian is 2 v1 = 8
+    out = tmp_path / "h2.json"
+    rc = main(["amv-sweep", "carnot:heisenberg:2:scaled:16", "--field", "hsq", "--point", "0,0,0,0,0",
+               "--scheme", "mc:200000:1", "--tolerance", "0.02", "--out", str(out)])
+    rep = ex.ExperimentReport.from_json(out.read_text())
+    assert rep.reference == 8 * mo.parse_space("carnot:heisenberg:2:scaled:16").mean_value_constant()
+    assert rc == 0 and rep.verdict == "pass"
+
+
 _DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg",
              "scipy.sparse.csgraph", "amvlab.dirichlet")
 

@@ -221,6 +221,19 @@ def test_carnot_ball_volume_exact_scaling():
     assert v2 == pytest.approx(v1 * 16.0, rel=1e-12)
 
 
+def test_quartic_ball_volume_closed_form():
+    h1 = ca.heisenberg(1)
+    for gauge in (ca.Gauge("koranyi"), ca.Gauge("scaled_koranyi", 16.0)):
+        vol, tag = mo.CarnotSpace(h1, gauge).unit_ball_volume()
+        _, weights = it.carnot_ball_quadrature(h1, gauge, 1.0, res=48)
+        assert tag == "exact" and vol == pytest.approx(np.sum(weights), rel=1e-12)
+    h2 = mo.carnot_preset("heisenberg:2", "scaled", 16.0)
+    vol, tag = h2.ball_volume(np.zeros(5), 1.0)
+    assert tag == "exact" and vol == pytest.approx(math.pi**2 / 6, rel=1e-14)
+    est = it.carnot_ball_volume_mc(h2, np.zeros(5), 1.0, 400_000, it.SeedSpec(11))
+    assert abs(est.value - vol) < 4 * est.std_error
+
+
 def test_v_kn():
     assert mo.v_kn(0.0, 3, 2.0) == pytest.approx((4 * math.pi / 3) * 8, rel=1e-15)
     assert mo.v_kn(0.0, 2.5, 1.0) == pytest.approx(mo.unit_ball_volume(2.5), rel=1e-12)
@@ -425,6 +438,8 @@ def test_radius_above_the_cut_is_refused():
     ("carnot:heisenberg:1:scaled:1e-12", 1e153, "gauge-ball envelope overflows"),
     # the envelope is finite, but |z1|^4 overflows from about 1e77
     ("carnot:heisenberg:1:koranyi", 1e100, "the radius 1e\\+100 is too large: its gauge overflows"),
+    # r^2 = 1e-320 is subnormal: the second-layer half-width has lost its digits
+    ("carnot:heisenberg:1:koranyi", 1e-160, "the radius 1e-160 is too small: its gauge-ball envelope underflows"),
 ])
 def test_carnot_sampler_refuses_an_overflowing_envelope(spec, r, match):
     space = mo.parse_space(spec)

@@ -8,7 +8,7 @@ experiments with extrapolated limits, and a discrete Dirichlet solver.
 
 __version__ = "0.1.0"
 
-from .carnot import CarnotStep2, Gauge, ProfileGauge, heisenberg
+from .carnot import CarnotStep2, Gauge, heisenberg
 from .experiments import ExperimentReport
 from .integrate import Estimate, GridScheme, MCScheme, SeedSpec
 from .mmspace import FiniteMMSpace, InputError
@@ -36,7 +36,6 @@ __all__ = [
     "InputError",
     "MCScheme",
     "NumericError",
-    "ProfileGauge",
     "Region",
     "SeedSpec",
     "heisenberg",

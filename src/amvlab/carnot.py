@@ -137,10 +137,9 @@ class Gauge:
     beta = 16 is the kernel normalization under which the power 2-Q of the
     gauge is annihilated by the horizontal Laplacian.
 
-    The two named kinds have closed-form balls: models.CarnotSpace samples
-    them exactly and knows their volume and mean value constant.  Arbitrary
-    profile gauges rho(z) = F(|z1|, z2) can be wrapped via ProfileGauge,
-    whose balls are sampled by rejection from the caller's envelope box.
+    These two kinds are every gauge the lab serves.  Both are even and have
+    closed-form balls: models.CarnotSpace samples them exactly and knows
+    their volume and mean value constant.
     """
 
     def __init__(self, kind: str = "koranyi", beta: float = 1.0):
@@ -172,35 +171,6 @@ class Gauge:
         return f"scaled_koranyi:{self.beta!r}"
 
 
-class ProfileGauge(Gauge):
-    """Plug-in gauge rho(z) = F(|z1|, z2) for a user profile F.
-
-    The caller must provide the sampling envelope (horizontal radius and
-    second-layer half-width of the unit ball); correctness of the envelope
-    is the caller's obligation and a too-small acceptance rate in rejection
-    sampling is reported as a numeric error downstream.
-    """
-
-    def __init__(self, profile, unit_envelope):
-        self.kind = "profile"
-        self.beta = float("nan")
-        self.profile = profile
-        h, v = unit_envelope
-        self.unit_envelope = (float(h), float(v))
-
-    def value(self, group: CarnotStep2, pts, threads: int = 1) -> np.ndarray:
-        pts = group._check(pts)
-        z1, z2 = pts[..., : group.v1], pts[..., group.v1 :]
-        return np.asarray(self.profile(np.sqrt(np.sum(z1 * z1, axis=-1)), z2), dtype=np.float64)
-
-    def envelope(self, group: CarnotStep2, r: float):
-        r = float(r)
-        return r * self.unit_envelope[0], r * r * self.unit_envelope[1]
-
-    def spec(self) -> str:
-        return "profile"
-
-
 def gauge_value(group: CarnotStep2, gauge: Gauge, x) -> np.ndarray | float:
     out = gauge.value(group, x)
     return float(out) if np.ndim(out) == 0 else out
@@ -212,26 +182,13 @@ def distance(group: CarnotStep2, gauge: Gauge, x, y) -> np.ndarray | float:
 
 
 def distance_matrix(group: CarnotStep2, gauge: Gauge, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-    """Pairwise gauge distances; the quartic kinds go through the fused kernel.
+    """Pairwise gauge distances through the fused kernel.
 
     With pts_b omitted the result is the self-distance matrix, exactly
     symmetric with a zero diagonal.
     """
     pts_a = group._check(np.atleast_2d(pts_a))
-    self_dist = pts_b is None
-    pts_b = pts_a if self_dist else group._check(np.atleast_2d(pts_b))
-    if gauge.kind == "profile":
-        # A user profile need not be even, so a self-distance matrix is
-        # built from its strict lower triangle and mirrored.
-        inv_b = group.inverse(pts_b)
-        out = np.zeros((pts_a.shape[0], pts_b.shape[0]))
-        for i in range(pts_a.shape[0]):
-            cols = slice(0, i) if self_dist else slice(None)
-            out[i, cols] = gauge.value(group, group.multiply(inv_b[cols], pts_a[i]))
-        if self_dist:
-            upper = np.triu_indices(pts_a.shape[0], 1)
-            out[upper] = out.T[upper]
-        return out
+    pts_b = pts_a if pts_b is None else group._check(np.atleast_2d(pts_b))
     return _kernels.carnot_dist_matrix(
         pts_a[:, : group.v1],
         pts_a[:, group.v1 :],
@@ -284,13 +241,6 @@ def sub_laplacian(group: CarnotStep2, u: AnalyticField, pts) -> np.ndarray:
     return h11 + h12 + h22
 
 
-def pansu_differential(group: CarnotStep2, u: AnalyticField, x, z) -> np.ndarray | float:
-    """Pairing of the horizontal gradient at x with the horizontal part of z."""
-    z = group._check(z)
-    out = np.einsum("...j,...j->...", horizontal_gradient(group, u, x), z[..., : group.v1])
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # -- catalog constructors tied to a group --
 
 
@@ -307,8 +257,6 @@ def layer2_coordinate(group: CarnotStep2, k: int) -> AnalyticField:
 
 
 def gauge_power(group: CarnotStep2, gauge: Gauge, power: float) -> AnalyticField:
-    if gauge.kind == "profile":
-        raise InputError("closed-form derivatives are only available for the quartic gauges")
     return GaugePower(group.dim, group.v1, gauge.beta, power)
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mmspace
-from .integrate import Estimate, GridScheme, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
+from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
 from .models import CloudMeta, ModelSpace, NumericError, Region, _default_region, fill_by_rejection, mm_boundary_mass
 

@@ -17,8 +17,8 @@ from res and the dimensions and refuses a node set over the memory budget
 (``mmspace.check_memory``) before it builds one.
 
 The Monte Carlo r-laplacian draws antithetic pairs (x·z, x·z⁻¹) on the
-spaces whose balls are symmetric under z -> z⁻¹ (Euclidean space, Carnot
-spaces with a quartic gauge): the symmetry cancels the first-order term of
+spaces whose balls are symmetric under z -> z⁻¹ (Euclidean and Carnot
+spaces): the symmetry cancels the first-order term of
 u(y) - u(x) inside each pair, so the error bar no longer grows with
 |grad u(x)| r / r^2.  A pair is one draw.
 """
@@ -34,13 +34,7 @@ from scipy import special as _special
 
 from .carnot import CarnotStep2, Gauge, distance
 from .mmspace import InputError, check_memory, malformed
-from .models import (
-    CarnotSpace,
-    Euclidean,
-    ModelSpace,
-    NumericError,
-    unit_ball_volume,
-)
+from .models import CarnotSpace, Euclidean, ModelSpace, NumericError
 
 _MASK64 = (1 << 64) - 1
 # draws per Monte Carlo batch, an estimate's working set: one mc-means pass
@@ -201,10 +195,8 @@ def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, r: float, res: int)
 
     Second-layer radius w = (r^2/sqrt(beta)) sin(psi) makes the horizontal
     slice radius r*sqrt(cos(psi)) and the slice measure smooth in psi.
-    Available for the quartic gauge kinds with v1 <= 3, v2 <= 3.
+    Available for v1 <= 3, v2 <= 3; both gauge kinds share it through beta.
     """
-    if gauge.kind == "profile":
-        raise GridUnavailable("profile gauges have no adapted grid rule; use mc")
     v1, v2 = group.v1, group.v2
     r = float(r)
     if v2 == 0:
@@ -257,6 +249,12 @@ def _mc_moments(draw, f, scheme: MCScheme):
     centred moments (Chan, Golub and LeVeque), never by E[v^2] - E[v]^2,
     which cancels to a zero variance once the mean dwarfs the spread.  One
     draw gives no spread at all, so fewer than two are refused.
+
+    Before they are squared, deviations are multiplied by a power of two,
+    fixed by the first batch, that lifts the largest of each column into
+    [1/2, 1); so deviations of about r^2 at a radius of 1e-100 no longer
+    square to a zero error bar.  The scale is exact and never below 1: no
+    bit moves where nothing underflowed, and an overflow still overflows.
     """
     if scheme.n < 2:
         raise InputError("a Monte Carlo error bar needs at least 2 independent draws "
@@ -264,19 +262,25 @@ def _mc_moments(draw, f, scheme: MCScheme):
     rng = scheme.seed.generator()
     mean = 0.0
     m2 = 0.0
+    scale = None
     done = 0
     while done < scheme.n:
         m = min(_BATCH, scheme.n - done)
         vals = np.asarray(f(draw(m, rng)), dtype=np.float64)
         batch_mean = np.mean(vals, axis=0)
         sq_dev = vals - batch_mean
+        if scale is None:
+            # a peak in [2^(e-1), 2^e) times 2^-e lies in [1/2, 1); 2^1023 is the top double power
+            scale = np.ldexp(1.0, np.clip(-np.frexp(np.max(np.abs(sq_dev), axis=0))[1], 0, 1023))
+        sq_dev *= scale
         sq_dev *= sq_dev
         delta = batch_mean - mean
+        scaled_delta = delta * scale
         total = done + m
         mean = mean + delta * (m / total)
-        m2 = m2 + np.sum(sq_dev, axis=0) + (delta * delta) * (done * m / total)
+        m2 = m2 + np.sum(sq_dev, axis=0) + (scaled_delta * scaled_delta) * (done * m / total)
         done = total
-    return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n)
+    return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n) / scale
 
 
 def _ball_moments(space: ModelSpace, f, x, r, scheme, threads: int = 1):
@@ -311,8 +315,8 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
     Averaging the difference centres the samples on u(x), so the mean keeps
     its digits when |u(x)| dwarfs the spread of u over the ball.
 
-    Monte Carlo on a space with antithetic pairs (Euclidean, quartic-gauge
-    Carnot) averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in
+    Monte Carlo on a space with antithetic pairs (Euclidean, Carnot)
+    averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in
     B_r(0).  The ball is symmetric under z -> z⁻¹, so g has the same mean,
     and its first-order term cancels: for a quadratic u, g is the integrand
     at the origin wherever x is.  Each evaluation is centred before the pair

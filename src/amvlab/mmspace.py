@@ -449,12 +449,6 @@ def total_energy(space: FiniteMMSpace, u, v, r) -> float:
     return float(np.sum(energy_density(space, u, v, r) * space.mass))
 
 
-def weak_pairing(space: FiniteMMSpace, phi, u, r) -> float:
-    """Integral of phi * (r-laplacian of u) against the measure."""
-    phi = as_field(space, phi)
-    return float(np.sum(phi * r_laplacian(space, u, r) * space.mass))
-
-
 # ---------------------------------------------------------------------------
 # text serialization
 #

@@ -4,9 +4,8 @@ Each space knows its point representation, distance, reference measure,
 ball volumes (exact where available, quadrature otherwise) and a uniform
 ball sampler driven by an explicit RNG.  The half-space convention puts the
 boundary at {x[0] = 0}, so the first coordinate is the distance to the
-boundary.  Euclidean space and the Carnot spaces with a quartic gauge,
-whose balls are symmetric under z -> z⁻¹, also hand out antithetic pairs
-(x·z, x·z⁻¹).
+boundary.  Euclidean and Carnot spaces, whose balls are symmetric under
+z -> z⁻¹, also hand out antithetic pairs (x·z, x·z⁻¹).
 
 Samplers, antithetic pairs and grid quadrature move offsets z in B_r(0)
 to B_r(x) by one method, ``translate(x, z)``.  sample_ball, ball_volume
@@ -14,12 +13,11 @@ and translate refuse a centre outside the space (a non-finite coordinate;
 on a cone, an angle outside [0, theta_c)).
 
 The three samplers that test their draws (half-space, cone, Carnot) share
-one loop, ``fill_by_rejection``; each keeps only its proposal.  The Carnot
-proposal is exact for the quartic gauges (the law of |z1| on the ball is a
-Beta law, ``CarnotSpace._quartic_law``), so its gauge check only guards the
-open ball against rounding; a profile gauge proposes from its envelope box.
-The same law gives the quartic ball volume and mean value constant in
-closed form.
+one loop, ``fill_by_rejection``; each keeps only its proposal.  A Carnot
+gauge is one of the two quartic kinds, whose proposal is exact (the law of
+|z1| on the ball is a Beta law, ``CarnotSpace._quartic_law``), so its gauge
+check only guards the open ball against rounding.  The same law gives the
+ball volume and mean value constant in closed form.
 
 Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
 carnot_ball_cloud) return finite spaces whose points are cell points and
@@ -354,8 +352,6 @@ class CarnotSpace(ModelSpace):
         self.gauge = gauge
         self.dim = group.dim
         self._preset = preset
-        self._unit_volume = None
-        self._unit_volume_method = None
 
     def spec(self) -> str:
         name = self._preset if self._preset else "custom"
@@ -384,32 +380,20 @@ class CarnotSpace(ModelSpace):
         ball of radius sqrt((r^4 - s^4)/beta), so u has density
         u^(v1/4 - 1) (1 - u)^(v2/2) (the marginal method; Devroye,
         Non-Uniform Random Variate Generation, 1986, ch. 4-5)."""
-        if self.gauge.kind == "profile":
-            raise InputError("a profile gauge ball has no closed form")
         return self.group.v1 / 4.0, self.group.v2 / 2.0 + 1.0
 
     def unit_ball_volume(self) -> tuple[float, str]:
-        """Volume of B_1(0), computed once: |S^(v1-1)| omega_v2 beta^(-v2/2)
-        B(a, b) / 4 for a quartic gauge, Monte Carlo for a profile gauge."""
-        if self._unit_volume is None:
-            if self.gauge.kind == "profile":
-                # lazy: integrate imports this module
-                from .integrate import SeedSpec, carnot_ball_volume_mc
-
-                est = carnot_ball_volume_mc(self, np.zeros(self.dim), 1.0, 4_000_000, SeedSpec(20260809, 0))
-                self._unit_volume, self._unit_volume_method = est.value, "monte_carlo"
-            else:
-                v1, v2 = self.group.v1, self.group.v2
-                sphere_ball = v1 * unit_ball_volume(v1) * unit_ball_volume(v2)  # |S^(v1-1)| omega_v2
-                self._unit_volume = float(sphere_ball * self.gauge.beta ** (-v2 / 2.0)
-                                          * _special.beta(*self._quartic_law()) / 4.0)
-                self._unit_volume_method = "exact"
-        return self._unit_volume, self._unit_volume_method
+        """Volume of B_1(0) in closed form: |S^(v1-1)| omega_v2 beta^(-v2/2)
+        B(a, b) / 4."""
+        v1, v2 = self.group.v1, self.group.v2
+        sphere_ball = v1 * unit_ball_volume(v1) * unit_ball_volume(v2)  # |S^(v1-1)| omega_v2
+        vol = sphere_ball * self.gauge.beta ** (-v2 / 2.0) * _special.beta(*self._quartic_law()) / 4.0
+        return float(vol), "exact"
 
     def mean_value_constant(self) -> float:
         """C in the ball mean u(x) + C r^2 (horizontal Laplacian of u) + o(r^2),
-        in closed form for a quartic gauge: the mean of |z1|^2 over B_1(0)
-        over 2 v1, where that mean is E[u^(1/2)] = B(a + 1/2, b) / B(a, b)."""
+        in closed form: the mean of |z1|^2 over B_1(0) over 2 v1, where that
+        mean is E[u^(1/2)] = B(a + 1/2, b) / B(a, b)."""
         a, b = self._quartic_law()
         return float(_special.beta(a + 0.5, b) / (2.0 * self.group.v1 * _special.beta(a, b)))
 
@@ -423,12 +407,12 @@ class CarnotSpace(ModelSpace):
         """Left-translate of uniform draws from B_r(0); unbiasedness rests on
         Haar invariance of left translation.
 
-        A quartic gauge draws exactly: u ~ Beta(a, b) (``_quartic_law``),
-        z1 a normal direction scaled to r u^(1/4), and z2 uniform in the
-        second-layer ball of radius (r^2/sqrt(beta)) sqrt(1 - u).  A profile
-        gauge draws from its envelope box.  Both proposals pass the same
-        gauge check (< r), which keeps every draw inside the open ball under
-        rounding, and the same acceptance-rate guard, which bounds the loop.
+        The draws are exact: u ~ Beta(a, b) (``_quartic_law``), z1 a normal
+        direction scaled to r u^(1/4), and z2 uniform in the second-layer
+        ball of radius (r^2/sqrt(beta)) sqrt(1 - u).  A gauge check (< r)
+        keeps every draw inside the open ball under rounding, and an
+        acceptance-rate guard bounds the loop should that check fail on
+        almost every draw.
         """
         r = check_radius(r)
         g = self.group
@@ -446,42 +430,33 @@ class CarnotSpace(ModelSpace):
             corner_gauge = self.gauge.value(g, corner)
         if not np.isfinite(corner_gauge):
             raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
-        law = None if self.gauge.kind == "profile" else self._quartic_law()
+        law = self._quartic_law()
         attempts = accepted = 0
 
         def propose(need):
             nonlocal attempts, accepted
-            m = need if law else max(2 * need, 512)
-            z = np.empty((m, g.dim))
-            if law:
-                u = rng.beta(*law, m)
-                z[:, : g.v1] = _to_radii(rng.standard_normal((m, g.v1)), r * np.sqrt(np.sqrt(u)))
-                if g.v2:
-                    z[:, g.v1 :] = ball_point_cloud(g.v2, 1.0, m, rng) * (v_bound * np.sqrt(1.0 - u))[:, None]
-            else:
-                z[:, : g.v1] = ball_point_cloud(g.v1, h_bound, m, rng)
-                if g.v2:
-                    z[:, g.v1 :] = rng.uniform(-v_bound, v_bound, (m, g.v2))
+            u = rng.beta(*law, need)
+            z = np.empty((need, g.dim))
+            z[:, : g.v1] = _to_radii(rng.standard_normal((need, g.v1)), r * np.sqrt(np.sqrt(u)))
+            if g.v2:
+                z[:, g.v1 :] = ball_point_cloud(g.v2, 1.0, need, rng) * (v_bound * np.sqrt(1.0 - u))[:, None]
             keep = z[self.gauge.value(g, z, threads) < r]
-            attempts += m
+            attempts += need
             accepted += keep.shape[0]
             if attempts >= 20000 and accepted < 1e-3 * attempts:
                 raise NumericError(
-                    f"rejection acceptance rate {accepted / attempts:.2e} < 1e-3; "
-                    "the gauge envelope looks misconfigured"
+                    f"gauge-ball acceptance rate {accepted / attempts:.2e} < 1e-3 at radius {r!r}; "
+                    "the gauge check rejects exact draws"
                 )
             return keep
 
         out = fill_by_rejection(n, g.dim, propose)
-        logger.debug("gauge-ball sampling, %s proposal: kept %d of %d draws",
-                     "exact" if law else "box", accepted, attempts)
+        logger.debug("gauge-ball sampling, exact proposal: kept %d of %d draws", accepted, attempts)
         return self.translate(x, out)
 
     def antithetic(self, x):
         """The quartic gauges are even, so z -> z⁻¹ = -z maps B_r(0) onto
-        itself; a profile gauge need not be."""
-        if self.gauge.kind not in ("koranyi", "scaled_koranyi"):
-            return None
+        itself."""
         x = self._centre(x)
         inverse = self.group.inverse
         return lambda z: (self.translate(x, z), self.translate(x, inverse(z)))
@@ -523,60 +498,6 @@ def parse_space(spec: str) -> ModelSpace:
         if kind == "carnot" and len(tok) in (4, 5):
             return carnot_preset(":".join(tok[1:3]), tok[3], float(tok[4]) if len(tok) == 5 else None)
     raise InputError(f"malformed space spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bishop-Gromov reference profile
-# ---------------------------------------------------------------------------
-
-
-def s_kn(K: float, N: float, t):
-    """Model-space sine: sin / linear / sinh branches by the sign of K."""
-    t = np.asarray(t, dtype=np.float64)
-    if N < 1:
-        raise InputError("N must be >= 1")
-    if K == 0:
-        return t.copy()
-    if N == 1:
-        raise InputError("K != 0 requires N > 1")
-    if K > 0:
-        a = math.sqrt(K / (N - 1))
-        return np.sin(t * a) / a
-    a = math.sqrt(-K / (N - 1))
-    return np.sinh(t * a) / a
-
-
-def v_kn(K: float, N: float, r: float) -> float:
-    """Reference ball volume N*omega_N*int_0^r s_{K,N}^(N-1); exact for K=0."""
-    r = float(r)
-    if r < 0:
-        raise InputError("radius must be nonnegative")
-    if r == 0:
-        return 0.0
-    N = float(N)
-    if N < 1:
-        raise InputError("N must be >= 1")
-    if K > 0:
-        if N == 1:
-            raise InputError("K > 0 requires N > 1")
-        r_max = math.pi * math.sqrt((N - 1) / K)
-        if r >= r_max:
-            raise InputError(f"radius {r} outside the model domain (0, {r_max})")
-    if K == 0:
-        return unit_ball_volume(N) * r**N
-    from scipy.integrate import quad  # only K != 0 needs it, and it loads scipy.optimize too
-
-    val, err = quad(lambda t: s_kn(K, N, t) ** (N - 1.0), 0.0, r, limit=200)
-    if err > 1e-9 * max(abs(val), 1.0):
-        raise NumericError(f"volume profile quadrature failed to converge (err={err:.2e})")
-    return N * unit_ball_volume(N) * val
-
-
-def bishop_gromov_ratio(space: ModelSpace, x, r, K: float = 0.0, N: float | None = None) -> float:
-    if N is None:
-        N = space.dim
-    vol, _ = space.ball_volume(x, r)
-    return vol / v_kn(K, N, float(r))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ def _carnot(group, gauge):
     return lambda pts, threads: ca.distance_matrix(group, gauge, pts, threads=threads)
 
 
-_odd_profile = ca.ProfileGauge(
-    lambda s, z2: np.sqrt(s * s + np.abs(z2[..., 0])) + 0.25 * z2[..., 0], unit_envelope=(1.0, 1.0)
-)
-
 # name -> (self-distance builder, point dimension, lowest coordinate: half-space
 # and cone points need a nonnegative first coordinate)
 SELF_DISTANCES = {
@@ -45,7 +41,6 @@ SELF_DISTANCES = {
     "carnot_random_bracket": (
         _carnot(_rand_group(np.random.default_rng(5), 3, 2), ca.Gauge("koranyi")), 5, -2.0,
     ),
-    "carnot_profile": (_carnot(ca.heisenberg(1), _odd_profile), 3, -2.0),
 }
 
 

@@ -194,17 +194,6 @@ def test_sub_laplacian_fd_oracle_on_catalog(h1):
         assert np.max(np.abs(fd - closed) / scale) < 1e-5
 
 
-def test_pansu_differential(h1):
-    x_coord = ca.coordinate(3, 0)
-    z = np.array([0.7, -0.3, 5.0])
-    assert ca.pansu_differential(h1, x_coord, np.array([2.0, 1.0, 0.3]), z) == pytest.approx(0.7)
-    hsq = ca.horizontal_sqnorm(h1)
-    val = ca.pansu_differential(h1, hsq, np.array([1.0, 2.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert val == pytest.approx(2.0)
-    z_vertical = np.array([0.0, 0.0, 3.3])
-    assert ca.pansu_differential(h1, hsq, np.array([1.0, 2.0, 0.0]), z_vertical) == 0.0
-
-
 def test_heisenberg_presets():
     h2 = ca.heisenberg(2)
     assert h2.v1 == 4 and h2.v2 == 1 and h2.homogeneous_dim == 6
@@ -247,11 +236,3 @@ def test_haar_ball_volume_scaling(h1, koranyi):
             est = carnot_ball_volume_mc(space, x, r, 400_000, SeedSpec(700 + 10 * i + j))
             expected = ref * r**h1.homogeneous_dim
             assert abs(est.value - expected) <= 3.0 * est.std_error + 1e-9
-
-
-def test_profile_gauge_plugin(h1, koranyi):
-    prof = ca.ProfileGauge(
-        lambda s, z2: (s**4 + np.abs(z2[..., 0]) ** 2) ** 0.25, unit_envelope=(1.0, 1.0)
-    )
-    pts = np.random.default_rng(4).uniform(-1, 1, size=(50, 3))
-    np.testing.assert_allclose(prof.value(h1, pts), koranyi.value(h1, pts), rtol=1e-13)

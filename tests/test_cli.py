@@ -507,18 +507,20 @@ def test_huge_radii_exit_2(tmp_path, capsys, argv, field, at_1e150):
 
 
 def test_tiny_carnot_radii(tmp_path, capsys):
-    # at r = 1e-100 the quartic gauge underflows to 0, so a gauge check
-    # cannot keep box-proposal draws inside the ball (21% fall outside and
-    # the limit reads 0.50); exact draws need none.  Below about 1.5e-154
-    # the second-layer half-width r^2 is subnormal, and the radius is refused
+    # at r = 1e-100 the quartic gauge underflows to 0, so no gauge check
+    # could keep a draw inside the ball; exact draws need none.  Below about
+    # 1.5e-154 the second-layer half-width r^2 is subnormal, and the radius
+    # is refused
     base = ["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
             "--scheme", "mc:20000:1"]
     assert main([*base, "--radii", "1e-100,5e-101", "--out", str(tmp_path / "ok.json")]) in (0, 1)
     rep = ex.ExperimentReport.from_json((tmp_path / "ok.json").read_text())
     assert rep.reference == pytest.approx(4 / (3 * math.pi), rel=1e-14)
-    # the reported error bars underflow at this radius; 10000 pairs of
-    # |z1|^2 / r^2 (standard deviation 0.26) put 0.012 at 4.5 sigma
+    # deviations of about r^2 are scaled before they are squared, so the
+    # error bars do not underflow: 10000 pairs of |z1|^2 / r^2 (standard
+    # deviation 0.26) give sigma near 0.0026, and 0.012 is 4.5 sigma
     assert all(abs(v - rep.reference) < 0.012 for v in rep.values)
+    assert all(0.002 < s < 0.0035 for s in rep.std_errors)
     capsys.readouterr()
     rc = main([*base, "--radii", "1e-160,5e-161", "--out", str(tmp_path / "tiny.json")])
     assert rc == 2 and capsys.readouterr().err.splitlines() == [
@@ -552,8 +554,9 @@ def _deferred_loaded_after(runs, cwd, env) -> list[str]:
 
 
 def test_sampling_commands_start_without_the_deferred_scipy(tmp_path, cli_env):
-    # scipy.integrate, scipy.spatial and the sparse solvers are imported by
-    # the one function that uses each; none of these commands calls one
+    # scipy.spatial and the sparse solvers are imported by the one function
+    # that uses each, and no amvlab module imports scipy.integrate; none of
+    # these commands calls one
     runs = [["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
              "--scheme", "mc:2000:1"],
             ["isotropy", "heisenberg:1", "koranyi", "--scheme", "mc:2000:1"],

@@ -120,13 +120,6 @@ def test_total_energy(two_point):
     assert -float(np.sum(u * sym * two_point.mass)) == pytest.approx(1.5, rel=1e-14)
 
 
-def test_weak_pairing(two_point):
-    u = np.array([0.0, 3.0])
-    assert mm.weak_pairing(two_point, [1.0, 1.0], u, 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert mm.weak_pairing(two_point, [0.0, 0.0], u, 2.0) == 0.0
-    assert mm.weak_pairing(two_point, [1.0, 0.0], u, 2.0) == pytest.approx(0.5)
-
-
 def test_kernel_symmetry_and_support(line3):
     k = mm.kernel_matrix(line3, 1.5)
     np.testing.assert_array_equal(k, k.T)

@@ -234,24 +234,34 @@ def test_quartic_ball_volume_closed_form():
     assert abs(est.value - vol) < 4 * est.std_error
 
 
-def test_v_kn():
-    assert mo.v_kn(0.0, 3, 2.0) == pytest.approx((4 * math.pi / 3) * 8, rel=1e-15)
-    assert mo.v_kn(0.0, 2.5, 1.0) == pytest.approx(mo.unit_ball_volume(2.5), rel=1e-12)
-    # flat small-radius expansion: deviation is O(r^(N+2))
-    for K in (2.0, -2.0):
-        dev = abs(mo.v_kn(K, 3, 0.01) - mo.unit_ball_volume(3) * 0.01**3)
-        assert dev < 10.0 * 0.01**5
-    with pytest.raises(InputError):
-        mo.v_kn(2.0, 3, 10.0)  # beyond the model diameter
-    with pytest.raises(InputError):
-        mo.v_kn(1.0, 1, 0.5)  # K > 0 needs N > 1
-    assert mo.v_kn(1.0, 3, 0.0) == 0.0
+def test_every_carnot_gauge_pairs_antithetically():
+    """Both quartic gauges are even, on any bracket: each Carnot space pairs
+    x·z with x·z⁻¹ = x·(-z), and z and -z lie at the same gauge."""
+    b = np.random.default_rng(17).uniform(-1, 1, size=(2, 3, 3))
+    spaces = [
+        mo.carnot_preset("heisenberg:1", "koranyi"),
+        mo.carnot_preset("heisenberg:2", "scaled", 16.0),
+        mo.CarnotSpace(ca.CarnotStep2(3, 2, b - np.swapaxes(b, 1, 2)), ca.Gauge("koranyi")),
+    ]
+    rng = np.random.default_rng(4)
+    for space in spaces:
+        g = space.group
+        x = rng.uniform(-1, 1, g.dim)
+        z = space.sample_ball(np.zeros(g.dim), 0.6, 500, rng)
+        np.testing.assert_array_equal(space.gauge.value(g, -z), space.gauge.value(g, z))
+        a, b_ = space.antithetic(x)(z)
+        np.testing.assert_array_equal(a, g.multiply(x, z))
+        np.testing.assert_array_equal(b_, g.multiply(x, -z))
 
 
-def test_bishop_gromov_ratio_flat_constant():
-    eu = mo.Euclidean(2)
-    vals = [mo.bishop_gromov_ratio(eu, np.zeros(2), r) for r in (0.2, 1.0, 3.7)]
-    np.testing.assert_allclose(vals, 1.0, rtol=1e-14)
+def test_gauge_power_is_the_gauge_to_that_power():
+    rng = np.random.default_rng(8)
+    for group, gauge in ((ca.heisenberg(1), ca.Gauge("koranyi")),
+                         (ca.heisenberg(2), ca.Gauge("scaled_koranyi", 16.0))):
+        pts = rng.uniform(-2, 2, (200, group.dim))
+        for power in (1.0, 3.0, -2.0):
+            got = ca.gauge_power(group, gauge, power)(pts)
+            np.testing.assert_allclose(got, gauge.value(group, pts) ** power, rtol=1e-12)
 
 
 def test_mm_boundary_masses():

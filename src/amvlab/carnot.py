@@ -68,7 +68,10 @@ class CarnotStep2:
         y1, y2 = y[..., : self.v1], y[..., self.v1 :]
         out = np.empty(np.broadcast_shapes(x.shape, y.shape))
         out[..., : self.v1] = x1 + y1
-        out[..., self.v1 :] = x2 + y2 + 0.5 * np.einsum("kij,...i,...j->...k", self.bracket, x1, y1)
+        out[..., self.v1 :] = x2 + y2
+        for k, i, j in zip(*np.nonzero(np.triu(self.bracket, 1))):
+            half_c = 0.5 * self.bracket[k, i, j]
+            out[..., self.v1 + k] += half_c * (x1[..., i] * y1[..., j] - x1[..., j] * y1[..., i])
         return out
 
     def inverse(self, x) -> np.ndarray:
@@ -90,12 +93,8 @@ class CarnotStep2:
     def to_text(self) -> str:
         buf = io.StringIO()
         buf.write(f"{self.v1} {self.v2}\n")
-        for k in range(self.v2):
-            for i in range(self.v1):
-                for j in range(i + 1, self.v1):
-                    c = self.bracket[k, i, j]
-                    if c != 0.0:
-                        buf.write(f"{k + 1} {i + 1} {j + 1} {float(c)!r}\n")
+        for k, i, j in zip(*np.nonzero(np.triu(self.bracket, 1))):
+            buf.write(f"{k + 1} {i + 1} {j + 1} {float(self.bracket[k, i, j])!r}\n")
         return buf.getvalue()
 
     @classmethod

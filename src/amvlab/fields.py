@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .mmspace import InputError
 
 
@@ -142,8 +143,7 @@ class ShiftedSquareNorm(AnalyticField):
 
     def value(self, pts):
         pts = self._check(pts)
-        d = pts[..., self.start : self.stop] - self.center
-        return np.sum(d * d, axis=-1)
+        return _kernels.square_sums(pts[..., self.start : self.stop] - self.center)
 
     def gradient(self, pts):
         pts = self._check(pts)

@@ -278,7 +278,9 @@ def _mc_moments(draw, f, scheme: MCScheme):
         scaled_delta = delta * scale
         total = done + m
         mean = mean + delta * (m / total)
-        m2 = m2 + np.sum(sq_dev, axis=0) + (scaled_delta * scaled_delta) * (done * m / total)
+        m2 = m2 + np.sum(sq_dev, axis=0)
+        if done:  # on the first batch an overflowing delta^2 times 0 would be NaN
+            m2 = m2 + (scaled_delta * scaled_delta) * (done * m / total)
         done = total
     return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n) / scale
 

@@ -14,10 +14,10 @@ on a cone, an angle outside [0, theta_c)).
 
 The three samplers that test their draws (half-space, cone, Carnot) share
 one loop, ``fill_by_rejection``; each keeps only its proposal.  A Carnot
-gauge is one of the two quartic kinds, whose proposal is exact (the law of
-|z1| on the ball is a Beta law, ``CarnotSpace._quartic_law``), so its gauge
-check only guards the open ball against rounding.  The same law gives the
-ball volume and mean value constant in closed form.
+gauge is one of the two quartic kinds, whose proposal is exact (a polar
+draw with chi-square parts), so its gauge check only guards the open ball
+against rounding.  The Beta law of (|z1|/r)^4 (``CarnotSpace._quartic_law``)
+gives the ball volume and mean value constant in closed form.
 
 Cloud builders (euclidean_cloud, half_space_cloud, cone_cloud,
 carnot_ball_cloud) return finite spaces whose points are cell points and
@@ -162,11 +162,11 @@ def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
 
 
 def _to_radii(g, radii) -> np.ndarray:
-    """The rows of g, normal draws, scaled to the given lengths: points
-    isotropic on spheres of those radii."""
-    norms = np.sqrt(np.sum(g * g, axis=1))
+    """The rows of g, normal draws, scaled in place to the given lengths:
+    points isotropic on spheres of those radii."""
+    norms = np.sqrt(_kernels.square_sums(g))
     norms[norms == 0] = 1.0
-    return g * (radii / norms)[:, None]
+    return np.multiply(g, (radii / norms)[:, None], out=g)
 
 
 def fill_by_rejection(n: int, dim: int, propose) -> np.ndarray:
@@ -407,12 +407,16 @@ class CarnotSpace(ModelSpace):
         """Left-translate of uniform draws from B_r(0); unbiasedness rests on
         Haar invariance of left translation.
 
-        The draws are exact: u ~ Beta(a, b) (``_quartic_law``), z1 a normal
-        direction scaled to r u^(1/4), and z2 uniform in the second-layer
-        ball of radius (r^2/sqrt(beta)) sqrt(1 - u).  A gauge check (< r)
-        keeps every draw inside the open ball under rounding, and an
-        acceptance-rate guard bounds the loop should that check fail on
-        almost every draw.
+        The draws are exact (Devroye, 1986, ch. 4-5): on B_1(0), s = |z1|^2
+        and w = sqrt(beta) z2 have density s^(v1/2 - 1) on the half-ball
+        s^2 + |w|^2 < 1, s >= 0, so (s, w) is U^(1/(v1/2 + v2)) times the
+        direction of (A, B), with A^2 ~ chi^2(v1/2) a sum of floor(v1/2)
+        squared normals (and a chi^2(1/2) draw for odd v1) and B ~ N(0, I_v2)
+        (on heisenberg:n, a uniform point of the unit ball of R^(n+1)); z1 is
+        a normal direction scaled to sqrt(s).  A gauge check (< 1) keeps each
+        unit draw inside the open ball under rounding before the dilation by
+        r, and an acceptance-rate guard bounds the loop should that check
+        fail on almost every draw.
         """
         r = check_radius(r)
         g = self.group
@@ -430,17 +434,25 @@ class CarnotSpace(ModelSpace):
             corner_gauge = self.gauge.value(g, corner)
         if not np.isfinite(corner_gauge):
             raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
-        law = self._quartic_law()
+        half, odd = divmod(g.v1, 2)
         attempts = accepted = 0
 
         def propose(need):
             nonlocal attempts, accepted
-            u = rng.beta(*law, need)
-            z = np.empty((need, g.dim))
-            z[:, : g.v1] = _to_radii(rng.standard_normal((need, g.v1)), r * np.sqrt(np.sqrt(u)))
-            if g.v2:
-                z[:, g.v1 :] = ball_point_cloud(g.v2, 1.0, need, rng) * (v_bound * np.sqrt(1.0 - u))[:, None]
-            keep = z[self.gauge.value(g, z, threads) < r]
+            gauss = rng.standard_normal((need, half + g.dim))  # A^2's normals, z1's direction, B
+            z = gauss[:, half:]
+            a2 = _kernels.square_sums(gauss[:, :half])
+            if odd:
+                a2 += rng.chisquare(0.5, need)
+            length = np.sqrt(a2 + _kernels.square_sums(z[:, g.v1 :]))  # of (A, B)
+            length[length == 0] = 1.0
+            t = rng.random(need) ** (1.0 / (g.v1 / 2.0 + g.v2)) / length
+            _to_radii(z[:, : g.v1], np.sqrt(np.sqrt(a2) * t))
+            z[:, g.v1 :] *= (t / math.sqrt(self.gauge.beta))[:, None]
+            ok = self.gauge.value(g, z, threads) < 1.0
+            keep = z if ok.all() else z[ok]
+            keep[:, : g.v1] *= r  # CarnotStep2.dilate(r, keep), in place
+            keep[:, g.v1 :] *= r * r
             attempts += need
             accepted += keep.shape[0]
             if attempts >= 20000 and accepted < 1e-3 * attempts:

@@ -101,3 +101,16 @@ def test_block_size_never_changes_a_bit(monkeypatch):
     for budget in (1, 1 << 40):  # one row per block; a single block
         monkeypatch.setattr(k, "_BLOCK_ENTRIES", budget)
         assert all(np.array_equal(a, b) for a, b in zip(default, outputs(), strict=True))
+
+
+@pytest.mark.parametrize("width", range(11))
+def test_square_sums_match_np_sum(width):
+    # left-to-right sums keep np.sum's bits on one or two columns; past that
+    # np.sum may add in another order, and two orders of summing w
+    # nonnegative terms differ by at most (w - 1) 2^-52 of the sum
+    a = np.random.default_rng(width).standard_normal((5000, width)) * np.exp(np.arange(width))
+    got, want = k.square_sums(a), np.sum(a * a, axis=-1)
+    if width <= 2:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= (width - 1) * 2.0**-52 * want)

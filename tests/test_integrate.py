@@ -111,16 +111,21 @@ QUARTIC_SPACES = {
     "h1": lambda: mo.carnot_preset("heisenberg:1", "koranyi"),
     "h2-scaled16": lambda: mo.carnot_preset("heisenberg:2", "scaled", 16.0),
     "random-3-2": _random_3_2_space,
+    # v1 = 1: the squared length A^2 of the sampler is its chi^2(1/2) draw alone
+    "v1-1-v2-3": lambda: mo.CarnotSpace(ca.CarnotStep2(1, 3, np.zeros((3, 1, 1))), ca.Gauge("koranyi")),
 }
 
 
-@pytest.mark.parametrize("r", [0.7, 1e-100], ids=["r0.7", "r1e-100"])
+@pytest.mark.parametrize("r", [0.7, 1.3e-81, 1e-100], ids=["r0.7", "r1.3e-81", "r1e-100"])
 @pytest.mark.parametrize("name", QUARTIC_SPACES)
 def test_quartic_sampler_draws_the_uniform_ball(name, r):
     space = QUARTIC_SPACES[name]()
     g, n = space.group, 40_000
     z = it.sample_ball(space, np.zeros(g.dim), r, n, it.SeedSpec(31))
-    assert np.all(space.gauge.value(g, z) < r)
+    if r != 1.3e-81:
+        # at r = 1.3e-81, r^4 is subnormal: the computed gauge of a draw near
+        # the sphere can round up to r, so only the unit-scale check below holds
+        assert np.all(space.gauge.value(g, z) < r)
     assert np.array_equal(z, it.sample_ball(space, np.zeros(g.dim), r, n, it.SeedSpec(31), threads=4))
     # checked at unit scale: at r = 1e-100 the gauge of a draw underflows to 0
     unit = g.dilate(1.0 / r, z)
@@ -135,7 +140,8 @@ def test_quartic_sampler_draws_the_uniform_ball(name, r):
     d = z1[sq > 0] / np.sqrt(sq[sq > 0])[:, None]
     outer = (d[:, :, None] * d[:, None, :]).reshape(d.shape[0], -1)
     for vals, want in ((d, 0.0), (outer, np.eye(g.v1).ravel() / g.v1)):
-        assert np.all(np.abs(vals.mean(axis=0) - want) < 4 * vals.std(axis=0) / math.sqrt(d.shape[0]))
+        # <=: for v1 = 1, d d^T is exactly 1 on every draw, with no spread
+        assert np.all(np.abs(vals.mean(axis=0) - want) <= 4 * vals.std(axis=0) / math.sqrt(d.shape[0]))
 
 
 def test_carnot_sampler_logs_its_proposal(h1, koranyi, caplog):
@@ -231,6 +237,15 @@ def test_mc_std_error_scale_is_per_column():
     assert (means[1], errs[1]) == (tiny * means[0], tiny * errs[0])
     # a column mean sums in another order than a flat one, so the last bits may differ
     assert (means[0], errs[0]) == (pytest.approx(mean, rel=1e-12), pytest.approx(err, rel=1e-12))
+
+
+def test_mc_std_error_of_overflowing_squares_is_inf():
+    """Deviations of about 2^600 square past the double range: the error
+    bar reads inf, not the NaN of an overflowing delta^2 times 0."""
+    sq1 = Monomial(2, (2, 0))
+    scheme = it.MCScheme(1000, it.SeedSpec(6))
+    est = it.mean_over_ball(mo.Euclidean(2), lambda pts: 2.0**600 * sq1(pts), np.zeros(2), 0.8, scheme)
+    assert math.isfinite(est.value) and est.std_error == math.inf
 
 
 def test_mc_std_error_survives_large_offset():

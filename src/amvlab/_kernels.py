@@ -10,12 +10,14 @@ exactly.
 
 Reductions that could depend on execution layout are avoided here: kernels
 are elementwise or row-parallel with disjoint output slices, which is what
-makes the ``threads`` argument a no-op for the produced bits.
+makes the ``threads`` argument a no-op for the produced bits.  It is the
+width of the package's one pool, ``pool_map``, over row blocks here.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,15 +33,34 @@ def row_blocks(n_rows: int, row_len: int):
     return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
-def run_rowchunks(n_rows: int, row_len: int, threads: int, body) -> None:
-    """Run body(start, stop) over row_blocks(n_rows, row_len), optionally threaded."""
-    spans = row_blocks(n_rows, row_len)
-    if threads <= 1 or len(spans) <= 1:
-        for s, e in spans:
-            body(s, e)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda span: body(*span), spans))
+def pool_map(fn, items, threads: int) -> list:
+    """[fn(*item) for item in items] on a pool of min(threads, len(items))
+    threads, inline at threads <= 1 or one item.  A failure or an interrupt
+    stops the queue: items not yet started never run, running ones finish,
+    and the first failing item in item order re-raises, as inline (it has
+    always started).  Tasks run under the caller's numpy error state, which
+    numpy 2 keeps per context and a new thread does not inherit."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(*item) for item in items]
+    err, call = np.geterr(), np.geterrcall()
+    stop = threading.Event()
+
+    def task(item):
+        if stop.is_set():
+            return None
+        try:
+            with np.errstate(call=call, **err):
+                return fn(*item)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        try:
+            return list(pool.map(task, items))
+        finally:
+            stop.set()
 
 
 def _f64(a) -> np.ndarray:
@@ -70,7 +91,7 @@ def gauge_fourth(z1: np.ndarray, z2: np.ndarray, beta: float, threads: int = 1) 
             acc = acc + (beta * w) * w
         out[start:stop] = acc
 
-    run_rowchunks(z1.shape[0], z1.shape[1] + z2.shape[1], threads, rows)
+    pool_map(rows, row_blocks(z1.shape[0], z1.shape[1] + z2.shape[1]), threads)
     return out
 
 
@@ -79,10 +100,8 @@ def euclid_dist_matrix(pts_a: np.ndarray, pts_b: np.ndarray, threads: int = 1) -
 
     pts_a, pts_b = _f64(pts_a), _f64(pts_b)
     out = np.empty((pts_a.shape[0], pts_b.shape[0]), dtype=np.float64)
-    run_rowchunks(
-        pts_a.shape[0], pts_b.shape[0], threads,
-        lambda s, e: cdist(pts_a[s:e], pts_b, "euclidean", out=out[s:e]),
-    )
+    pool_map(lambda s, e: cdist(pts_a[s:e], pts_b, "euclidean", out=out[s:e]),
+             row_blocks(pts_a.shape[0], pts_b.shape[0]), threads)
     return out
 
 
@@ -122,7 +141,7 @@ def carnot_dist_matrix(x1, x2, y1, y2, bracket, beta: float, threads: int = 1) -
         np.sqrt(acc, out=acc)
         np.sqrt(acc, out=acc)
 
-    run_rowchunks(x1.shape[0], y1.shape[0], threads, rows)
+    pool_map(rows, row_blocks(x1.shape[0], y1.shape[0]), threads)
     return out
 
 
@@ -144,5 +163,5 @@ def cone_dist_matrix(rho_a, phi_a, rho_b, phi_b, theta_c: float, threads: int = 
     def rows(start, stop):
         out[start:stop] = cone_distance(rho_a[start:stop, None], phi_a[start:stop, None], rho_b, phi_b, theta_c)
 
-    run_rowchunks(rho_a.shape[0], rho_b.shape[0], threads, rows)
+    pool_map(rows, row_blocks(rho_a.shape[0], rho_b.shape[0]), threads)
     return out

@@ -152,10 +152,10 @@ class Gauge:
         self.kind = kind
         self.beta = beta
 
-    def value(self, group: CarnotStep2, pts, threads: int = 1) -> np.ndarray:
+    def value(self, group: CarnotStep2, pts) -> np.ndarray:
         pts = group._check(pts)
         flat = pts.reshape(-1, group.dim)
-        g4 = _kernels.gauge_fourth(flat[:, : group.v1], flat[:, group.v1 :], self.beta, threads)
+        g4 = _kernels.gauge_fourth(flat[:, : group.v1], flat[:, group.v1 :], self.beta)
         return np.sqrt(np.sqrt(g4)).reshape(pts.shape[:-1])
 
     def envelope(self, group: CarnotStep2, r: float):

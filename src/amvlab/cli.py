@@ -2,7 +2,8 @@
 
 Every run is a pure function of its parsed configuration: reports carry no
 timestamps, so identical invocations produce byte-identical JSON/CSV, and
---threads only changes how row blocks are scheduled, never an output bit.
+--threads, the width of one thread pool over a cloud build's row blocks or
+a sweep's whole Monte Carlo estimates, never changes an output bit.
 stdout carries a single verdict line plus the report path; everything else
 goes to the declared output path.
 
@@ -247,7 +248,7 @@ def cmd_carnot_constant(args) -> int:
     _above("--grid-res", 0, args.grid_res)
     grid_est, mc_est = integrate.carnot_constant_checked(
         space.group, space.gauge, integrate.MCScheme(args.mc_n, integrate.SeedSpec(args.seed)),
-        grid_res=args.grid_res, threads=args.threads,
+        grid_res=args.grid_res,
     )
     out = _write_report({"grid": asdict(grid_est), "mc": asdict(mc_est)}, args)
     print(f"PASS carnot-constant: grid {grid_est.value!r} mc {mc_est.value!r} -> {out}")
@@ -260,9 +261,7 @@ def cmd_isotropy(args) -> int:
     rng = np.random.default_rng(args.seed)
     dirs = rng.standard_normal((args.directions, space.group.v1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    ests = integrate.isotropy_check(
-        space.group, space.gauge, dirs, integrate.parse_scheme(args.scheme), threads=args.threads
-    )
+    ests = integrate.isotropy_check(space.group, space.gauge, dirs, integrate.parse_scheme(args.scheme))
     vals = [e.value for e in ests]
     ratio = max(vals) / min(vals)
     out = _write_report(
@@ -323,18 +322,17 @@ def _common(p, scheme_default=None, seed=True, threads=True):
     p.add_argument("--tolerance", type=float, default=1e-3)
     if threads:
         p.add_argument("--threads", type=int, default=1,
-                       help="row-block parallelism; never changes output bits")
+                       help="pool width over cloud row blocks or Monte Carlo estimates; never changes output bits")
     p.add_argument("--reference", type=float, default=None)
 
 
 def _group_parser(sub, name: str, summary: str, seed: int):
-    """A subcommand on preset and gauge, with --beta, --seed, --threads and --out."""
+    """A subcommand on preset and gauge, with --beta, --seed and --out."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("preset", help="heisenberg:n")
     p.add_argument("gauge", help="koranyi or scaled")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     return p
 
@@ -416,6 +414,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolutions", default="12,16,20")
     p.add_argument("--level-radii", default="0.5,0.44,0.38")
     p.add_argument("--tolerance", type=float, default=0.08)
+    p.add_argument("--threads", type=int, default=1, help="pool width over cloud row blocks; never changes output bits")
     p.set_defaults(fn=cmd_bpz_demo)
 
     return ap

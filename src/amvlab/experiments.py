@@ -14,6 +14,12 @@ optional reference.  Verdicts:
 
 Reports carry no wall-clock data, so identical inputs give byte-identical
 files.
+
+threads is decided here and nowhere below: the Monte Carlo sweeps map
+whole estimates, each a pure function of its child stream, over one pool
+(``_kernels.pool_map``).  Grid estimates run in order, as
+``integrate._check_grid`` budgets one node set; so do cloud radii, as a
+finite space compacts a smaller ball from its last one.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import mmspace
+from . import _kernels, mmspace
 from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
 from .models import CloudMeta, ModelSpace, NumericError, Region, _default_region, fill_by_rejection, mm_boundary_mass
@@ -193,6 +199,16 @@ def _scheme_for(scheme, index: int):
     return scheme
 
 
+def _laplacians(space: ModelSpace, u, jobs, scheme, threads: int) -> list[Estimate]:
+    """continuum_r_laplacian at each (stream index, point, radius) job, in
+    job order.  Monte Carlo jobs run on a pool of threads; grid jobs run in
+    order, as integrate._check_grid budgets one node set at a time."""
+    return _kernels.pool_map(
+        lambda k, x, r: continuum_r_laplacian(space, u, x, r, _scheme_for(scheme, k)),
+        jobs, threads if isinstance(scheme, MCScheme) else 1,
+    )
+
+
 def amv_sweep(
     space: ModelSpace,
     u,
@@ -206,10 +222,7 @@ def amv_sweep(
     """Scale-to-zero behaviour of the finite-scale laplacian at one point."""
     radii = check_radii(radii)
     x = np.asarray(x, dtype=np.float64)
-    estimates = [
-        continuum_r_laplacian(space, u, x, r, _scheme_for(scheme, i), threads)
-        for i, r in enumerate(radii)
-    ]
+    estimates = _laplacians(space, u, [(i, x, r) for i, r in enumerate(radii)], scheme, threads)
     meta = {
         "experiment": "amv_sweep",
         "space": space.spec(),
@@ -236,16 +249,11 @@ def strong_amv_scan(
     """
     radii = check_radii(radii)
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=np.float64))
-    estimates = []
-    for i, r in enumerate(radii):
-        best = None
-        for j, p in enumerate(grid_points):
-            est = continuum_r_laplacian(
-                space, u, p, r, _scheme_for(scheme, i * len(grid_points) + j), threads
-            )
-            if best is None or abs(est.value) > abs(best.value):
-                best = est
-        estimates.append(Estimate(abs(best.value), best.std_error, best.n, best.method))
+    m = len(grid_points)
+    jobs = [(i * m + j, p, r) for i, r in enumerate(radii) for j, p in enumerate(grid_points)]
+    flat = _laplacians(space, u, jobs, scheme, threads)
+    sups = [max(flat[k : k + m], key=lambda e: abs(e.value)) for k in range(0, len(flat), m)]  # first of ties
+    estimates = [Estimate(abs(e.value), e.std_error, e.n, e.method) for e in sups]
     meta = {
         "experiment": "strong_amv_scan",
         "space": space.spec(),

@@ -232,13 +232,13 @@ def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, r: float, res: int)
 # ---------------------------------------------------------------------------
 
 
-def sample_ball(space: ModelSpace, x, r, n: int, seed: SeedSpec, threads: int = 1) -> np.ndarray:
+def sample_ball(space: ModelSpace, x, r, n: int, seed: SeedSpec) -> np.ndarray:
     """n points uniform for the space's measure on B_r(x); deterministic in
     (inputs, seed)."""
     n = int(n)
     if n < 1:
         raise InputError("sample count must be >= 1")
-    return space.sample_ball(x, float(r), n, seed.generator(), threads)
+    return space.sample_ball(x, float(r), n, seed.generator())
 
 
 def _mc_moments(draw, f, scheme: MCScheme):
@@ -285,7 +285,7 @@ def _mc_moments(draw, f, scheme: MCScheme):
     return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n) / scale
 
 
-def _ball_moments(space: ModelSpace, f, x, r, scheme, threads: int = 1):
+def _ball_moments(space: ModelSpace, f, x, r, scheme):
     """Mean of f over B_r(x), its standard error, the node or draw count and
     the method, for f with one value or one row of values per point."""
     r = float(r)
@@ -300,18 +300,18 @@ def _ball_moments(space: ModelSpace, f, x, r, scheme, threads: int = 1):
         mean = np.sum(vals.T * weights, axis=-1) / np.sum(weights)
         return mean, np.zeros_like(mean), weights.size, "grid"
     if isinstance(scheme, MCScheme):
-        mean, std_error = _mc_moments(lambda m, rng: space.sample_ball(x, r, m, rng, threads), f, scheme)
+        mean, std_error = _mc_moments(lambda m, rng: space.sample_ball(x, r, m, rng), f, scheme)
         return mean, std_error, scheme.n, "mc"
     raise InputError(f"unknown scheme {scheme!r}")
 
 
-def mean_over_ball(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
+def mean_over_ball(space: ModelSpace, u, x, r, scheme) -> Estimate:
     """Mean value of u over B_r(x) with error accounting."""
-    mean, std_error, n, method = _ball_moments(space, u, x, r, scheme, threads)
+    mean, std_error, n, method = _ball_moments(space, u, x, r, scheme)
     return Estimate(float(mean), float(std_error), n, method)
 
 
-def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) -> Estimate:
+def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme) -> Estimate:
     """Mean of u(y) - u(x) over y in B_r(x), divided by r^2.
 
     Averaging the difference centres the samples on u(x), so the mean keeps
@@ -335,7 +335,7 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
     ux = float(u(x[None, :])[0])
     pair = space.antithetic(x) if isinstance(scheme, MCScheme) else None
     if pair is None:
-        est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme, threads)
+        est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme)
     else:
 
         def centred_pair_mean(z):
@@ -343,7 +343,7 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
             return 0.5 * ((u(a) - ux) + (u(b) - ux))
 
         pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
-        est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs, threads)
+        est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs)
     return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
 
 
@@ -352,7 +352,7 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme, threads: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) -> Estimate:
+def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme) -> Estimate:
     """Leading mean-value coefficient: mean of |z1|^2 over the unit gauge
     ball divided by 2*v1 (so the small-r expansion of the ball mean of u
     reads u(x) + C r^2 * (horizontal Laplacian) + o(r^2))."""
@@ -361,21 +361,21 @@ def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme, threads: int = 1) 
         z1 = pts[..., : group.v1]
         return np.sum(z1 * z1, axis=-1)
 
-    est = mean_over_ball(CarnotSpace(group, gauge), hsq, np.zeros(group.dim), 1.0, scheme, threads)
+    est = mean_over_ball(CarnotSpace(group, gauge), hsq, np.zeros(group.dim), 1.0, scheme)
     c = 1.0 / (2.0 * group.v1)
     return Estimate(c * est.value, c * est.std_error, est.n, est.method)
 
 
 def carnot_constant_checked(
-    group: CarnotStep2, gauge: Gauge, mc_scheme: MCScheme, grid_res: int, threads: int = 1
+    group: CarnotStep2, gauge: Gauge, mc_scheme: MCScheme, grid_res: int
 ) -> tuple[Estimate, Estimate]:
     """Grid and Monte Carlo estimates of the constant, cross-validated.
 
     Raises NumericError when the two schemes disagree beyond
     max(3 sigma, CONSTANT_REL_TOL * value).
     """
-    grid = carnot_constant(group, gauge, GridScheme(grid_res), threads)
-    mc = carnot_constant(group, gauge, mc_scheme, threads)
+    grid = carnot_constant(group, gauge, GridScheme(grid_res))
+    mc = carnot_constant(group, gauge, mc_scheme)
     gap = abs(grid.value - mc.value)
     allowed = max(3.0 * mc.std_error, CONSTANT_REL_TOL * abs(grid.value))
     if gap > allowed:
@@ -386,9 +386,7 @@ def carnot_constant_checked(
     return grid, mc
 
 
-def isotropy_check(
-    group: CarnotStep2, gauge: Gauge, directions, scheme, threads: int = 1
-) -> list[Estimate]:
+def isotropy_check(group: CarnotStep2, gauge: Gauge, directions, scheme) -> list[Estimate]:
     """Second moment of <a, z1> over the unit gauge ball per direction a.
 
     All directions share one sample stream (or one node set), which keeps
@@ -406,8 +404,7 @@ def isotropy_check(
         return proj * proj
 
     space = CarnotSpace(group, gauge)
-    mean, std_error, n, method = _ball_moments(space, squared_projections, np.zeros(group.dim), 1.0,
-                                               scheme, threads)
+    mean, std_error, n, method = _ball_moments(space, squared_projections, np.zeros(group.dim), 1.0, scheme)
     return [Estimate(float(v), float(s), n, method) for v, s in zip(mean, std_error)]
 
 

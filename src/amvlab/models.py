@@ -88,7 +88,7 @@ class ModelSpace:
         # non-finite and is refused downstream), not an OverflowError
         return vol / (unit_ball_volume(self.dim) * np.float64(r) ** self.dim)
 
-    def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
+    def sample_ball(self, x, r, n, rng) -> np.ndarray:
         raise NotImplementedError
 
     def _centre(self, x) -> np.ndarray:
@@ -146,7 +146,7 @@ class Euclidean(_Flat):
         self._centre(x)
         return unit_ball_volume(self.dim) * r**self.dim, "exact"
 
-    def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
+    def sample_ball(self, x, r, n, rng) -> np.ndarray:
         r = check_radius(r)
         return self.translate(x, ball_point_cloud(self.dim, r, n, rng))
 
@@ -221,7 +221,7 @@ class HalfSpace(_Flat):
             return full, "exact"
         return full * (1.0 - float(_halfspace_deficit(h / r, self.dim))), "exact"
 
-    def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
+    def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
         r = check_radius(r)
         x = self._centre(x)
@@ -314,7 +314,7 @@ class FlatCone(ModelSpace):
             total += float(np.sum(weights * 0.5 * hi * hi))
         return 2.0 * total, "quadrature"
 
-    def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
+    def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Rejection from an annulus-sector envelope in (rho, phi)."""
         r = check_radius(r)
         x = self._centre(x)
@@ -403,7 +403,7 @@ class CarnotSpace(ModelSpace):
         c, method = self.unit_ball_volume()
         return c * r**self.group.homogeneous_dim, method
 
-    def sample_ball(self, x, r, n, rng, threads: int = 1) -> np.ndarray:
+    def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Left-translate of uniform draws from B_r(0); unbiasedness rests on
         Haar invariance of left translation.
 
@@ -449,7 +449,7 @@ class CarnotSpace(ModelSpace):
             t = rng.random(need) ** (1.0 / (g.v1 / 2.0 + g.v2)) / length
             _to_radii(z[:, : g.v1], np.sqrt(np.sqrt(a2) * t))
             z[:, g.v1 :] *= (t / math.sqrt(self.gauge.beta))[:, None]
-            ok = self.gauge.value(g, z, threads) < 1.0
+            ok = self.gauge.value(g, z) < 1.0
             keep = z if ok.all() else z[ok]
             keep[:, : g.v1] *= r  # CarnotStep2.dilate(r, keep), in place
             keep[:, g.v1 :] *= r * r
@@ -711,7 +711,7 @@ def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
         blocks.append((s, e, d[kept], np.broadcast_to(near, d.shape)[kept]))
         scanned.append(d.size)
 
-    _kernels.run_rowchunks(n, n, threads, rows)
+    _kernels.pool_map(rows, _kernels.row_blocks(n, n), threads)
     dist, cols = packed_table(counts, blocks)
     logger.debug("cut table of n=%d at cut %r: kernel on %.4f of the n^2 pairs, width %d, mean row %.1f",
                  n, cut, sum(scanned) / n**2, dist.shape[1], counts.mean())
@@ -805,7 +805,7 @@ def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: i
     kept = {}
 
     def in_ball(pts):
-        vals = space.gauge.value(g, pts, threads)
+        vals = space.gauge.value(g, pts)
         inside = vals <= R
         kept["gauge"] = vals[inside]
         return inside

@@ -6,6 +6,8 @@ nor the row-block size (``_kernels.row_blocks``) may change an output bit.
 The point counts span many row blocks, so two threads really split the work.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,35 @@ def test_block_size_never_changes_a_bit(monkeypatch):
     for budget in (1, 1 << 40):  # one row per block; a single block
         monkeypatch.setattr(k, "_BLOCK_ENTRIES", budget)
         assert all(np.array_equal(a, b) for a, b in zip(default, outputs(), strict=True))
+
+
+def test_pool_tasks_keep_the_callers_error_state():
+    # numpy 2 keeps its error state per context, which a new thread does not
+    # inherit; each task re-enters the caller's, so both overflows reach the
+    # callback instead of warning
+    spans = k.row_blocks(2, k._BLOCK_ENTRIES)
+    assert len(spans) == 2
+    big, seen = np.full(2, 1e300), []
+    with np.errstate(over="call", call=lambda kind, flag: seen.append(kind)):
+        out = k.pool_map(lambda s, e: big[s:e] * big[s:e], spans, threads=2)
+    assert seen == ["overflow"] * 2 and np.all(np.isinf(out))
+
+
+def test_a_failing_item_stops_the_pool_queue():
+    # item 0 fails at once, while item 1 (if its thread has started) sleeps:
+    # items 2.. never start, and the error is item 0's, as inline
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError("item 0")
+        if i == 1:
+            time.sleep(0.2)
+
+    with pytest.raises(ValueError, match="item 0"):
+        k.pool_map(item, [(i,) for i in range(8)], threads=2)
+    assert 0 in ran and set(ran) <= {0, 1}
 
 
 @pytest.mark.parametrize("width", range(11))

@@ -132,9 +132,9 @@ def test_dirichlet_reports_the_residual_of_its_solution(tmp_path):
          "--cloud-cells", "8", "--radii", "0.4,0.2", "--seed", "4"],
         ["mm-boundary", "half:2", "--radii", "0.4,0.2", "--reference", "0.2", "--tolerance", "0.5"],
         ["carnot-constant", "heisenberg:1", "scaled", "--beta", "16", "--mc-n", "20000",
-         "--grid-res", "8", "--threads", "2"],
+         "--grid-res", "8"],
         ["isotropy", "heisenberg:1", "scaled", "--beta", "16", "--scheme", "grid:4", "--directions", "3",
-         "--threads", "2", "--tolerance", "0.5"],
+         "--tolerance", "0.5"],
         ["dirichlet", "{tmp}/space.txt", "{tmp}/mask.txt", "--r", "1.5"],
         ["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "6", "--level-radii", "0.6",
          "--field", "coord:2", "--tolerance", "0.5"],
@@ -409,20 +409,30 @@ def test_bpz_demo_runs_where_the_dense_route_is_refused(tmp_path, cli_env):
     assert rep.metadata["cloud_sizes"][-1] == 13564 and rep.verdict == "pass"
 
 
-def test_threads_do_not_change_bits(tmp_path, cli_env):
-    base = ["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq",
-            "--point", "0,0,0", "--radii", "0.5:4:0.5", "--scheme", "mc:100000:9",
-            "--tolerance", "0.01"]
-    p1 = run_cli([*base, "--threads", "1", "--out", "t1.json"], cwd=tmp_path, env=cli_env)
-    p4 = run_cli([*base, "--threads", "4", "--out", "t4.json"], cwd=tmp_path, env=cli_env)
-    assert p1.returncode == 0 and p4.returncode == 0, p1.stderr + p4.stderr
+@pytest.mark.parametrize(
+    "base, many, code",
+    [
+        pytest.param(["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
+                      "--radii", "0.5:4:0.5", "--scheme", "mc:100000:9", "--tolerance", "0.01"], "4", 0,
+                     id="amv-sweep"),
+        # the last two have no reference: the verdict is inconclusive
+        pytest.param(["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "3",
+                      "--scheme", "mc:2000:4", "--radii", "0.5,0.25"], "3", 1, id="strong-scan"),
+        pytest.param(["amv-sweep", "cone:4.5", "--field", "harmonic3", "--point", "0.5,0.3",
+                      "--scheme", "mc:4000:2", "--radii", "0.3,0.2,0.1"], "3", 1, id="amv-sweep-cone"),
+    ],
+)
+def test_threads_do_not_change_bits(tmp_path, cli_env, base, many, code):
+    p1, pn = (run_cli([*base, "--threads", t, "--out", f"t{t}.json"], cwd=tmp_path, env=cli_env) for t in ("1", many))
+    assert p1.returncode == pn.returncode == code, p1.stderr + pn.stderr
+    assert p1.stdout.replace("t1.json", f"t{many}.json") == pn.stdout and p1.stderr == pn.stderr == ""
     a = json.loads((tmp_path / "t1.json").read_text())
-    b = json.loads((tmp_path / "t4.json").read_text())
+    b = json.loads((tmp_path / f"t{many}.json").read_text())
     for d in (a, b):
         d["metadata"]["config"]["threads"] = 0
         d["metadata"]["config"]["out"] = None
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert (tmp_path / "t1.csv").read_text() == (tmp_path / "t4.csv").read_text()
+    assert (tmp_path / "t1.csv").read_text() == (tmp_path / f"t{many}.csv").read_text()
 
 
 def test_repeat_runs_byte_identical(tmp_path, cli_env):
@@ -451,14 +461,22 @@ def test_weak_sweep_on_a_cut_cloud_keeps_bits_across_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_numpy_warnings_stay_off_stderr(tmp_path, cli_env):
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        ([], "the estimate at radius 0.4 is not finite (value nan, std error 0.0)"),
+        # the estimates run on pool threads, which must keep the CLI's error state
+        (["--scheme", "mc:1000:1", "--threads", "2"],
+         "the estimate at radius 0.4 is not finite (value nan, std error nan)"),
+    ],
+    ids=["grid", "mc-on-2-threads"],
+)
+def test_numpy_warnings_stay_off_stderr(tmp_path, cli_env, extra, error):
     # the field overflows at this point: the run exits 2 with one ERROR line
-    p = run_cli(["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "1e200,0", "--out", "r.json"],
+    p = run_cli(["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "1e200,0", "--out", "r.json", *extra],
                 cwd=tmp_path, env=cli_env)
     assert p.returncode == 2
-    assert p.stderr.splitlines() == [
-        "ERROR amv-sweep: the estimate at radius 0.4 is not finite (value nan, std error 0.0)"
-    ], p.stderr
+    assert p.stderr.splitlines() == [f"ERROR amv-sweep: {error}"], p.stderr
     assert not list(tmp_path.iterdir())
 
 

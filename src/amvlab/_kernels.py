@@ -33,6 +33,13 @@ def row_blocks(n_rows: int, row_len: int):
     return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
+def row_runs(offsets):
+    """Fixed (start, stop) spans of whole CSR rows, one from the first row at
+    or after each multiple of _BLOCK_ENTRIES entries."""
+    starts = np.unique(np.searchsorted(offsets[:-1], np.arange(0, offsets[-1], _BLOCK_ENTRIES))).tolist()
+    return list(zip(starts, starts[1:] + [len(offsets) - 1]))
+
+
 def pool_map(fn, items, threads: int) -> list:
     """[fn(*item) for item in items] on a pool of min(threads, len(items))
     threads, inline at threads <= 1 or one item.  A failure or an interrupt

@@ -56,7 +56,7 @@ def parse_radii(spec: str) -> list[float]:
         tok = spec.split(":")
         if len(tok) != 3:
             raise InputError("a geometric radii spec is r0:count:ratio")
-        return experiments.default_radii(float(tok[0]), int(tok[1]), float(tok[2]))
+        return experiments.check_radii(experiments.default_radii(float(tok[0]), int(tok[1]), float(tok[2])))
 
 
 def parse_point(spec: str) -> np.ndarray:
@@ -192,6 +192,7 @@ def cmd_amv_sweep(args) -> int:
     x = parse_point(args.point)
     radii = parse_radii(args.radii)
     scheme = integrate.parse_scheme(args.scheme)
+    _above("--threads", 0, args.threads)
     reference = args.reference if args.reference is not None else _auto_reference(space, u, x)
     report = experiments.amv_sweep(
         space, u, x, radii, scheme, reference=reference, tolerance=args.tolerance, threads=args.threads
@@ -207,6 +208,7 @@ def cmd_strong_scan(args) -> int:
     with malformed("annulus", args.annulus):
         lo, hi = (float(v) for v in args.annulus.split(","))
     _above("--grid-size", 0, args.grid_size)
+    _above("--threads", 0, args.threads)
     grid = experiments.gauge_annulus_grid(space, lo, hi, args.grid_size, args.seed)
     report = experiments.strong_amv_scan(
         space, u, grid, parse_radii(args.radii), integrate.parse_scheme(args.scheme),
@@ -221,6 +223,7 @@ def cmd_weak_sweep(args) -> int:
     phi = build_phi(space, args.phi)
     radii = parse_radii(args.radii)
     _above("--cloud-cells", 1, args.cloud_cells)
+    _above("--threads", 0, args.threads)
     cloud, pts, meta = default_cloud(space, args.cloud_cells, args.seed, args.threads, cut=radii[0])
     fn = experiments.sym_vs_plain_sweep if args.command == "sym-vs-plain" else experiments.weak_amv_sweep
     report = fn(cloud, pts, meta, u, phi, radii, reference=args.reference, tolerance=args.tolerance)
@@ -301,6 +304,7 @@ def cmd_bpz_demo(args) -> int:
         level_radii = [float(v) for v in args.level_radii.split(",")]
     _above("--R", 0, args.R)
     _above("--resolutions", 0, *resolutions)
+    _above("--threads", 0, args.threads)
     report = dirichlet.bpz_demo(
         space.group, space.gauge, u, args.R, resolutions, level_radii,
         seed=args.seed, tolerance=args.tolerance, threads=args.threads,

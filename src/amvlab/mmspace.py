@@ -3,12 +3,11 @@
 A finite space is a positive mass per point plus one table of row
 neighbours; its points are their indices 0 .. n-1, and any other point
 (a negative or too large index, a float, a string) is refused with
-InputError.  dist[i, c] is the symmetric nonnegative distance from point i
-to point cols[i, c].  With cols None the table is full, the n x n distance
-matrix.  A cut table keeps, per row in ascending column order, every point
-at distance <= the space's cut radius, padded to the widest row with
-entries of distance +inf, which lie in no ball and equal no radius; radii
-above the cut are refused.  Balls use the open convention B_r(x) = {y : d(x,y) < r},
+InputError.  With cols None the table is full, the n x n distance matrix
+dist.  A cut table is CSR without padding: row i's entries offsets[i] ..
+offsets[i+1]-1 are every point cols[e] at distance dist[e] <= the space's
+cut radius, columns ascending, its zero diagonal included; radii above
+the cut are refused.  Balls use the open convention B_r(x) = {y : d(x,y) < r},
 so every center belongs to its own ball and all ball masses are positive.
 Radii that coincide exactly with a pairwise distance sit on a measure
 discontinuity; callers should perturb such radii (see
@@ -20,18 +19,15 @@ index-ascending order so results do not depend on evaluation layout.
 
 Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
-once and owns the only row-block pass (``_kernels.row_blocks``, about
-1 MiB of float64 per block), which fills a bool mask and two float scratch
-buffers in place, allocated once per pass.  Below a cut table's cut the
-ball object sums over its own table, the entries < r compacted from the
-last ball's table (a shrinking radius) or the space's; a full table is
-never compacted.  The ball masses, A_r and A_r* are one ball sum,
-``_Balls.sums``.  Fills read per-point vectors at the ball table's
-columns through ``_Balls.take``, which hands back the vector itself on a
-full table.  Every row still sums its whole table row, so the block size
-never changes a bit.  The mean value kernel k_r has one definition,
-``_kernel_rows``: the requested rows as CSR on the ball pattern, read off
-the ball's table; ``kernel_matrix`` is its dense form.
+once and owns the only block pass, ``_Balls.row_sums``, over row blocks of
+a full table (``_kernels.row_blocks``) or runs of whole rows of a cut one
+(``_kernels.row_runs``).  Below a cut table's cut the ball object sums
+over its own table, the entries < r of the last ball's table (a shrinking
+radius) or the space's; a full table is never compacted.  The ball
+masses, A_r and A_r* are one ball sum, ``_Balls.sums``.  The mean value
+kernel k_r has one definition, ``_kernel_rows``: the requested rows as
+CSR on the ball pattern, read off the ball's table; ``kernel_matrix`` is
+its dense form, and ``ball`` one row's pattern.
 
 Text input has one edge, next to ``InputError``: ``opened`` (path or file
 object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
@@ -51,7 +47,7 @@ import resource
 import numpy as np
 from scipy import sparse
 
-from ._kernels import row_blocks
+from ._kernels import row_blocks, row_runs
 
 logger = logging.getLogger("amvlab.mmspace")
 
@@ -106,23 +102,21 @@ def line_fields(line: str, types, grammar: str) -> list:
 class FiniteMMSpace:
     """Finite point set with symmetric distances and point masses.
 
-    Points are their indices 0 .. n-1, the order of dist and mass.  dist
-    is the full n x n distance matrix, or with cols and cut a cut table
-    (see the module docstring): row i holds every point j with
-    d(i, j) <= cut at dist[i, c], cols[i, c] = j, columns ascending, and
-    padding entries of distance +inf (any column).  The triangle inequality is
+    Points are their indices 0 .. n-1, the order of mass.  dist is the full
+    n x n distance matrix, or with cols, offsets and cut a cut table in CSR
+    (see the module docstring): entry e of row i holds the point cols[e]
+    with d(i, cols[e]) = dist[e] <= cut.  The triangle inequality is
     deliberately not validated: none of the averaging operators use it,
     and the identity tests cover arbitrary symmetric "distances".  A space
     is immutable once built.
     """
 
-    def __init__(self, dist, mass, cols=None, cut=None):
+    def __init__(self, dist, mass, cols=None, offsets=None, cut=None):
         dist = np.asarray(dist, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        if dist.ndim != 2 or (cols is None and dist.shape[0] != dist.shape[1]):
-            raise InputError("dist must be a square matrix" if cols is None else "dist must be a table")
-        n = dist.shape[0]
-        if mass.shape != (n,):
+        if cols is None and (dist.ndim != 2 or dist.shape[0] != dist.shape[1]):
+            raise InputError("dist must be a square matrix")
+        if mass.ndim != 1 or cols is None and mass.size != dist.shape[0]:
             raise InputError("mass must be a vector matching the point count")
         if not np.all(np.isfinite(mass)):
             raise InputError("dist and mass must be finite")
@@ -130,21 +124,15 @@ class FiniteMMSpace:
             _check_matrix(dist)
             self.cut = math.inf
         else:
-            cols = np.asarray(cols)
+            cols, offsets = np.asarray(cols), np.asarray(offsets)
             if cut is None or not (0 < cut < math.inf):
                 raise InputError(f"a cut table needs a positive finite cut radius, got {cut!r}")
             self.cut = float(cut)
-            _check_table(dist, cols, self.cut)
+            _check_table(dist, cols, offsets, mass.size, self.cut)
         if np.any(mass <= 0):
             raise InputError("mass must be positive")
-        self.dist = dist
-        self.cols = cols
-        self.mass = mass
+        self.dist, self.cols, self.offsets, self.mass, self.n = dist, cols, offsets, mass, mass.size
         self._last_balls = None
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
 
     def index_of(self, point) -> int:
         """The index of point, which must be an integer (numpy integers too) in [0, n)."""
@@ -162,19 +150,13 @@ class FiniteMMSpace:
             raise InputError(f"radius {r!r} is above the cut {self.cut!r} of the space's neighbour table")
         return r
 
-    def take(self, v, rows) -> np.ndarray:
-        """Per-point vector v at the table columns of rows (an index, slice or
-        index array); on a full table that is v itself, which broadcasts."""
-        return v if self.cols is None else v[self.cols[rows]]
-
     def as_matrix(self, table, fill=0.0) -> np.ndarray:
         """Table entries spread over an n x n matrix, fill where the table
         holds no entry; a full table's entries are returned as they are."""
         if self.cols is None:
             return table
-        real = self.dist != np.inf
         out = np.full((self.n, self.n), fill)
-        out[np.nonzero(real)[0], self.cols[real]] = table[real]
+        out[np.repeat(np.arange(self.n), np.diff(self.offsets)), self.cols] = table
         return out
 
     def _balls(self, r) -> _Balls:
@@ -188,14 +170,20 @@ class FiniteMMSpace:
         return balls
 
 
-def _check_matrix(dist) -> None:
-    """Refuse a full table that is not a distance matrix."""
+def _check_values(dist) -> float:
+    """Refuse non-finite or negative distances; the largest distance."""
     # reductions, not elementwise tests: no n x n bool temporary
     lo, hi = dist.min(initial=0.0), dist.max(initial=0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("dist and mass must be finite")
     if lo < 0:
         raise InputError("dist must be nonnegative")
+    return hi
+
+
+def _check_matrix(dist) -> None:
+    """Refuse a full table that is not a distance matrix."""
+    _check_values(dist)
     if np.any(np.diag(dist) != 0):
         raise InputError("dist must have a zero diagonal")
     # cache-sized tiles of the upper triangle vs their mirrors (dist.T strides columns)
@@ -207,29 +195,25 @@ def _check_matrix(dist) -> None:
         raise InputError("dist must be symmetric")
 
 
-def _check_table(dist, cols, cut: float) -> None:
-    """Refuse a cut table that breaks the layout of FiniteMMSpace."""
-    n = dist.shape[0]
-    if cols.shape != dist.shape or not np.issubdtype(cols.dtype, np.integer):
-        raise InputError("cols must be an integer table of the shape of dist")
+def _check_table(dist, cols, offsets, n: int, cut: float) -> None:
+    """Refuse a cut table of n points that breaks the CSR layout of
+    FiniteMMSpace; the arrays are checked as they are, not copied."""
+    if dist.ndim != 1 or cols.shape != dist.shape or not np.issubdtype(cols.dtype, np.integer):
+        raise InputError("a cut table's dist and cols must be entry vectors of one length, cols integer")
+    if (offsets.shape != (n + 1,) or not np.issubdtype(offsets.dtype, np.integer) or offsets[0] != 0
+            or offsets[-1] != dist.size or np.any(np.diff(offsets) < 0)):
+        raise InputError("row offsets must be n + 1 integers rising from 0 to the entry count")
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise InputError("cols must hold point indices")
-    real = dist != np.inf
-    lo = dist.min(initial=0.0)
-    if not np.isfinite(lo):
-        raise InputError("dist and mass must be finite")
-    if lo < 0:
-        raise InputError("dist must be nonnegative")
-    if dist.max(where=real, initial=0.0) > cut:
+    if _check_values(dist) > cut:
         raise InputError(f"a table cut at {cut!r} holds no larger distance")
-    # offsets as narrow as the table allows, or scipy widens int32 columns to int64 copies
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1)))).astype(
-        sparse.get_index_dtype(maxval=dist.size))
-    table = sparse.csr_array((dist[real], cols[real], indptr), shape=(n, n))
+    # offsets as narrow as the columns allow, or scipy widens int32 columns to int64 copies
+    indptr = offsets.astype(sparse.get_index_dtype((cols,), maxval=dist.size))
+    table = sparse.csr_array((dist, cols, indptr), shape=(n, n))
     if not table.has_canonical_format:
         raise InputError("table columns must ascend along each row")
-    diag = real & (cols == np.arange(n)[:, None])
-    if np.any(np.count_nonzero(diag, axis=1) != 1) or np.any(dist[diag] != 0):
+    diag = cols == np.repeat(np.arange(n), np.diff(offsets))  # at most one per row, columns ascending
+    if np.count_nonzero(diag) != n or np.any(dist[diag] != 0):
         raise InputError("dist must have a zero diagonal")
     # a symmetric table is its own transpose, entry for entry
     mirror = table.T.tocsr()
@@ -262,22 +246,8 @@ def is_collision_radius(space: FiniteMMSpace, r) -> bool:
 def ball(space: FiniteMMSpace, x, r):
     """Members and total mass of the open ball around point x (an index)."""
     r = space.radius(r)
-    i = space.index_of(x)
-    members = space.take(np.arange(space.n), i)[space.dist[i] < r]
+    members = _kernel_rows(space, r, [space.index_of(x)]).indices
     return members, float(np.sum(space.mass[members]))
-
-
-def packed_table(counts, blocks):
-    """The cut-table layout of rows holding counts[i] entries each: entries
-    left-packed in their given order, padded with +inf (column 0) to the
-    widest row.  blocks yields (start, stop, distances, columns), the
-    entries of rows start .. stop-1 in row-major order."""
-    width = int(counts.max(initial=0))
-    dist, cols = np.full((counts.size, width), np.inf), np.zeros((counts.size, width), dtype=np.int32)
-    for s, e, d, c in blocks:
-        real = np.arange(width) < counts[s:e, None]
-        dist[s:e][real], cols[s:e][real] = d, c
-    return dist, cols
 
 
 class _Balls:
@@ -287,56 +257,63 @@ class _Balls:
 
     On a full table, and on a cut table at its cut, that table is the
     space's own.  Below the cut it is the source's table (the space's, or
-    the last ball's when the radius shrinks) compacted row block by row
-    block to its entries < r, in the same layout, so each sum runs over its
-    own balls and not over the cut's.  A full table is never compacted.
+    the last ball's when the radius shrinks) cut down to its entries < r,
+    so each sum runs over its own balls and not over the cut's.  A full
+    table is never compacted.
     """
 
     def __init__(self, space: FiniteMMSpace, r: float, source):
         # the space's arrays, not the space, which keeps this object: no cycle
-        self.dist, self.cols, self.r = space.dist, space.cols, r
+        self.dist, self.cols, self.offsets, self.n, self.r = space.dist, space.cols, space.offsets, space.n, r
         if space.cols is not None and r < space.cut:
-            self.dist, self.cols = self._compacted(source.dist, source.cols)
+            kept = np.flatnonzero(source.dist < r)  # a row's kept entries start at its first one's rank
+            self.dist, self.cols = source.dist[kept], source.cols[kept]
+            self.offsets = np.searchsorted(kept, source.offsets)
+            counts = np.diff(self.offsets)
+            logger.debug("ball table at radius %r: %d -> %d entries, mean row %.1f, widest %d",
+                         r, source.dist.size, kept.size, counts.mean(), counts.max(initial=0))
         self.masses = self.sums(space.mass)
         self.inv = 1.0 / self.masses
 
-    take = FiniteMMSpace.take
+    def take(self, v, span) -> np.ndarray:
+        """Per-point vector v at the columns of a block's entries (see
+        row_sums); on a full table that is v itself, which broadcasts."""
+        return v if self.cols is None else np.take(v, self.cols[span[0]])
 
-    def _compacted(self, dist, cols):
-        """The entries of the table (dist, cols) at distance < r."""
-        spans, counts = row_blocks(*dist.shape), np.empty(dist.shape[0], dtype=np.intp)
-        for s, e in spans:
-            counts[s:e] = np.count_nonzero(dist[s:e] < self.r, axis=1)
-
-        def blocks():
-            for s, e in spans:
-                keep = dist[s:e] < self.r
-                yield s, e, dist[s:e][keep], cols[s:e][keep]
-
-        out = packed_table(counts, blocks())
-        logger.debug("ball table at radius %r: width %d -> %d", self.r, dist.shape[1], out[0].shape[1])
-        return out
+    def own(self, v, span) -> np.ndarray:
+        """Per-point vector v at each entry's own row, for a block's entries."""
+        rows, counts = span[1:]
+        return v[rows, None] if counts is None else np.repeat(v[rows], counts)
 
     def sums(self, v) -> np.ndarray:
         """Row sums of w * v_y: the sum of the per-point vector v over each ball."""
-        return self.row_sums(lambda rows, w, a, b: np.multiply(w, self.take(v, rows), out=a))
+        return self.row_sums(lambda span, w, a, b: np.multiply(w, self.take(v, span), out=a))
 
     def row_sums(self, fill) -> np.ndarray:
-        """Row sums of the summands fill(rows, w, a, b) leaves in a, per row
-        block (the slice rows), with w = (dist < r) and a, b scratch of the
-        block's shape; fills read per-point vectors at the block's columns
-        as take(v, rows).  Scratch is per pass, so passes on one
-        object stay independent."""
-        n, k = self.dist.shape
-        spans = row_blocks(n, k)
-        step = spans[0][1] if spans else 0
-        w_buf, a_buf, b_buf = np.empty((step, k), dtype=bool), np.empty((step, k)), np.empty((step, k))
+        """Row sums of the summands fill(span, w, a, b) leaves in a, block by
+        block, with w = (dist < r) on the block's entries and a, b scratch
+        of their shape; fills read per-point vectors at the entries'
+        columns as take(v, span) and at their own rows as own(v, span).  A
+        full table's block is 2-D, rows s .. e-1 by all n columns, summed
+        along axis 1 (the identity suite's residuals are recorded to their
+        bits); a cut table's is flat, summed per row by reduceat.  Scratch
+        is per pass, so passes on one object stay independent."""
+        n, o, full = self.n, self.offsets, self.cols is None
+        spans = row_blocks(n, n) if full else row_runs(o)
+        size = max(((e - s) * n if full else o[e] - o[s] for s, e in spans), default=0)
+        w_buf, a_buf, b_buf = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
         out = np.empty(n)
         for s, e in spans:
-            w, a, b = w_buf[: e - s], a_buf[: e - s], b_buf[: e - s]
-            np.less(self.dist[s:e], self.r, out=w)
-            fill(slice(s, e), w, a, b)
-            a.sum(axis=1, out=out[s:e])
+            # (the table's index of the entries, their rows, each row's count)
+            span = (slice(s, e), slice(s, e), None) if full else (slice(o[s], o[e]), slice(s, e), np.diff(o[s : e + 1]))
+            shape = (e - s, n) if full else (o[e] - o[s],)
+            w, a, b = (buf[: math.prod(shape)].reshape(shape) for buf in (w_buf, a_buf, b_buf))
+            np.less(self.dist[span[0]], self.r, out=w)
+            fill(span, w, a, b)
+            if full:
+                a.sum(axis=1, out=out[s:e])
+            else:
+                np.add.reduceat(a, o[s:e] - o[s], out=out[s:e])
         return out
 
 
@@ -387,8 +364,14 @@ def _kernel_rows(space: FiniteMMSpace, r, rows) -> sparse.csr_array:
     if rows.ndim != 1 or rows.size and not (rows.dtype.kind in "iu" and 0 <= rows.min() <= rows.max() < space.n):
         raise InputError(f"rows must be point indices, integers in [0, {space.n})")
     rows = rows.astype(np.intp)
-    entry_row, c = np.nonzero(balls.dist[rows] < balls.r)
-    cols = c if balls.cols is None else balls.cols[rows[entry_row], c]
+    if balls.cols is None:
+        entry_row, cols = np.nonzero(balls.dist[rows] < balls.r)
+    else:  # the rows' entries, then those < r
+        starts, counts = balls.offsets[rows], balls.offsets[rows + 1] - balls.offsets[rows]
+        entry_row = np.repeat(np.arange(rows.size), counts)
+        entries = np.arange(entry_row.size) + (starts - np.cumsum(counts) + counts)[entry_row]
+        keep = balls.dist[entries] < balls.r
+        entry_row, cols = entry_row[keep], balls.cols[entries[keep]]
     inv = balls.inv
     indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_row, minlength=rows.size))))
     return sparse.csr_array((0.5 * (inv[rows[entry_row]] + inv[cols]), cols, indptr), shape=(rows.size, space.n))
@@ -411,11 +394,11 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     balls = space._balls(r)
     inv, m = balls.inv, space.mass
 
-    def fill(rows, w, a, b):  # 0.5 (inv_x + inv_y) * w * (u_y - u_x) * m_y
-        np.multiply(0.5, np.add(inv[rows, None], balls.take(inv, rows), out=a), out=a)
+    def fill(span, w, a, b):  # 0.5 (inv_x + inv_y) * w * (u_y - u_x) * m_y
+        np.multiply(0.5, np.add(balls.own(inv, span), balls.take(inv, span), out=a), out=a)
         a *= w
-        a *= np.subtract(balls.take(u, rows), u[rows, None], out=b)
-        a *= balls.take(m, rows)
+        a *= np.subtract(balls.take(u, span), balls.own(u, span), out=b)
+        a *= balls.take(m, span)
 
     return balls.row_sums(fill) / balls.r**2
 
@@ -436,11 +419,11 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
     balls = space._balls(r)
     m = space.mass
 
-    def fill(rows, w, a, b):  # w * (u_y - u_x) * (v_y - v_x) * m_y
-        np.subtract(balls.take(u, rows), u[rows, None], out=a)
+    def fill(span, w, a, b):  # w * (u_y - u_x) * (v_y - v_x) * m_y
+        np.subtract(balls.take(u, span), balls.own(u, span), out=a)
         a *= w
-        a *= np.subtract(balls.take(v, rows), v[rows, None], out=b)
-        a *= balls.take(m, rows)
+        a *= np.subtract(balls.take(v, span), balls.own(v, span), out=b)
+        a *= balls.take(m, span)
 
     return 0.5 * balls.row_sums(fill) / balls.masses / balls.r**2
 
@@ -617,11 +600,11 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     masses = ball_masses(space, r)
     balls = space._balls(r)
 
-    def fill(rows, w, a, b):  # w * (1 - mu_x / mu_y) * (u_y - u_x) * m_y
-        np.subtract(1.0, np.divide(masses[rows, None], balls.take(masses, rows), out=a), out=a)
+    def fill(span, w, a, b):  # w * (1 - mu_x / mu_y) * (u_y - u_x) * m_y
+        np.subtract(1.0, np.divide(balls.own(masses, span), balls.take(masses, span), out=a), out=a)
         a *= w
-        a *= np.subtract(balls.take(u, rows), u[rows, None], out=b)
-        a *= balls.take(m, rows)
+        a *= np.subtract(balls.take(u, span), balls.own(u, span), out=b)
+        a *= balls.take(m, span)
 
     inner = balls.row_sums(fill) / masses
     rhs = float(np.sum(0.5 * v * inner / r**2 * m))

@@ -27,9 +27,9 @@ Carnot clouds are one jittered box build (``_box_cloud``: jitter, masses,
 boundary distance; the Carnot cloud is the box of its gauge envelope with
 the points outside the closed ball B_R(0) dropped.  The cone cloud is a
 polar grid drawn in one call, ring by ring.  With cut=, a cloud keeps only
-the pairs within that radius (see mmspace), from row blocks of the
-distance kernel run on a band of first coordinates (``_cut_table``);
-either way a table larger than the memory budget
+the pairs within that radius as a CSR table (see mmspace), from row blocks
+of the distance kernel run on a band of first coordinates
+(``_cut_table``); either way a table larger than the memory budget
 (``mmspace.check_memory``) is refused before anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
@@ -49,7 +49,7 @@ from scipy import special as _special
 
 from . import _kernels
 from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
-from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed, packed_table
+from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed
 
 
 logger = logging.getLogger("amvlab.models")
@@ -651,17 +651,17 @@ class CloudMeta:
 
 def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> FiniteMMSpace:
     """The cloud as a finite space: the full distance matrix, or with cut
-    the table of every pair at distance <= cut (``_cut_table``), built
+    the CSR table of every pair at distance <= cut (``_cut_table``), built
     without an n x n matrix.
 
     Before it allocates or scans anything, it refuses a table over the
-    memory budget (``mmspace.check_memory``).  A cut table's width is
-    estimated as the number of cells of the smallest mass that fill a ball
-    of radius cut, at 12 bytes per entry (float64 distance, int32 column).
-    A ball of a flat kind or of a cone (curvature >= 0) is at most
-    Euclidean; a gauge ball lies in its envelope box, a horizontal v1-ball
-    of radius h times a second-layer cube of half-width v, so no volume is
-    computed.
+    memory budget (``mmspace.check_memory``).  A cut table takes 12 bytes
+    per entry (float64 distance, int32 column), and each of its n rows is
+    estimated as the cells of the smallest mass that fill a ball of radius
+    cut (at most n).  A ball of a flat kind or of a cone (curvature >= 0)
+    is at most Euclidean; a gauge ball lies in its envelope box, a
+    horizontal v1-ball of radius h times a second-layer cube of half-width
+    v, so no volume is computed.
     """
     n = pts.shape[0]
     if cut is None:
@@ -677,13 +677,14 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
     check_memory(size, f"a cloud of n={n} points", table)
     if cut is None:
         return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
-    dist, cols = _cut_table(space, pts, cut, threads)
-    return FiniteMMSpace(dist, mass, cols=cols, cut=cut)
+    dist, cols, offsets = _cut_table(space, pts, cut, threads)
+    return FiniteMMSpace(dist, mass, cols=cols, offsets=offsets, cut=cut)
 
 
 def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
-    """The distances <= cut and their columns, per row in ascending column
-    order, in the layout of ``mmspace.packed_table``; row blocks run on
+    """The CSR arrays of ``FiniteMMSpace``, (dist, cols, offsets): the
+    distances <= cut and their columns, per row in ascending column order,
+    each row block's entries concatenated in row order; row blocks run on
     threads.  The kernels are exactly symmetric, so the kept pairs are too.
 
     A band, not all n^2 pairs: the first coordinate of a point (its key)
@@ -700,22 +701,19 @@ def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
     n, key = pts.shape[0], pts[:, 0]
     reach = space.gauge.envelope(space.group, cut)[0] if isinstance(space, CarnotSpace) else cut
     reach += 1e-9 * (reach + np.abs(key).max(initial=0.0))
-    index, counts = np.arange(n, dtype=np.int32), np.empty(n, dtype=np.intp)
-    blocks, scanned = [], []  # (start, stop, kept distances, kept columns); kernel pairs per block
+    index = np.arange(n, dtype=np.int32)
 
-    def rows(s, e):
+    def rows(s, e):  # the block's kept distances, their columns, its row counts and kernel pairs
         near = index[(key >= key[s:e].min() - reach) & (key <= key[s:e].max() + reach)]
         d = space.distance_matrix(pts[s:e], pts[near])
         kept = d <= cut
-        counts[s:e] = np.count_nonzero(kept, axis=1)
-        blocks.append((s, e, d[kept], np.broadcast_to(near, d.shape)[kept]))
-        scanned.append(d.size)
+        return d[kept], np.broadcast_to(near, d.shape)[kept], np.count_nonzero(kept, axis=1), d.size
 
-    _kernels.pool_map(rows, _kernels.row_blocks(n, n), threads)
-    dist, cols = packed_table(counts, blocks)
-    logger.debug("cut table of n=%d at cut %r: kernel on %.4f of the n^2 pairs, width %d, mean row %.1f",
-                 n, cut, sum(scanned) / n**2, dist.shape[1], counts.mean())
-    return dist, cols
+    blocks = _kernels.pool_map(rows, _kernels.row_blocks(n, n), threads)
+    dist, cols, counts = (np.concatenate([b[k] for b in blocks]) for k in range(3))
+    logger.debug("cut table of n=%d at cut %r: kernel on %.4f of the n^2 pairs, %d entries, mean row %.1f, "
+                 "widest %d", n, cut, sum(b[3] for b in blocks) / n**2, dist.size, counts.mean(), counts.max())
+    return dist, cols, np.concatenate(([0], np.cumsum(counts)))
 
 
 def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, boundary_distance,

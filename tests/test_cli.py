@@ -273,6 +273,19 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
         (["bpz-demo", "heisenberg:1", "koranyi", "--R", "inf"], "got inf"),
         (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "1", "--level-radii", "0.5"],
          "resolution 1 and radius 0.5 has no interior point"),
+        (["weak-sweep", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--radii", "0.4:0:0.5"],
+         "'0.4:0:0.5': need at least one radius"),
+        (["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6",
+          "--radii", "0.4:-2:0.5"], "'0.4:-2:0.5': need at least one radius"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--threads", "0"],
+         "--threads must be > 0, got 0"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--threads", "-1"],
+         "--threads must be > 0, got -1"),
+        (["weak-sweep", "cone:4.5", "--field", "coord:1", "--phi", "conetent:0.3:0.6", "--threads", "0"],
+         "--threads must be > 0, got 0"),
+        (["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--threads", "-2"],
+         "--threads must be > 0, got -2"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--threads", "0"], "--threads must be > 0, got 0"),
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
          "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
@@ -280,7 +293,8 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
          "directions-negative", "grid-size-zero", "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
          "size-max-one", "resolutions-zero", "R-negative", "grid-zero", "grid-res-zero", "box-inverted",
          "ball-radius-negative", "point-nan", "radii-nan", "radii-inf", "point-overflow", "R-inf",
-         "level-without-interior"],
+         "level-without-interior", "weak-radii-count-zero", "sym-radii-count-negative", "amv-threads-zero",
+         "strong-threads-negative", "weak-threads-zero", "sym-threads-negative", "bpz-threads-zero"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])

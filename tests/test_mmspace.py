@@ -297,16 +297,15 @@ def test_field_serialization_roundtrip():
 
 
 def _line3_table():
-    # line3 cut at 1.5: each row its points within 1.5, padded to width 3
-    inf = np.inf
-    dist = np.array([[0.0, 1.0, inf], [1.0, 0.0, 1.0], [1.0, 0.0, inf]])
-    cols = np.array([[0, 1, 0], [0, 1, 2], [1, 2, 0]])
-    return dist, cols
+    # line3 cut at 1.5 as CSR: each row its points within 1.5, columns ascending
+    dist = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    cols = np.array([0, 1, 0, 1, 2, 1, 2])
+    return dist, cols, np.array([0, 2, 5, 7])
 
 
 def test_cut_table_operators_match_the_matrix(line3):
-    dist, cols = _line3_table()
-    table = mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
+    dist, cols, offsets = _line3_table()
+    table = mm.FiniteMMSpace(dist, np.ones(3), cols=cols, offsets=offsets, cut=1.5)
     u = np.array([1.0, -0.5, 2.0])
     for r in (1.5, 1.0, 0.5):
         for op in (mm.average, mm.adjoint_average, mm.sym_r_laplacian, mm.r_laplacian):
@@ -315,29 +314,50 @@ def test_cut_table_operators_match_the_matrix(line3):
     assert mm.is_collision_radius(table, 1.0) and not mm.is_collision_radius(table, 1.1)
 
 
+def _with(k, i, value):
+    """A fault: copies of the table arrays (dist, cols, offsets) with entries i of the k-th set to value."""
+    def fault(*arrays):
+        arrays = [a.copy() for a in arrays]
+        arrays[k][i] = value
+        return arrays
+    return fault
+
+
+OFFSETS = "row offsets must be n \\+ 1 integers rising from 0 to the entry count"
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
-        (lambda d, c: d.__setitem__((0, 1), 1.25), "dist must be symmetric"),
-        (lambda d, c: c.__setitem__((1, 2), 1), "table columns must ascend along each row"),
-        (lambda d, c: c.__setitem__((1, 1), 0), "table columns must ascend along each row"),
-        (lambda d, c: d.__setitem__((1, 1), 0.5), "dist must have a zero diagonal"),
-        (lambda d, c: d.__setitem__((2, 1), np.nan), "dist and mass must be finite"),
-        (lambda d, c: (d.__setitem__((1, 2), 2.0), d.__setitem__((2, 0), 2.0)), "holds no larger distance"),
-        (lambda d, c: c.__setitem__((2, 2), 3), "cols must hold point indices"),
+        (_with(0, 1, 1.25), "dist must be symmetric"),
+        (_with(1, slice(3, 5), [2, 1]), "table columns must ascend along each row"),
+        (_with(1, 3, 0), "table columns must ascend along each row"),
+        (_with(0, 3, 0.5), "dist must have a zero diagonal"),
+        (_with(0, 6, np.nan), "dist and mass must be finite"),
+        (_with(0, [4, 5], 2.0), "holds no larger distance"),
+        (_with(1, 6, 3), "cols must hold point indices"),
+        (_with(2, 0, 1), OFFSETS),
+        (_with(2, 1, 6), OFFSETS),
+        (_with(2, 3, 6), OFFSETS),
+        (lambda d, c, o: (d, c, o[:-1]), OFFSETS),
+        (lambda d, c, o: (d, c, np.append(o, 7)), OFFSETS),
+        (lambda d, c, o: (d, c, o.astype(float)), OFFSETS),
+        (lambda d, c, o: (d, c, None), OFFSETS),
     ],
-    ids=["asymmetric", "unsorted", "duplicate", "diagonal", "nan", "above-cut", "column-range"],
+    ids=["asymmetric", "unsorted", "duplicate", "diagonal", "nan", "above-cut", "column-range",
+         "offsets-first", "offsets-decreasing", "offsets-last", "offsets-short", "offsets-long", "offsets-float",
+         "offsets-missing"],
 )
 def test_cut_table_validation(fault, message):
-    dist, cols = _line3_table()
-    mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
-    fault(dist, cols)
+    dist, cols, offsets = _line3_table()
+    mm.FiniteMMSpace(dist, np.ones(3), cols=cols, offsets=offsets, cut=1.5)
+    dist, cols, offsets = fault(dist, cols, offsets)
     with pytest.raises(mm.InputError, match=message):
-        mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=1.5)
+        mm.FiniteMMSpace(dist, np.ones(3), cols=cols, offsets=offsets, cut=1.5)
 
 
 def test_cut_table_needs_its_cut():
-    dist, cols = _line3_table()
+    dist, cols, offsets = _line3_table()
     for cut in (None, 0.0, np.inf):
         with pytest.raises(mm.InputError, match="cut"):
-            mm.FiniteMMSpace(dist, np.ones(3), cols=cols, cut=cut)
+            mm.FiniteMMSpace(dist, np.ones(3), cols=cols, offsets=offsets, cut=cut)

@@ -386,7 +386,7 @@ def test_cut_table_agrees_with_the_full_one(kind):
     cut, build = CUT_CLOUDS[kind]
     for seed in (1, 2):
         table, full = build(seed, cut), build(seed, None)
-        assert full.cols is None and table.cut == cut and table.dist.shape[1] < table.n
+        assert full.cols is None and table.cut == cut and table.dist.size < table.n**2
         # exactly the kernel's distances <= cut, every other pair absent
         assert np.array_equal(table.as_matrix(table.dist, fill=np.inf),
                               np.where(full.dist <= cut, full.dist, np.inf))
@@ -410,7 +410,8 @@ def test_cut_table_agrees_with_the_full_one(kind):
             assert full._balls(r).dist is full.dist and full._balls(r).cols is None
             balls = table._balls(r)
             assert (balls.dist is table.dist) == (r == cut)
-            assert np.all(balls.dist[balls.dist != np.inf] < r) or r == cut
+            assert np.all(balls.dist < r) or r == cut
+            assert balls.offsets[-1] == balls.dist.size == balls.cols.size
 
 
 @pytest.mark.parametrize("kind", sorted(CUT_CLOUDS))
@@ -491,9 +492,9 @@ def test_band_table_is_the_filtered_full_matrix(kind, monkeypatch):
         full = space.distance_matrix(p)
         assert np.any(full > cut)
         one, two = (mo._cloud_space(space, p, m, threads, cut) for threads in (1, 2))
-        assert one.dist.tobytes() == two.dist.tobytes() and one.cols.tobytes() == two.cols.tobytes()
+        assert all(getattr(one, a).tobytes() == getattr(two, a).tobytes() for a in ("dist", "cols", "offsets"))
         assert np.array_equal(one.as_matrix(one.dist, fill=np.inf), np.where(full <= cut, full, np.inf))
-        assert np.all(one.cols[one.dist == np.inf] == 0)
+        assert one.dist.size == np.count_nonzero(full <= cut)  # no padding
 
 
 @pytest.mark.parametrize("space, pts", [
@@ -506,7 +507,8 @@ def test_points_exactly_cut_apart_stay_in_the_table(space, pts, monkeypatch):
     pts = np.array(pts)
     cut = float(space.distance_matrix(pts)[0, 1])  # the first coordinates are about cut apart too
     table = mo._cloud_space(space, pts, np.ones(3), 1, cut)
-    assert 1 in table.cols[0][table.dist[0] == cut] and 0 in table.cols[1][table.dist[1] == cut]
+    row0, row1 = slice(*table.offsets[:2]), slice(*table.offsets[1:3])
+    assert 1 in table.cols[row0][table.dist[row0] == cut] and 0 in table.cols[row1][table.dist[row1] == cut]
 
 
 def test_cut_build_and_ball_compaction_log_their_pairs(caplog):
@@ -516,9 +518,11 @@ def test_cut_build_and_ball_compaction_log_their_pairs(caplog):
         mm.ball_masses(table, 0.5 * cut)
     [built] = [rec.getMessage() for rec in caplog.records if rec.name == "amvlab.models"]
     [compacted] = [rec.getMessage() for rec in caplog.records if rec.name == "amvlab.mmspace"]
-    real = np.count_nonzero(table.dist != np.inf, axis=1)
+    rows, balls = np.diff(table.offsets), table._balls(0.5 * cut)
     assert built.startswith(f"cut table of n={table.n} at cut {cut!r}: kernel on ")
-    assert built.endswith(f" of the n^2 pairs, width {table.dist.shape[1]}, mean row {real.mean():.1f}")
+    assert built.endswith(f" of the n^2 pairs, {table.dist.size} entries, mean row {rows.mean():.1f}, "
+                          f"widest {rows.max()}")
     assert 0 < float(built.split("kernel on ")[1].split()[0]) <= 1
-    assert compacted == (f"ball table at radius {0.5 * cut!r}: "
-                         f"width {table.dist.shape[1]} -> {table._balls(0.5 * cut).dist.shape[1]}")
+    ball_rows = np.diff(balls.offsets)
+    assert compacted == (f"ball table at radius {0.5 * cut!r}: {table.dist.size} -> {balls.dist.size} entries, "
+                         f"mean row {ball_rows.mean():.1f}, widest {ball_rows.max()}")

@@ -10,10 +10,12 @@ every estimate is a pure function of (inputs, seed) no matter how
 evaluation is laid out, and its working set is one batch however large
 mc:n is.  An estimate needs at least two independent draws for its error
 bar.
-Grid quadrature over Euclidean balls is a Gauss-Jacobi radial rule times a
-product sphere rule (exact for polynomials); gauge balls use slice-adapted
-coordinates where the slice measure is smooth.  Each rule counts its nodes
-from res and the dimensions and refuses a node set over the memory budget
+Grid rules live on unit balls: Euclidean balls take a Gauss-Jacobi radial
+rule times a product sphere rule (exact for polynomials), gauge balls
+slice-adapted coordinates where the slice measure is smooth.  A grid mean
+over B_r dilates the unit nodes and keeps their weights, so no r^n or r^Q
+underflows or overflows.  Each rule counts its nodes from res and the
+dimensions and refuses a node set over the memory budget
 (``mmspace.check_memory``) before it builds one.
 
 The Monte Carlo r-laplacian draws antithetic pairs (x·z, x·z⁻¹) on the
@@ -42,10 +44,9 @@ _MASK64 = (1 << 64) - 1
 # 2^17 (medians of 6 rounds, 2 cores)
 _BATCH = 65_536
 CONSTANT_REL_TOL = 1e-3  # grid-versus-MC agreement of carnot_constant_checked, relative
-# peak bytes of a grid ball mean per node and coordinate (the weight counts as
-# one).  The growth of amv-sweep's peak RSS between two resolutions gives
-# 96.1 bytes per node on H1 (grid:60 to 100, 4 values per node), 80.2 on
-# euclidean:3 (60 to 120) and 64.4 on euclidean:2 (400 to 800).
+# peak bytes of a grid ball mean per node and coordinate (the weight counts as one):
+# amv-sweep's peak RSS grows by 88.1 bytes per node on H1 (grid:60 to 100, 4 values
+# per node), 72.2 on euclidean:3 (60 to 120) and 55.7 on euclidean:2 (400 to 800)
 _GRID_BYTES = 25
 
 
@@ -144,16 +145,9 @@ def _sphere_rule(k: int, res: int):
         m = max(4, 2 * res + 1)
         mu, wmu = np.polynomial.legendre.leggauss(max(2, res))
         ang = 2.0 * math.pi * np.arange(m) / m
-        sin_t = np.sqrt(1.0 - mu**2)
-        nodes = np.empty((mu.size * m, 3))
-        weights = np.empty(mu.size * m)
-        for i in range(mu.size):
-            s = slice(i * m, (i + 1) * m)
-            nodes[s, 0] = sin_t[i] * np.cos(ang)
-            nodes[s, 1] = sin_t[i] * np.sin(ang)
-            nodes[s, 2] = mu[i]
-            weights[s] = wmu[i] * 2.0 * math.pi / m
-        return nodes, weights
+        sin_t = np.sqrt(1.0 - mu**2)[:, None]
+        nodes = np.stack(np.broadcast_arrays(sin_t * np.cos(ang), sin_t * np.sin(ang), mu[:, None]), axis=-1)
+        return nodes.reshape(-1, 3), np.repeat(wmu * 2.0 * math.pi / m, m)
     raise GridUnavailable(f"no sphere rule for S^{k - 1}; use a Monte Carlo scheme")
 
 
@@ -169,62 +163,50 @@ def _check_grid(nodes: int, dim: int, res: int) -> None:
     check_memory(_GRID_BYTES * (dim + 1) * nodes, f"grid:{res} ({nodes} nodes in {dim} coordinates)", "node set")
 
 
-def _radial_rule(k: int, res: int):
-    """Nodes/weights for int_0^1 t^(k-1) g(t) dt (Gauss-Jacobi)."""
-    x, w = _special.roots_jacobi(max(2, res), 0.0, float(k - 1))
-    return 0.5 * (x + 1.0), w / 2.0**k
-
-
-def euclid_ball_quadrature(n: int, r: float, res: int):
-    """Nodes and weights for integrals over the centered r-ball in R^n."""
+def euclid_ball_quadrature(n: int, res: int):
+    """Nodes and weights for integrals over the unit ball of R^n, whose
+    nodes times r, with the same weights, cover the r-ball."""
     n = int(n)
     if n > 3:
         raise GridUnavailable(f"no grid rule ships for {n}-dimensional balls; use mc")
     _check_grid(max(2, res) * _sphere_size(n, res), n, res)
-    t, wt = _radial_rule(n, res)
+    # Gauss-Jacobi for int_0^1 t^(n-1) g(t) dt, at t = (1 + x)/2
+    x, wx = _special.roots_jacobi(max(2, res), 0.0, float(n - 1))
     omega, womega = _sphere_rule(n, res)
-    nodes = (r * t)[:, None, None] * omega[None, :, :]
-    # float64, not float: an overflowing r**n is inf, so the mean turns
-    # non-finite and is refused downstream, as in ModelSpace.theta_r
-    weights = (np.float64(r) ** n * wt)[:, None] * womega[None, :]
+    nodes = (0.5 * (x + 1.0))[:, None, None] * omega
+    weights = (wx / 2.0**n)[:, None] * womega
     return nodes.reshape(-1, n), weights.reshape(-1)
 
 
-def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, r: float, res: int):
-    """Adapted product rule over the gauge ball B_r(0).
+def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, res: int):
+    """Adapted product rule over the unit gauge ball B_1(0), whose nodes
+    dilated by delta_r, with the same weights, cover B_r(0).
 
-    Second-layer radius w = (r^2/sqrt(beta)) sin(psi) makes the horizontal
-    slice radius r*sqrt(cos(psi)) and the slice measure smooth in psi.
-    Available for v1 <= 3, v2 <= 3; both gauge kinds share it through beta.
+    Second-layer radius w = sin(psi)/sqrt(beta) makes the horizontal slice
+    the unit v1-ball scaled by sqrt(cos(psi)) and the slice measure smooth
+    in psi; nodes run over psi, the second-layer direction, then the
+    horizontal node.  For v1 <= 3, v2 <= 3 and both gauge kinds (via beta).
     """
     v1, v2 = group.v1, group.v2
-    r = float(r)
     if v2 == 0:
-        nodes1, w1 = euclid_ball_quadrature(v1, r, res)
-        return nodes1, w1
+        return euclid_ball_quadrature(v1, res)
     if v1 > 3 or v2 > 3:
         raise GridUnavailable("grid rule ships for v1 <= 3 and v2 <= 3 only; use mc")
     _check_grid(max(4, res) * _sphere_size(v2, res) * max(2, res) * _sphere_size(v1, res), group.dim, res)
-    w_max = r * r / math.sqrt(gauge.beta)
     psi, wpsi = np.polynomial.legendre.leggauss(max(4, res))
     psi = 0.25 * math.pi * (psi + 1.0)
     wpsi = 0.25 * math.pi * wpsi
     omega, womega = _sphere_rule(v2, res)
-    nodes_out = []
-    weights_out = []
-    for i in range(psi.size):
-        s, c = math.sin(psi[i]), math.cos(psi[i])
-        w = w_max * s
-        slice_r = r * math.sqrt(c)
-        nodes1, w1 = euclid_ball_quadrature(v1, slice_r, res)
-        radial_w = wpsi[i] * (w ** (v2 - 1)) * (w_max * c)
-        for j in range(omega.shape[0]):
-            block = np.empty((nodes1.shape[0], group.dim))
-            block[:, :v1] = nodes1
-            block[:, v1:] = w * omega[j]
-            nodes_out.append(block)
-            weights_out.append(radial_w * womega[j] * w1)
-    return np.concatenate(nodes_out, axis=0), np.concatenate(weights_out)
+    nodes1, w1 = euclid_ball_quadrature(v1, res)
+    w_max = 1.0 / math.sqrt(gauge.beta)
+    w, slice_r = w_max * np.sin(psi), np.sqrt(np.cos(psi))
+    nodes = np.empty((psi.size, omega.shape[0], w1.size, group.dim))
+    nodes[..., :v1] = slice_r[:, None, None, None] * nodes1
+    nodes[..., v1:] = w[:, None, None, None] * omega[:, None, :]
+    # dw = w_max cos(psi) dpsi, the second-layer sphere's w^(v2 - 1), the slice volume slice_r^v1
+    radial_w = wpsi * w ** (v2 - 1) * (w_max * np.cos(psi)) * slice_r**v1
+    weights = (radial_w[:, None] * womega)[:, :, None] * w1
+    return nodes.reshape(-1, group.dim), weights.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +272,14 @@ def _ball_moments(space: ModelSpace, f, x, r, scheme):
     the method, for f with one value or one row of values per point."""
     r = float(r)
     if isinstance(scheme, GridScheme):
+        # unit rules dilated in place (r*z, or CarnotStep2.dilate without its copy)
         if isinstance(space, Euclidean):
-            nodes, weights = euclid_ball_quadrature(space.dim, r, scheme.res)
+            nodes, weights = euclid_ball_quadrature(space.dim, scheme.res)
+            nodes *= r
         elif isinstance(space, CarnotSpace):
-            nodes, weights = carnot_ball_quadrature(space.group, space.gauge, r, scheme.res)
+            nodes, weights = carnot_ball_quadrature(space.group, space.gauge, scheme.res)
+            nodes[:, : space.group.v1] *= r
+            nodes[:, space.group.v1 :] *= r * r
         else:
             raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
         vals = np.asarray(f(space.translate(x, nodes)), dtype=np.float64)
@@ -344,6 +330,8 @@ def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme) -> Estimate:
 
         pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
         est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs)
+    if r2 < np.finfo(np.float64).tiny:  # zero or subnormal; checked last, so a sampler's refusal comes first
+        raise NumericError(f"the radius {r!r} is too small: its square underflows")
     return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
 
 

@@ -557,8 +557,15 @@ def parse_region(spec: str) -> Region:
     raise InputError(f"malformed region spec {spec!r}")
 
 
+_GL_RULES: dict = {}  # order -> read-only Gauss-Legendre (nodes, weights) on [-1, 1]
+
+
 def _gl_nodes(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Order-n Gauss-Legendre rule on [a, b]; each order's eigensolve runs once per process."""
+    if n not in _GL_RULES:
+        x, w = _GL_RULES[n] = np.polynomial.legendre.leggauss(n)
+        x.flags.writeable = w.flags.writeable = False
+    x, w = _GL_RULES[n]
     return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
@@ -664,6 +671,8 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
     v, so no volume is computed.
     """
     n = pts.shape[0]
+    if n == 0:
+        raise InputError("the cloud is empty: no cell keeps its jittered point; use more cells")
     if cut is None:
         size, table = 8 * n * n, "distance matrix"
     else:

@@ -273,6 +273,8 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
         (["bpz-demo", "heisenberg:1", "koranyi", "--R", "inf"], "got inf"),
         (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "1", "--level-radii", "0.5"],
          "resolution 1 and radius 0.5 has no interior point"),
+        *[(["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "1", "--level-radii", "0.5", "--seed", seed],
+           "the cloud is empty") for seed in ("1", "3", "4")],
         (["weak-sweep", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--radii", "0.4:0:0.5"],
          "'0.4:0:0.5': need at least one radius"),
         (["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6",
@@ -293,13 +295,14 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
          "directions-negative", "grid-size-zero", "grid-size-negative", "half-cloud-cells-one", "cone-cloud-cells-negative", "count-zero",
          "size-max-one", "resolutions-zero", "R-negative", "grid-zero", "grid-res-zero", "box-inverted",
          "ball-radius-negative", "point-nan", "radii-nan", "radii-inf", "point-overflow", "R-inf",
-         "level-without-interior", "weak-radii-count-zero", "sym-radii-count-negative", "amv-threads-zero",
+         "level-without-interior", "empty-cloud-seed-1", "empty-cloud-seed-3", "empty-cloud-seed-4",
+         "weak-radii-count-zero", "sym-radii-count-negative", "amv-threads-zero",
          "strong-threads-negative", "weak-threads-zero", "sym-threads-negative", "bpz-threads-zero"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith(f"ERROR {args[0]}:") and typed in err, err
+    assert rc == 2 and err.startswith(f"ERROR {args[0]}:") and err.count("\n") == 1 and typed in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -509,8 +512,7 @@ def test_huge_radii_on_a_cone_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, field, at_1e150", [
-    (["amv-sweep", "euclidean:2", "--point", "0,0"], "sq1",
-     "ERROR amv-sweep: the estimate at radius 1e+150 is not finite (value inf, std error 0.0)"),
+    (["amv-sweep", "euclidean:2", "--point", "0,0"], "sq1", 0.25),
     (["amv-sweep", "half:2", "--point", "0,1", "--scheme", "mc:1000:1"], "sq1",
      "ERROR amv-sweep: the estimate at radius 1e+150 is not finite (value 0.22652058649449705, std error inf)"),
     (["amv-sweep", "half:2", "--point", "0,1", "--scheme", "mc:1000:1"], "coord:2", None),
@@ -529,11 +531,15 @@ def test_huge_radii_exit_2(tmp_path, capsys, argv, field, at_1e150):
     ]
     assert not list(tmp_path.iterdir())
     # 1e150 passes the guard and runs to its estimates, which only a field
-    # that overflows itself makes non-finite
+    # that overflows itself makes non-finite; a grid mean dilates its unit
+    # rule, so no r^n weight overflows
     rc = main([*argv, "--field", field, "--radii", "1e150,1e149", "--out", str(tmp_path / "ok.json")])
     err = capsys.readouterr().err
     if at_1e150 is None:
         assert rc in (0, 1) and err == "" and (tmp_path / "ok.json").exists()
+    elif isinstance(at_1e150, float):
+        rep = ex.ExperimentReport.from_json((tmp_path / "ok.json").read_text())
+        assert rc == 0 and err == "" and rep.values == pytest.approx([at_1e150] * 2, rel=1e-14)
     else:
         assert rc == 2 and err.splitlines() == [at_1e150]
 
@@ -559,6 +565,33 @@ def test_tiny_carnot_radii(tmp_path, capsys):
         "ERROR amv-sweep: the radius 1e-160 is too small: its gauge-ball envelope underflows"
     ]
     assert not (tmp_path / "tiny.json").exists()
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0"], 0.25),
+    (["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0"], 4 / (3 * math.pi)),
+], ids=["euclidean", "carnot"])
+def test_tiny_grid_radii(tmp_path, argv, limit):
+    # a grid mean dilates its unit rule: no r^n or r^Q weight underflows
+    rc = main([*argv, "--scheme", "grid:8", "--radii", "1e-100,5e-101", "--out", str(tmp_path / "ok.json")])
+    rep = ex.ExperimentReport.from_json((tmp_path / "ok.json").read_text())
+    assert rc == 0 and rep.values == pytest.approx([limit] * 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0"],
+    ["amv-sweep", "half:2", "--field", "sq1", "--point", "0.5,0", "--scheme", "mc:100:1"],
+    ["amv-sweep", "cone:1.5", "--field", "coord:1", "--point", "0.5,0.2", "--scheme", "mc:100:1"],
+    ["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "2", "--scheme", "grid:4"],
+], ids=["euclidean-grid", "half-space-mc", "cone-mc", "strong-scan-grid"])
+def test_radii_whose_square_underflows_exit_2(tmp_path, capsys, argv):
+    # below about 1.5e-154 r**2 is subnormal, below about 1.5e-162 zero: the
+    # difference quotient would divide by it
+    rc = main([*argv, "--radii", "1e-200,1e-201", "--out", str(tmp_path / "tiny.json")])
+    assert rc == 2 and capsys.readouterr().err.splitlines() == [
+        f"ERROR {argv[0]}: the radius 1e-200 is too small: its square underflows"
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 def test_heisenberg_2_sweeps_get_a_closed_form_reference(tmp_path):
@@ -648,13 +681,13 @@ def _never(*args, **kwargs):
 @pytest.mark.parametrize("argv, patches, owner", [
     (["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
       "--scheme", "grid:100000", "--reference", "0"],
-     [(np.polynomial.legendre, "leggauss"), (it, "_radial_rule"), (it, "_sphere_rule")],
+     [(np.polynomial.legendre, "leggauss"), (it._special, "roots_jacobi"), (it, "_sphere_rule")],
      "grid:100000 (4000020000000000 nodes in 3 coordinates) needs a 400002000.0 GB node set"),
     (["amv-sweep", "euclidean:3", "--field", "sq1", "--point", "0,0,0", "--scheme", "grid:100000"],
-     [(it, "_radial_rule"), (it, "_sphere_rule")],
+     [(it._special, "roots_jacobi"), (it, "_sphere_rule")],
      "grid:100000 (2000010000000000 nodes in 3 coordinates) needs a 200001000.0 GB node set"),
     (["carnot-constant", "heisenberg:1", "koranyi", "--grid-res", "100000"],
-     [(np.polynomial.legendre, "leggauss"), (it, "_radial_rule"), (it, "_sphere_rule")],
+     [(np.polynomial.legendre, "leggauss"), (it._special, "roots_jacobi"), (it, "_sphere_rule")],
      "grid:100000 (4000020000000000 nodes in 3 coordinates)"),
     (["identities", "--size-max", "10000000"], [(mm, "random_space")],
      "an identity-suite instance of up to n=10000000 points needs a 4800000.0 GB working set"),

@@ -31,39 +31,92 @@ def test_grid_guard_counts_the_nodes_the_rule_builds(monkeypatch, h1, koranyi, r
     sizes = []
     monkeypatch.setattr(it, "check_memory", lambda size, owner, table: sizes.append(size))
     for n in (1, 2, 3):
-        nodes, w = it.euclid_ball_quadrature(n, 1.0, res)
+        nodes, w = it.euclid_ball_quadrature(n, res)
         assert sizes[-1] == it._GRID_BYTES * (n + 1) * w.size and nodes.shape == (w.size, n)
     b = np.random.default_rng(1).standard_normal((2, 3, 3))
     for group in (h1, ca.CarnotStep2(3, 2, b - b.swapaxes(1, 2)), ca.CarnotStep2(1, 3, np.zeros((3, 1, 1)))):
         sizes.clear()
-        nodes, w = it.carnot_ball_quadrature(group, koranyi, 1.0, res)
+        nodes, w = it.carnot_ball_quadrature(group, koranyi, res)
         assert sizes[0] == it._GRID_BYTES * (group.dim + 1) * w.size and nodes.shape == (w.size, group.dim)
 
 
 def test_euclid_ball_quadrature_volume_and_moments():
     for n in (1, 2, 3):
-        nodes, w = it.euclid_ball_quadrature(n, 1.3, res=8)
-        assert np.sum(w) == pytest.approx(mo.unit_ball_volume(n) * 1.3**n, rel=1e-13)
-        # second moment of the first coordinate: vol * r^2/(n+2)
+        nodes, w = it.euclid_ball_quadrature(n, res=8)
+        assert np.sum(w) == pytest.approx(mo.unit_ball_volume(n), rel=1e-13)
+        assert np.all(np.sum(nodes * nodes, axis=1) < 1.0)
+        # second moment of the first coordinate: vol/(n+2)
         m2 = np.sum(w * nodes[:, 0] ** 2)
-        expected = np.sum(w) * 1.3**2 / (n + 2)
-        assert m2 == pytest.approx(expected, rel=1e-12)
+        assert m2 == pytest.approx(np.sum(w) / (n + 2), rel=1e-12)
     with pytest.raises(it.GridUnavailable):
-        it.euclid_ball_quadrature(4, 1.0, 8)
+        it.euclid_ball_quadrature(4, 8)
 
 
 def test_carnot_ball_quadrature_volume(h1, koranyi):
-    nodes, w = it.carnot_ball_quadrature(h1, koranyi, 1.0, res=24)
+    nodes, w = it.carnot_ball_quadrature(h1, koranyi, res=24)
     assert np.sum(w) == pytest.approx(math.pi**2 / 2, rel=1e-12)
     vals = koranyi.value(h1, nodes)
     assert np.all(vals < 1.0)
-    # r-scaling: weights scale with r^Q
-    _, w2 = it.carnot_ball_quadrature(h1, koranyi, 2.0, res=24)
-    assert np.sum(w2) == pytest.approx(np.sum(w) * 2**4, rel=1e-12)
+
+
+def _reference_euclid_rule(n, r, res):
+    """The r-scaled Euclidean product rule the unit rule replaced."""
+    x, wx = it._special.roots_jacobi(max(2, res), 0.0, float(n - 1))
+    t, wt = 0.5 * (x + 1.0), wx / 2.0**n
+    omega, womega = it._sphere_rule(n, res)
+    nodes = (r * t)[:, None, None] * omega[None, :, :]
+    weights = (np.float64(r) ** n * wt)[:, None] * womega[None, :]
+    return nodes.reshape(-1, n), weights.reshape(-1)
+
+
+def _reference_carnot_rule(group, gauge, r, res):
+    """The slice-loop gauge-ball rule over B_r(0) the unit rule replaced."""
+    v1, v2 = group.v1, group.v2
+    w_max = r * r / math.sqrt(gauge.beta)
+    psi, wpsi = np.polynomial.legendre.leggauss(max(4, res))
+    psi = 0.25 * math.pi * (psi + 1.0)
+    wpsi = 0.25 * math.pi * wpsi
+    omega, womega = it._sphere_rule(v2, res)
+    nodes_out, weights_out = [], []
+    for i in range(psi.size):
+        s, c = math.sin(psi[i]), math.cos(psi[i])
+        w = w_max * s
+        nodes1, w1 = _reference_euclid_rule(v1, r * math.sqrt(c), res)
+        radial_w = wpsi[i] * (w ** (v2 - 1)) * (w_max * c)
+        for j in range(omega.shape[0]):
+            block = np.empty((nodes1.shape[0], group.dim))
+            block[:, :v1] = nodes1
+            block[:, v1:] = w * omega[j]
+            nodes_out.append(block)
+            weights_out.append(radial_w * womega[j] * w1)
+    return np.concatenate(nodes_out, axis=0), np.concatenate(weights_out)
+
+
+# (3, 3) at res 14 would hold 32M nodes, about 1.8 GB per rule
+@pytest.mark.parametrize("v1, v2, res", [
+    (v1, v2, res) for v1, v2 in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3)] for res in (1, 4, 14)
+    if (v1, v2, res) != (3, 3, 14)
+])
+@pytest.mark.parametrize("beta", [1.0, 16.0, 0.37])
+def test_unit_rules_dilate_to_the_radius_rules(v1, v2, beta, res):
+    # the unit rules dilated to r hold the r-ball rules' nodes, in their
+    # order, and the same weights up to the r^n or r^Q the mean cancels
+    b = np.random.default_rng(v1 + v2).standard_normal((v2, v1, v1))
+    group = ca.CarnotStep2(v1, v2, b - b.swapaxes(1, 2))
+    gauge = ca.Gauge("scaled_koranyi", beta)
+    for r in (0.4, 1.0, 3.7):
+        for (unit, w), (ref, ref_w) in [
+            (it.euclid_ball_quadrature(v1, res), _reference_euclid_rule(v1, r, res)),
+            (it.carnot_ball_quadrature(group, gauge, res), _reference_carnot_rule(group, gauge, r, res)),
+        ]:
+            nodes = group.dilate(r, unit) if unit.shape[1] == group.dim else r * unit
+            assert nodes.shape == ref.shape and w.shape == ref_w.shape
+            np.testing.assert_allclose(nodes, ref, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(w / np.sum(w), ref_w / np.sum(ref_w), rtol=1e-14, atol=0)
 
 
 def test_carnot_quadrature_hsq_moment(h1, koranyi):
-    nodes, w = it.carnot_ball_quadrature(h1, koranyi, 1.0, res=24)
+    nodes, w = it.carnot_ball_quadrature(h1, koranyi, res=24)
     m = np.sum(w * np.sum(nodes[:, :2] ** 2, axis=1)) / np.sum(w)
     assert m == pytest.approx(4 / (3 * math.pi), rel=1e-12)
 
@@ -71,7 +124,7 @@ def test_carnot_quadrature_hsq_moment(h1, koranyi):
 def test_grid_unavailable_cases():
     big = ca.heisenberg(2)  # v1 = 4
     with pytest.raises(it.GridUnavailable):
-        it.carnot_ball_quadrature(big, ca.Gauge("koranyi"), 1.0, 8)
+        it.carnot_ball_quadrature(big, ca.Gauge("koranyi"), 8)
 
 
 def test_sample_ball_determinism_and_uniformity():
@@ -411,11 +464,3 @@ def test_carnot_ball_volume_mc_is_the_hit_fraction(h1, koranyi):
     assert (est.n, est.method) == (n, "monte_carlo")
     with pytest.raises(InputError):
         it.carnot_ball_volume_mc(space, x, r, 1, seed)
-
-
-def test_euclidean_ball_weights_overflow_to_inf():
-    # r**3 overflows at r = 1e103 while r**2 does not: the weights turn inf,
-    # as ModelSpace.theta_r's power does, and the sweep refuses the mean
-    with np.errstate(over="ignore"):
-        nodes, weights = it.euclid_ball_quadrature(3, 1e103, 4)
-    assert np.all(np.isfinite(nodes)) and np.all(np.isinf(weights))

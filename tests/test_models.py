@@ -180,7 +180,8 @@ def test_carnot_sampler_translates_only_off_the_origin(monkeypatch):
     assert len(calls) == 3
     np.testing.assert_array_equal(ax, multiply(g, x, z))
     np.testing.assert_array_equal(bx, multiply(g, x, -z))
-    nodes, weights = it.carnot_ball_quadrature(g, cs.gauge, 0.5, 6)
+    unit, weights = it.carnot_ball_quadrature(g, cs.gauge, 6)
+    nodes = g.dilate(0.5, unit)
     pts = multiply(g, x, nodes)
     assert grid_x.value == float(np.sum(weights * (pts[:, 0] + pts[:, 2])) / np.sum(weights))
     pts = multiply(g, np.zeros(3), nodes)
@@ -225,7 +226,7 @@ def test_quartic_ball_volume_closed_form():
     h1 = ca.heisenberg(1)
     for gauge in (ca.Gauge("koranyi"), ca.Gauge("scaled_koranyi", 16.0)):
         vol, tag = mo.CarnotSpace(h1, gauge).unit_ball_volume()
-        _, weights = it.carnot_ball_quadrature(h1, gauge, 1.0, res=48)
+        _, weights = it.carnot_ball_quadrature(h1, gauge, res=48)
         assert tag == "exact" and vol == pytest.approx(np.sum(weights), rel=1e-12)
     h2 = mo.carnot_preset("heisenberg:2", "scaled", 16.0)
     vol, tag = h2.ball_volume(np.zeros(5), 1.0)

@@ -14,6 +14,9 @@ A group (CarnotStep2) is its layer dimensions and brackets, with the
 product, inverse, dilation and text form; points are plain arrays, split
 into layers by slicing.  A gauge gives values and the bounding box of its
 balls (``envelope``), on which the samplers and clouds of ``models`` rest.
+This module holds the group law, the gauges and horizontal calculus; the
+distance d(x, y) = gauge(y^-1 * x) belongs to the metric measure space,
+``models.CarnotSpace``.
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ class Gauge:
         if kind == "koranyi":
             beta = 1.0
         beta = float(beta)
-        if not (beta > 0):
-            raise InputError("beta must be positive")
+        if not (0 < beta < math.inf):
+            raise InputError(f"beta must be positive and finite, got {beta!r}")
         self.kind = kind
         self.beta = beta
 
@@ -158,7 +161,7 @@ class Gauge:
         g4 = _kernels.gauge_fourth(flat[:, : group.v1], flat[:, group.v1 :], self.beta)
         return np.sqrt(np.sqrt(g4)).reshape(pts.shape[:-1])
 
-    def envelope(self, group: CarnotStep2, r: float):
+    def envelope(self, r: float):
         """Bounding box of the gauge ball B_r(0): horizontal radius and
         per-coordinate second-layer half-width."""
         r = float(r)
@@ -168,35 +171,6 @@ class Gauge:
         if self.kind == "koranyi":
             return "koranyi"
         return f"scaled_koranyi:{self.beta!r}"
-
-
-def gauge_value(group: CarnotStep2, gauge: Gauge, x) -> np.ndarray | float:
-    out = gauge.value(group, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def distance(group: CarnotStep2, gauge: Gauge, x, y) -> np.ndarray | float:
-    """Left-invariant pseudodistance d(x, y) = gauge(y^-1 * x)."""
-    return gauge_value(group, gauge, group.multiply(group.inverse(y), x))
-
-
-def distance_matrix(group: CarnotStep2, gauge: Gauge, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-    """Pairwise gauge distances through the fused kernel.
-
-    With pts_b omitted the result is the self-distance matrix, exactly
-    symmetric with a zero diagonal.
-    """
-    pts_a = group._check(np.atleast_2d(pts_a))
-    pts_b = pts_a if pts_b is None else group._check(np.atleast_2d(pts_b))
-    return _kernels.carnot_dist_matrix(
-        pts_a[:, : group.v1],
-        pts_a[:, group.v1 :],
-        pts_b[:, : group.v1],
-        pts_b[:, group.v1 :],
-        group.bracket,
-        gauge.beta,
-        threads,
-    )
 
 
 def field_coefficients(group: CarnotStep2, pts) -> np.ndarray:

@@ -7,9 +7,9 @@ a sweep's whole Monte Carlo estimates, never changes an output bit.
 stdout carries a single verdict line plus the report path; everything else
 goes to the declared output path.
 
-A bad spec, size flag or input file exits 2 before anything is written,
-with one "ERROR <command>: ..." line on stderr naming what was typed; a
-failed allocation (MemoryError) is reported the same way.
+A bad spec, size flag, tolerance, reference or input file exits 2 before
+anything is written, with one "ERROR <command>: ..." line on stderr naming
+what was typed; a failed allocation (MemoryError) is reported the same way.
 numpy's floating-point warnings never reach stderr; they are logged at
 debug level on the "amvlab.cli" logger.
 """
@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 
@@ -46,6 +47,16 @@ def _above(flag: str, bound, *values) -> None:
     for v in values:
         if not v > bound:
             raise InputError(f"{flag} must be > {bound}, got {v!r}")
+
+
+def _check_verdict_options(args) -> None:
+    """Refuse what a verdict cannot read and a JSON report cannot hold: a
+    --tolerance outside [0, inf) or a non-finite --reference."""
+    tolerance, reference = getattr(args, "tolerance", 0.0), getattr(args, "reference", None)
+    if not (0 <= tolerance < math.inf):
+        raise InputError(f"--tolerance must be finite and >= 0, got {tolerance!r}")
+    if reference is not None and not math.isfinite(reference):
+        raise InputError(f"--reference must be finite, got {reference!r}")
 
 
 def parse_radii(spec: str) -> list[float]:
@@ -431,6 +442,7 @@ def _log_fp_error(kind: str, flag: int) -> None:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_verdict_options(args)
         # numpy's floating-point warnings go to the log, not stderr: a
         # non-finite result is refused where it is checked (exit 2)
         with np.errstate(divide="call", over="call", invalid="call", call=_log_fp_error):

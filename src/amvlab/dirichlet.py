@@ -41,7 +41,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
 from . import mmspace
-from .carnot import CarnotStep2, Gauge, gauge_value, horizontal_sqnorm
+from .carnot import CarnotStep2, Gauge, horizontal_sqnorm
 from .experiments import ExperimentReport, check_radii
 from .fields import AnalyticField
 from .integrate import Estimate
@@ -207,8 +207,7 @@ def bpz_barrier(group: CarnotStep2, p0, R: float, phi_value_at_q: float, q) -> A
     if not (phi_q < 0):
         raise InputError("the barrier construction needs a negative value at q")
     p0 = np.asarray(p0, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    gq = gauge_value(group, Gauge("koranyi"), group.multiply(group.inverse(q), p0))
+    gq = CarnotSpace(group, Gauge("koranyi")).distance(p0, q)
     if gq >= R:
         raise InputError(f"q lies outside the gauge ball (gauge {gq:.6g} >= R {R:.6g})")
     # |(p^-1 p0)^(1)|^2 = |p1 - p01|^2: a translated horizontal square norm
@@ -216,9 +215,7 @@ def bpz_barrier(group: CarnotStep2, p0, R: float, phi_value_at_q: float, q) -> A
     return (phi_q / (2.0 * R * R)) * core + (-phi_q / 2.0)
 
 
-def gauge_ball_partition(
-    space: CarnotSpace, gauge_vals: np.ndarray, R: float, r: float, boundary_data
-) -> BoundaryPartition:
+def gauge_ball_partition(gauge_vals: np.ndarray, R: float, r: float, boundary_data) -> BoundaryPartition:
     """Split a gauge-ball cloud into interior and an r-thick boundary layer
     (points with gauge >= R - r), mirroring the compact-support variation
     class at scale r."""
@@ -259,7 +256,7 @@ def bpz_demo(
     for level, (res, r) in enumerate(zip(resolutions, radii)):
         cloud, pts, meta, gauge_vals = carnot_ball_cloud(space, R, res, seed + level, threads=threads, cut=r)
         u_vals = u_field.value(pts)
-        part = gauge_ball_partition(space, gauge_vals, R, r, u_vals)
+        part = gauge_ball_partition(gauge_vals, R, r, u_vals)
         if not part.interior.size:
             raise InputError(f"the level of resolution {res} and radius {r!r} has no interior point "
                              f"({cloud.n} cloud points, all within {r!r} of the gauge sphere)")

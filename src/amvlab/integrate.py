@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special as _special
 
-from .carnot import CarnotStep2, Gauge, distance
+from .carnot import CarnotStep2, Gauge
 from .mmspace import InputError, check_memory, malformed
 from .models import CarnotSpace, Euclidean, ModelSpace, NumericError
 
@@ -407,7 +407,7 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
     g = space.group
     x = space._centre(x)
     r = float(r)
-    h_bound, v_bound = space.gauge.envelope(g, r)
+    h_bound, v_bound = space.gauge.envelope(r)
     x1 = x[: g.v1]
     lo = np.empty(g.dim)
     hi = np.empty(g.dim)
@@ -419,5 +419,5 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
         hi[g.v1 + k] = x[g.v1 + k] + slack
     box_vol = float(np.prod(hi - lo))
     p, p_err = _mc_moments(lambda m, rng: rng.uniform(lo, hi, (m, g.dim)),
-                           lambda cand: distance(g, space.gauge, cand, x[None, :]) < r, MCScheme(n, seed))
+                           lambda cand: space.distance(cand, x[None, :]) < r, MCScheme(n, seed))
     return Estimate(box_vol * float(p), box_vol * float(p_err), n, "monte_carlo")

@@ -2,9 +2,11 @@
 
 Each space knows its point representation, distance, reference measure,
 ball volumes (exact where available, quadrature otherwise) and a uniform
-ball sampler driven by an explicit RNG.  The half-space convention puts the
-boundary at {x[0] = 0}, so the first coordinate is the distance to the
-boundary.  Euclidean and Carnot spaces, whose balls are symmetric under
+ball sampler driven by an explicit RNG.  On every kind a pair's distance
+equals its ``distance_matrix`` entry (a ``_kernels`` call) bit for bit; on
+a Carnot group both are d(x, y) = gauge(y^-1 * x).  The half-space
+convention puts the boundary at {x[0] = 0}, so the first coordinate is
+the distance to the boundary.  Euclidean and Carnot spaces, whose balls are symmetric under
 z -> z⁻¹, also hand out antithetic pairs (x·z, x·z⁻¹).
 
 Samplers, antithetic pairs and grid quadrature move offsets z in B_r(0)
@@ -26,11 +28,12 @@ Carnot clouds are one jittered box build (``_box_cloud``: jitter, masses,
 ``_cloud_space``, CloudMeta) with their own bounds, cell counts and
 boundary distance; the Carnot cloud is the box of its gauge envelope with
 the points outside the closed ball B_R(0) dropped.  The cone cloud is a
-polar grid drawn in one call, ring by ring.  With cut=, a cloud keeps only
-the pairs within that radius as a CSR table (see mmspace), from row blocks
-of the distance kernel run on a band of first coordinates
-(``_cut_table``); either way a table larger than the memory budget
-(``mmspace.check_memory``) is refused before anything is allocated.
+polar grid drawn in one call, ring by ring.  A cloud maps row blocks of
+the distance kernel on its threads: they fill the full matrix or, with
+cut=, keep only the pairs within that radius as a CSR table (see mmspace),
+from a band of first coordinates (``_cut_table``); either way a table
+larger than the memory budget (``mmspace.check_memory``) is refused before
+anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
 dimension N: one formula on ModelSpace, offered for the Euclidean,
@@ -48,7 +51,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import _kernels
-from .carnot import CarnotStep2, Gauge, distance, distance_matrix, heisenberg
+from .carnot import CarnotStep2, Gauge, heisenberg
 from .mmspace import FiniteMMSpace, InputError, check_memory, check_radius, malformed
 
 
@@ -74,16 +77,21 @@ class ModelSpace:
     def distance(self, p, q):
         raise NotImplementedError
 
-    def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
+    def distance_matrix(self, pts_a, pts_b=None) -> np.ndarray:
         raise NotImplementedError
 
-    def ball_volume(self, x, r):
-        """Measure of B_r(x); returns (value, method_tag)."""
+    def _pair_sets(self, pts_a, pts_b):
+        """The point sets of a distance matrix; pts_b defaults to pts_a."""
+        pts_a = np.atleast_2d(self._pts(pts_a))
+        return pts_a, pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
+
+    def ball_volume(self, x, r) -> float:
+        """Measure of B_r(x)."""
         raise NotImplementedError
 
     def theta_r(self, x, r) -> float:
         """Volume density vol(B_r(x)) / (omega_N r^N), N the topological dimension."""
-        vol, _ = self.ball_volume(x, r)
+        vol = self.ball_volume(x, r)
         # float64, not float: an overflowing power is inf (the estimate turns
         # non-finite and is refused downstream), not an OverflowError
         return vol / (unit_ball_volume(self.dim) * np.float64(r) ** self.dim)
@@ -124,12 +132,10 @@ class _Flat(ModelSpace):
 
     def distance(self, p, q):
         p, q = self._pts(p), self._pts(q)
-        return np.sqrt(np.sum((p - q) ** 2, axis=-1))
+        return np.sqrt(_kernels.square_sums(p - q))  # left to right, as cdist sums: its bits in any dimension
 
-    def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-        pts_a = np.atleast_2d(self._pts(pts_a))
-        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
-        return _kernels.euclid_dist_matrix(pts_a, pts_b, threads)
+    def distance_matrix(self, pts_a, pts_b=None) -> np.ndarray:
+        return _kernels.euclid_dist_matrix(*self._pair_sets(pts_a, pts_b))
 
     def translate(self, x, z) -> np.ndarray:
         return self._centre(x) + z
@@ -144,7 +150,7 @@ class Euclidean(_Flat):
     def ball_volume(self, x, r):
         r = check_radius(r)
         self._centre(x)
-        return unit_ball_volume(self.dim) * r**self.dim, "exact"
+        return unit_ball_volume(self.dim) * r**self.dim
 
     def sample_ball(self, x, r, n, rng) -> np.ndarray:
         r = check_radius(r)
@@ -218,8 +224,8 @@ class HalfSpace(_Flat):
         h = float(self._centre(x)[..., 0])
         full = unit_ball_volume(self.dim) * r**self.dim
         if h >= r:
-            return full, "exact"
-        return full * (1.0 - float(_halfspace_deficit(h / r, self.dim))), "exact"
+            return full
+        return full * (1.0 - float(_halfspace_deficit(h / r, self.dim)))
 
     def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Rejection from the full Euclidean ball (kept fraction >= 1/2)."""
@@ -271,12 +277,9 @@ class FlatCone(ModelSpace):
         p, q = self._pts(p), self._pts(q)
         return _kernels.cone_distance(p[..., 0], p[..., 1], q[..., 0], q[..., 1], self.theta_c)
 
-    def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-        pts_a = np.atleast_2d(self._pts(pts_a))
-        pts_b = pts_a if pts_b is None else np.atleast_2d(self._pts(pts_b))
-        return _kernels.cone_dist_matrix(
-            pts_a[:, 0], pts_a[:, 1], pts_b[:, 0], pts_b[:, 1], self.theta_c, threads
-        )
+    def distance_matrix(self, pts_a, pts_b=None) -> np.ndarray:
+        a, b = self._pair_sets(pts_a, pts_b)
+        return _kernels.cone_dist_matrix(a[:, 0], a[:, 1], b[:, 0], b[:, 1], self.theta_c)
 
     def ball_volume(self, x, r):
         """Area of B_r(x) by angular quadrature over the unfolded slices.
@@ -292,7 +295,7 @@ class FlatCone(ModelSpace):
         rho0 = float(self._centre(x)[..., 0])
         half = 0.5 * self.theta_c
         if rho0 == 0.0:
-            return 0.5 * self.theta_c * r * r, "exact"
+            return 0.5 * self.theta_c * r * r
         if r < rho0:
             kink = math.asin(r / rho0)
             if half >= kink:
@@ -300,8 +303,7 @@ class FlatCone(ModelSpace):
             else:
                 psi_max = math.asin(min(1.0, (rho0 / r) * math.sin(half)))
             nodes, weights = _gl_nodes(16, 0.0, psi_max)
-            area = 2.0 * float(np.sum(weights * 2.0 * r * r * np.cos(nodes) ** 2))
-            return area, "quadrature"
+            return 2.0 * float(np.sum(weights * 2.0 * r * r * np.cos(nodes) ** 2))
         # apex inside the ball: smooth slice profile, split at pi/2
         pieces = [0.0, min(0.5 * math.pi, half), half]
         total = 0.0
@@ -312,7 +314,7 @@ class FlatCone(ModelSpace):
             disc = np.maximum(r * r - (rho0 * np.sin(nodes)) ** 2, 0.0)
             hi = np.maximum(rho0 * np.cos(nodes) + np.sqrt(disc), 0.0)
             total += float(np.sum(weights * 0.5 * hi * hi))
-        return 2.0 * total, "quadrature"
+        return 2.0 * total
 
     def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Rejection from an annulus-sector envelope in (rho, phi)."""
@@ -358,10 +360,15 @@ class CarnotSpace(ModelSpace):
         return f"carnot:{name}:{self.gauge.spec()}"
 
     def distance(self, p, q):
-        return distance(self.group, self.gauge, p, q)
+        """Left-invariant pseudodistance d(p, q) = gauge(q^-1 * p)."""
+        g = self.group
+        out = self.gauge.value(g, g.multiply(g.inverse(q), p))
+        return float(out) if np.ndim(out) == 0 else out
 
-    def distance_matrix(self, pts_a, pts_b=None, threads: int = 1) -> np.ndarray:
-        return distance_matrix(self.group, self.gauge, pts_a, pts_b, threads)
+    def distance_matrix(self, pts_a, pts_b=None) -> np.ndarray:
+        (a, b), v1 = self._pair_sets(pts_a, pts_b), self.group.v1
+        return _kernels.carnot_dist_matrix(a[:, :v1], a[:, v1:], b[:, :v1], b[:, v1:], self.group.bracket,
+                                           self.gauge.beta)
 
     def _pts(self, p) -> np.ndarray:
         return self.group._check(p)
@@ -382,13 +389,13 @@ class CarnotSpace(ModelSpace):
         Non-Uniform Random Variate Generation, 1986, ch. 4-5)."""
         return self.group.v1 / 4.0, self.group.v2 / 2.0 + 1.0
 
-    def unit_ball_volume(self) -> tuple[float, str]:
+    def unit_ball_volume(self) -> float:
         """Volume of B_1(0) in closed form: |S^(v1-1)| omega_v2 beta^(-v2/2)
         B(a, b) / 4."""
         v1, v2 = self.group.v1, self.group.v2
         sphere_ball = v1 * unit_ball_volume(v1) * unit_ball_volume(v2)  # |S^(v1-1)| omega_v2
         vol = sphere_ball * self.gauge.beta ** (-v2 / 2.0) * _special.beta(*self._quartic_law()) / 4.0
-        return float(vol), "exact"
+        return float(vol)
 
     def mean_value_constant(self) -> float:
         """C in the ball mean u(x) + C r^2 (horizontal Laplacian of u) + o(r^2),
@@ -400,8 +407,7 @@ class CarnotSpace(ModelSpace):
     def ball_volume(self, x, r):
         r = check_radius(r)
         self._centre(x)
-        c, method = self.unit_ball_volume()
-        return c * r**self.group.homogeneous_dim, method
+        return self.unit_ball_volume() * r**self.group.homogeneous_dim
 
     def sample_ball(self, x, r, n, rng) -> np.ndarray:
         """Left-translate of uniform draws from B_r(0); unbiasedness rests on
@@ -421,7 +427,7 @@ class CarnotSpace(ModelSpace):
         r = check_radius(r)
         g = self.group
         x = self._centre(x)
-        h_bound, v_bound = self.gauge.envelope(g, r)
+        h_bound, v_bound = self.gauge.envelope(r)
         if not math.isfinite(v_bound):
             raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
         if min(h_bound, v_bound) < np.finfo(np.float64).tiny:
@@ -535,7 +541,9 @@ class Region:
     def box(cls, lo, hi) -> "Region":
         region = cls("box", lo=lo, hi=hi)
         lo, hi = region.lo, region.hi
-        if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(lo) & np.isfinite(hi)):
+        if lo.shape != hi.shape:
+            raise InputError(f"a box needs as many lo as hi bounds, got {lo.size} and {hi.size}")
+        if not np.all((lo < hi) & np.isfinite(lo) & np.isfinite(hi)):
             raise InputError("a box needs finite lo < hi on every axis")
         return region
 
@@ -588,6 +596,8 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
     r = check_radius(r)
     if region.kind == "unit":
         region = _default_region(space)
+    if region.kind == "ball" and region.center.shape != (space.dim,):
+        raise InputError(f"a ball centre needs {space.dim} coordinates, got {region.center.tolist()!r}")
     if isinstance(space, Euclidean):
         return 0.0
     if isinstance(space, HalfSpace):
@@ -657,9 +667,9 @@ class CloudMeta:
 
 
 def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> FiniteMMSpace:
-    """The cloud as a finite space: the full distance matrix, or with cut
-    the CSR table of every pair at distance <= cut (``_cut_table``), built
-    without an n x n matrix.
+    """The cloud as a finite space: the full distance matrix, filled row
+    block by row block on threads, or with cut the CSR table of every pair
+    at distance <= cut (``_cut_table``), built without an n x n matrix.
 
     Before it allocates or scans anything, it refuses a table over the
     memory budget (``mmspace.check_memory``).  A cut table takes 12 bytes
@@ -678,14 +688,20 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
     else:
         cut = check_radius(cut)
         if isinstance(space, CarnotSpace):
-            h, v = space.gauge.envelope(space.group, cut)
+            h, v = space.gauge.envelope(cut)
             vol = unit_ball_volume(space.group.v1) * h**space.group.v1 * (2 * v) ** space.group.v2
         else:
             vol = unit_ball_volume(space.dim) * cut**space.dim
         size, table = 12 * n * min(n, math.ceil(vol / np.min(mass))), "neighbour table"
     check_memory(size, f"a cloud of n={n} points", table)
     if cut is None:
-        return FiniteMMSpace(space.distance_matrix(pts, threads=threads), mass)
+        dist = np.empty((n, n))
+
+        def rows(s, e):
+            dist[s:e] = space.distance_matrix(pts[s:e], pts)
+
+        _kernels.pool_map(rows, _kernels.row_blocks(n, n), threads)
+        return FiniteMMSpace(dist, mass)
     dist, cols, offsets = _cut_table(space, pts, cut, threads)
     return FiniteMMSpace(dist, mass, cols=cols, offsets=offsets, cut=cut)
 
@@ -708,7 +724,7 @@ def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
     the band narrow.
     """
     n, key = pts.shape[0], pts[:, 0]
-    reach = space.gauge.envelope(space.group, cut)[0] if isinstance(space, CarnotSpace) else cut
+    reach = space.gauge.envelope(cut)[0] if isinstance(space, CarnotSpace) else cut
     reach += 1e-9 * (reach + np.abs(key).max(initial=0.0))
     index = np.arange(n, dtype=np.int32)
 
@@ -807,7 +823,7 @@ def carnot_ball_cloud(space: CarnotSpace, R: float, cells_per_axis: int, seed: i
     """
     g = space.group
     R = float(R)
-    h_bound, v_bound = space.gauge.envelope(g, R)
+    h_bound, v_bound = space.gauge.envelope(R)
     lo = np.concatenate([np.full(g.v1, -h_bound), np.full(g.v2, -v_bound)])
     kept = {}
 

@@ -354,8 +354,9 @@ def produce_axioms():
             worst["symmetry"] = max(
                 worst["symmetry"], float(np.max(np.abs(gauge.value(g, g.inverse(x)) - vals)))
             )
-            d0 = ca.distance(g, gauge, x, y)
-            d1 = ca.distance(g, gauge, g.multiply(z, x), g.multiply(z, y))
+            space = mo.CarnotSpace(g, gauge)
+            d0 = space.distance(x, y)
+            d1 = space.distance(g.multiply(z, x), g.multiply(z, y))
             worst["left_invariance"] = max(
                 worst["left_invariance"], float(np.max(np.abs(d0 - d1) / np.maximum(d0, 1e-9)))
             )

@@ -1,9 +1,11 @@
 """Kernel invariants that finite spaces rely on.
 
 Every self-distance matrix must be exactly symmetric with a zero diagonal
-(FiniteMMSpace rejects anything else), and neither the ``threads`` argument
-nor the row-block size (``_kernels.row_blocks``) may change an output bit.
-The point counts span many row blocks, so two threads really split the work.
+(FiniteMMSpace rejects anything else), and neither a kernel's ``threads``
+argument nor the row-block size (``_kernels.row_blocks``) may change an
+output bit.  The point counts span many row blocks, so two threads really
+split the work.  Each space's pair distance equals its matrix entry bit for
+bit.
 """
 
 import time
@@ -24,25 +26,35 @@ def _rand_group(rng, v1, v2):
     return ca.CarnotStep2(v1, v2, b - np.swapaxes(b, 1, 2))
 
 
-def _model(space):
-    return lambda pts, threads: space.distance_matrix(pts, threads=threads)
+def _flat(pts, threads):
+    return k.euclid_dist_matrix(pts, pts, threads)
+
+
+def _cone(theta):
+    return lambda pts, threads: k.cone_dist_matrix(pts[:, 0], pts[:, 1], pts[:, 0], pts[:, 1], theta, threads)
 
 
 def _carnot(group, gauge):
-    return lambda pts, threads: ca.distance_matrix(group, gauge, pts, threads=threads)
+    def build(pts, threads):
+        z1, z2 = pts[:, : group.v1], pts[:, group.v1 :]
+        return k.carnot_dist_matrix(z1, z2, z1, z2, group.bracket, gauge.beta, threads)
+
+    return build
 
 
-# name -> (self-distance builder, point dimension, lowest coordinate: half-space
-# and cone points need a nonnegative first coordinate)
+H1 = ca.heisenberg(1)
+H2 = ca.heisenberg(2)
+RANDOM_GROUP = _rand_group(np.random.default_rng(5), 3, 2)
+
+# name -> (self-distance kernel call, point dimension, lowest coordinate:
+# half-space and cone points need a nonnegative first coordinate)
 SELF_DISTANCES = {
-    "euclidean": (_model(mo.Euclidean(3)), 3, -2.0),
-    "half_space": (_model(mo.HalfSpace(2)), 2, 0.0),
-    "cone": (_model(mo.FlatCone(1.9)), 2, 0.0),
-    "carnot_koranyi": (_carnot(ca.heisenberg(1), ca.Gauge("koranyi")), 3, -2.0),
-    "carnot_scaled": (_carnot(ca.heisenberg(2), ca.Gauge("scaled_koranyi", 16.0)), 5, -2.0),
-    "carnot_random_bracket": (
-        _carnot(_rand_group(np.random.default_rng(5), 3, 2), ca.Gauge("koranyi")), 5, -2.0,
-    ),
+    "euclidean": (_flat, 3, -2.0),
+    "half_space": (_flat, 2, 0.0),
+    "cone": (_cone(1.9), 2, 0.0),
+    "carnot_koranyi": (_carnot(H1, ca.Gauge("koranyi")), 3, -2.0),
+    "carnot_scaled": (_carnot(H2, ca.Gauge("scaled_koranyi", 16.0)), 5, -2.0),
+    "carnot_random_bracket": (_carnot(RANDOM_GROUP, ca.Gauge("koranyi")), 5, -2.0),
 }
 
 
@@ -57,15 +69,41 @@ def test_self_distance_exactly_symmetric(name):
     assert np.array_equal(one, two)
 
 
-@pytest.mark.parametrize("theta", [1.9, 4.5, 2 * np.pi])
-def test_cone_pair_distance_is_the_matrix_entry(theta):
-    # FlatCone.distance and the matrix kernel share one law of cosines, so
-    # broadcast pairs reproduce the matrix bit for bit
-    cone = mo.FlatCone(theta)
-    rng = np.random.default_rng(10)
-    pts = np.stack([rng.uniform(0.0, 1.9, 600), rng.uniform(0.0, theta, 600)], axis=1)
-    pts[::40, 0] = 0.0  # apex points
-    assert np.array_equal(cone.distance(pts[:, None, :], pts[None, :, :]), cone.distance_matrix(pts))
+def _box(dim, low):
+    return lambda rng, n: rng.uniform(low, 1.9, size=(n, dim))
+
+
+def _polar(theta):
+    def draw(rng, n):
+        pts = np.stack([rng.uniform(0.0, 1.9, n), rng.uniform(0.0, theta, n)], axis=1)
+        pts[::40, 0] = 0.0  # apex points
+        return pts
+
+    return draw
+
+
+# name -> (space, point draw)
+PAIR_SPACES = {
+    "euclidean": (mo.Euclidean(3), _box(3, -2.0)),
+    "euclidean_9": (mo.Euclidean(9), _box(9, -2.0)),  # past 8 columns np.sum adds pairwise, unlike cdist
+    "half_space": (mo.HalfSpace(2), _box(2, 0.0)),
+    "cone_1.9": (mo.FlatCone(1.9), _polar(1.9)),
+    "cone_4.5": (mo.FlatCone(4.5), _polar(4.5)),
+    "cone_plane": (mo.FlatCone(2 * np.pi), _polar(2 * np.pi)),
+    "carnot_koranyi": (mo.CarnotSpace(H1, ca.Gauge("koranyi")), _box(3, -2.0)),
+    "carnot_scaled": (mo.CarnotSpace(H2, ca.Gauge("scaled_koranyi", 16.0)), _box(5, -2.0)),
+    "carnot_random_bracket": (mo.CarnotSpace(RANDOM_GROUP, ca.Gauge("koranyi")), _box(5, -2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SPACES))
+def test_pair_distance_is_the_matrix_entry(name):
+    # each kind's pair form performs the matrix kernel's operations on a pair
+    # (on a cone, one shared law of cosines), so broadcast pairs reproduce
+    # the matrix bit for bit
+    space, draw = PAIR_SPACES[name]
+    pts = draw(np.random.default_rng(10), 300)
+    assert np.array_equal(space.distance(pts[:, None, :], pts[None, :, :]), space.distance_matrix(pts))
 
 
 def test_threads_bitwise_wrappers():

@@ -81,14 +81,15 @@ def test_pseudonorm_axioms(h1):
 
 
 def test_distance_example_and_left_invariance(h1, koranyi):
-    d = ca.distance(h1, koranyi, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    space = CarnotSpace(h1, koranyi)
+    d = space.distance(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     assert d == pytest.approx((17 / 4) ** 0.25, rel=1e-14)
     rng = np.random.default_rng(11)
     g, x, y = rng.uniform(-2, 2, size=(3, 300, 3))
-    d0 = ca.distance(h1, koranyi, x, y)
-    d1 = ca.distance(h1, koranyi, h1.multiply(g, x), h1.multiply(g, y))
+    d0 = space.distance(x, y)
+    d1 = space.distance(h1.multiply(g, x), h1.multiply(g, y))
     assert np.max(np.abs(d0 - d1) / np.maximum(d0, 1e-12)) < 1e-12
-    np.testing.assert_allclose(ca.distance(h1, koranyi, y, x), d0, rtol=1e-13)
+    np.testing.assert_allclose(space.distance(y, x), d0, rtol=1e-13)
 
 
 def test_left_field_examples(h1):

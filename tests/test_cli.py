@@ -288,6 +288,34 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
         (["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--threads", "-2"],
          "--threads must be > 0, got -2"),
         (["bpz-demo", "heisenberg:1", "koranyi", "--threads", "0"], "--threads must be > 0, got 0"),
+        (["isotropy", "heisenberg:1", "scaled", "--beta", "inf", "--scheme", "grid:4"],
+         "beta must be positive and finite, got inf"),
+        (["bpz-demo", "heisenberg:1", "scaled", "--beta", "inf"], "beta must be positive and finite, got inf"),
+        (["amv-sweep", "carnot:heisenberg:1:scaled:inf", "--field", "hsq", "--point", "0,0,0"],
+         "'carnot:heisenberg:1:scaled:inf'"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--tolerance", "nan"],
+         "--tolerance must be finite and >= 0, got nan"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--reference", "inf", "--tolerance", "inf"],
+         "--tolerance must be finite and >= 0, got inf"),
+        (["amv-sweep", "euclidean:2", "--field", "sq1", "--point", "0,0", "--reference", "inf"],
+         "--reference must be finite, got inf"),
+        (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--reference=-inf"],
+         "--reference must be finite, got -inf"),
+        (["weak-sweep", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--reference", "nan"],
+         "--reference must be finite, got nan"),
+        (["sym-vs-plain", "euclidean:2", "--field", "harmonic3", "--phi", "tent:0,0:0.3:0.6", "--tolerance", "-0.1"],
+         "--tolerance must be finite and >= 0, got -0.1"),
+        (["mm-boundary", "half:2", "--tolerance", "inf"], "--tolerance must be finite and >= 0, got inf"),
+        (["isotropy", "heisenberg:1", "koranyi", "--scheme", "grid:4", "--tolerance", "nan"],
+         "--tolerance must be finite and >= 0, got nan"),
+        (["bpz-demo", "heisenberg:1", "koranyi", "--tolerance", "-1"],
+         "--tolerance must be finite and >= 0, got -1.0"),
+        (["mm-boundary", "half:2", "--region", "ball:0,0,0:1.0"],
+         "a ball centre needs 2 coordinates, got [0.0, 0.0, 0.0]"),
+        (["mm-boundary", "cone:1.5", "--region", "ball:0:1.0"], "a ball centre needs 2 coordinates, got [0.0]"),
+        (["mm-boundary", "euclidean:2", "--region", "ball:0:1"], "a ball centre needs 2 coordinates, got [0.0]"),
+        (["mm-boundary", "half:2", "--region", "box:0,0:1"],
+         "'box:0,0:1': a box needs as many lo as hi bounds, got 2 and 1"),
     ],
     ids=["phi-center", "monomial-arity", "coord-high", "coord-zero", "coord-token", "point", "radii-list",
          "radii-geometric", "annulus", "annulus-inverted", "resolutions", "level-radii", "preset", "koranyi-beta",
@@ -297,7 +325,11 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
          "ball-radius-negative", "point-nan", "radii-nan", "radii-inf", "point-overflow", "R-inf",
          "level-without-interior", "empty-cloud-seed-1", "empty-cloud-seed-3", "empty-cloud-seed-4",
          "weak-radii-count-zero", "sym-radii-count-negative", "amv-threads-zero",
-         "strong-threads-negative", "weak-threads-zero", "sym-threads-negative", "bpz-threads-zero"],
+         "strong-threads-negative", "weak-threads-zero", "sym-threads-negative", "bpz-threads-zero",
+         "isotropy-beta-inf", "bpz-beta-inf", "space-beta-inf", "tolerance-nan", "tolerance-and-reference-inf",
+         "reference-inf", "strong-reference-negative-inf", "weak-reference-nan", "sym-tolerance-negative",
+         "mm-boundary-tolerance-inf", "isotropy-tolerance-nan", "bpz-tolerance-negative", "half-ball-centre-long",
+         "cone-ball-centre-short", "euclid-ball-centre-short", "box-lo-hi-mismatch"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])

@@ -150,7 +150,7 @@ def gauge_ball_problem(r, seed=4, res=12):
     full, pts, _, gv = mo.carnot_ball_cloud(space, 1.0, res, seed)
     cut, _, _, _ = mo.carnot_ball_cloud(space, 1.0, res, seed, cut=r)
     field = ca.coordinate(3, 0) - 0.5 * ca.coordinate(3, 1)
-    return full, cut, di.gauge_ball_partition(space, gv, 1.0, r, field.value(pts))
+    return full, cut, di.gauge_ball_partition(gv, 1.0, r, field.value(pts))
 
 
 @pytest.mark.parametrize("cutoff", [0, 500], ids=["cg", "lu"])
@@ -242,7 +242,7 @@ def test_scaled_gauge_barrier_radius():
     h1 = ca.heisenberg(1)
     space = mo.CarnotSpace(h1, ca.Gauge("koranyi"))
     cloud, pts, meta, gv = mo.carnot_ball_cloud(space, 1.0, 8, seed=1)
-    part = di.gauge_ball_partition(space, gv, 1.0, 0.4, np.zeros(cloud.n))
+    part = di.gauge_ball_partition(gv, 1.0, 0.4, np.zeros(cloud.n))
     assert np.all(gv[part.boundary] >= 0.6)
     assert np.all(gv[part.interior] < 0.6)
 

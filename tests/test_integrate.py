@@ -452,12 +452,12 @@ def test_carnot_ball_volume_mc_is_the_hit_fraction(h1, koranyi):
     space = mo.CarnotSpace(h1, koranyi)
     x, r, n, seed = np.array([0.4, -0.3, 0.2]), 0.7, 30_000, it.SeedSpec(5, 2)
     est = it.carnot_ball_volume_mc(space, x, r, n, seed)
-    h_bound, v_bound = koranyi.envelope(h1, r)
+    h_bound, v_bound = koranyi.envelope(r)
     slack = v_bound + 0.5 * float(np.sum(np.abs(h1.bracket[0].T @ x[:2]))) * h_bound
     lo = np.array([x[0] - h_bound, x[1] - h_bound, x[2] - slack])
     hi = np.array([x[0] + h_bound, x[1] + h_bound, x[2] + slack])
     cand = seed.generator().uniform(lo, hi, (n, 3))
-    p = np.count_nonzero(ca.distance(h1, koranyi, cand, x[None, :]) < r) / n
+    p = np.count_nonzero(space.distance(cand, x[None, :]) < r) / n
     box = float(np.prod(hi - lo))
     assert est.value == pytest.approx(box * p, rel=1e-12)
     assert est.std_error == pytest.approx(box * math.sqrt(p * (1 - p) / n), rel=1e-12)

@@ -48,13 +48,11 @@ def test_full_cone_is_plane():
 
 def test_ball_volumes():
     eu = mo.Euclidean(2)
-    v, tag = eu.ball_volume(np.zeros(2), 1.0)
-    assert v == pytest.approx(math.pi) and tag == "exact"
+    assert eu.ball_volume(np.zeros(2), 1.0) == pytest.approx(math.pi)
     cone = mo.FlatCone(1.1)
-    v, tag = cone.ball_volume(np.array([0.0, 0.0]), 0.7)
-    assert v == pytest.approx(0.5 * 1.1 * 0.49) and tag == "exact"
+    assert cone.ball_volume(np.array([0.0, 0.0]), 0.7) == pytest.approx(0.5 * 1.1 * 0.49)
     # free disk away from the apex
-    v, _ = mo.FlatCone(math.pi).ball_volume(np.array([1.0, 0.2]), 0.3)
+    v = mo.FlatCone(math.pi).ball_volume(np.array([1.0, 0.2]), 0.3)
     assert v == pytest.approx(math.pi * 0.09, rel=1e-13)
 
 
@@ -62,7 +60,7 @@ def test_cone_wrap_volume_against_mc():
     cone = mo.FlatCone(math.pi / 2)
     x = np.array([1.0, 0.3])
     r = 0.9
-    v, _ = cone.ball_volume(x, r)
+    v = cone.ball_volume(x, r)
     rng = np.random.default_rng(5)
     n = 200_000
     rho = np.sqrt(rng.uniform(0, 1.9**2, n))
@@ -76,7 +74,7 @@ def test_cone_wrap_volume_against_mc():
 
 def test_cone_apex_ratio_constant():
     cone = mo.FlatCone(2.0)
-    ratios = [cone.ball_volume(np.zeros(2), r)[0] / (math.pi * r * r) for r in (0.1, 0.5, 2.0)]
+    ratios = [cone.ball_volume(np.zeros(2), r) / (math.pi * r * r) for r in (0.1, 0.5, 2.0)]
     np.testing.assert_allclose(ratios, 2.0 / (2 * math.pi), rtol=1e-14)
 
 
@@ -84,10 +82,10 @@ def test_half_space():
     hs = mo.HalfSpace(2)
     assert hs.theta_r(np.array([0.0, 3.0]), 1.0) == pytest.approx(0.5)
     assert hs.theta_r(np.array([2.0, 0.0]), 1.0) == 1.0
-    v, tag = hs.ball_volume(np.array([0.5, 0.0]), 1.0)
+    v = hs.ball_volume(np.array([0.5, 0.0]), 1.0)
     # area = pi - segment cut at distance 0.5
     seg = math.acos(0.5) - 0.5 * math.sqrt(0.75)
-    assert v == pytest.approx(math.pi - seg, rel=1e-12) and tag == "exact"
+    assert v == pytest.approx(math.pi - seg, rel=1e-12)
     with pytest.raises(InputError):
         hs.theta_r(np.array([-0.1, 0.0]), 1.0)
 
@@ -125,8 +123,8 @@ def test_cone_sampler_uniform():
     d = cone.distance(pts, x[None, :])
     assert np.all(d < r)
     # fraction inside half the radius tends to area ratio
-    vol_half, _ = cone.ball_volume(x, r / 2)
-    vol_full, _ = cone.ball_volume(x, r)
+    vol_half = cone.ball_volume(x, r / 2)
+    vol_full = cone.ball_volume(x, r)
     frac = (d < r / 2).mean()
     assert abs(frac - vol_half / vol_full) < 3 * math.sqrt(0.25 / 40_000) + 0.005
 
@@ -137,7 +135,7 @@ def test_theta_r_is_the_ball_volume_over_the_euclidean_one(space):
     for _ in range(50):
         x = rng.uniform(0.0, 1.8, size=space.dim)  # inside the cone's angle range too
         r = float(rng.uniform(0.05, 3.0))
-        vol, _ = space.ball_volume(x, r)
+        vol = space.ball_volume(x, r)
         assert space.theta_r(x, r) == vol / (mo.unit_ball_volume(space.dim) * r**space.dim)
     with pytest.raises(InputError, match="finite coordinates"):
         space.theta_r(np.full(space.dim, np.nan), 1.0)
@@ -215,22 +213,21 @@ def test_centre_outside_the_space_is_refused(space, centre):
 
 def test_carnot_ball_volume_exact_scaling():
     cs = mo.CarnotSpace(ca.heisenberg(1), ca.Gauge("koranyi"))
-    v1, tag = cs.ball_volume(np.array([3.0, -1.0, 0.4]), 1.0)
-    assert tag == "exact"
+    v1 = cs.ball_volume(np.array([3.0, -1.0, 0.4]), 1.0)
     assert v1 == pytest.approx(math.pi**2 / 2, rel=1e-10)
-    v2, _ = cs.ball_volume(np.zeros(3), 2.0)
+    v2 = cs.ball_volume(np.zeros(3), 2.0)
     assert v2 == pytest.approx(v1 * 16.0, rel=1e-12)
 
 
 def test_quartic_ball_volume_closed_form():
     h1 = ca.heisenberg(1)
     for gauge in (ca.Gauge("koranyi"), ca.Gauge("scaled_koranyi", 16.0)):
-        vol, tag = mo.CarnotSpace(h1, gauge).unit_ball_volume()
+        vol = mo.CarnotSpace(h1, gauge).unit_ball_volume()
         _, weights = it.carnot_ball_quadrature(h1, gauge, res=48)
-        assert tag == "exact" and vol == pytest.approx(np.sum(weights), rel=1e-12)
+        assert vol == pytest.approx(np.sum(weights), rel=1e-12)
     h2 = mo.carnot_preset("heisenberg:2", "scaled", 16.0)
-    vol, tag = h2.ball_volume(np.zeros(5), 1.0)
-    assert tag == "exact" and vol == pytest.approx(math.pi**2 / 6, rel=1e-14)
+    vol = h2.ball_volume(np.zeros(5), 1.0)
+    assert vol == pytest.approx(math.pi**2 / 6, rel=1e-14)
     est = it.carnot_ball_volume_mc(h2, np.zeros(5), 1.0, 400_000, it.SeedSpec(11))
     assert abs(est.value - vol) < 4 * est.std_error
 
@@ -494,6 +491,8 @@ def test_band_table_is_the_filtered_full_matrix(kind, monkeypatch):
         assert np.any(full > cut)
         one, two = (mo._cloud_space(space, p, m, threads, cut) for threads in (1, 2))
         assert all(getattr(one, a).tobytes() == getattr(two, a).tobytes() for a in ("dist", "cols", "offsets"))
+        # the full form, filled block by block, holds the kernel's matrix at any width
+        assert [mo._cloud_space(space, p, m, threads).dist.tobytes() for threads in (1, 2)] == [full.tobytes()] * 2
         assert np.array_equal(one.as_matrix(one.dist, fill=np.inf), np.where(full <= cut, full, np.inf))
         assert one.dist.size == np.count_nonzero(full <= cut)  # no padding
 

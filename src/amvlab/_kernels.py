@@ -12,9 +12,9 @@ Reductions that could depend on execution layout are avoided here: kernels
 are elementwise or row-parallel with disjoint output slices, which is what
 makes the ``threads`` argument a no-op for the produced bits.  It is the
 width of a ``pool_map`` pool over one call's own row blocks.  The package
-calls every kernel at threads=1: a cloud build maps whole row blocks, each
-one kernel call, over its own pool (``models._cloud_space``), so pools
-never nest.  The keyword serves timing one large call at several widths
+calls every kernel at threads=1: a full cloud matrix is one call, and a
+cut table maps whole row blocks, each one kernel call, over its own pool
+(``models._cut_table``), so pools never nest.  The keyword serves timing one large call at several widths
 (the kernel replay of benchmarks/perfbench).
 """
 

@@ -28,11 +28,11 @@ Carnot clouds are one jittered box build (``_box_cloud``: jitter, masses,
 ``_cloud_space``, CloudMeta) with their own bounds, cell counts and
 boundary distance; the Carnot cloud is the box of its gauge envelope with
 the points outside the closed ball B_R(0) dropped.  The cone cloud is a
-polar grid drawn in one call, ring by ring.  A cloud maps row blocks of
-the distance kernel on its threads: they fill the full matrix or, with
-cut=, keep only the pairs within that radius as a CSR table (see mmspace),
-from a band of first coordinates (``_cut_table``); either way a table
-larger than the memory budget (``mmspace.check_memory``) is refused before
+polar grid drawn in one call, ring by ring.  A cloud holds the full
+distance matrix, one kernel call, or with cut= only the pairs within that
+radius as a CSR table (see mmspace), whose row blocks map on threads over
+a band of first coordinates (``_cut_table``); either way a table larger
+than the memory budget (``mmspace.check_memory``) is refused before
 anything is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
@@ -596,15 +596,14 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
     r = check_radius(r)
     if region.kind == "unit":
         region = _default_region(space)
-    if region.kind == "ball" and region.center.shape != (space.dim,):
-        raise InputError(f"a ball centre needs {space.dim} coordinates, got {region.center.tolist()!r}")
+    where = region.center if region.kind == "ball" else region.lo
+    if where.shape != (space.dim,):
+        raise InputError(f"a {region.kind} region needs points of {space.dim} coordinates, got {where.tolist()!r}")
     if isinstance(space, Euclidean):
         return 0.0
     if isinstance(space, HalfSpace):
         n = space.dim
         if region.kind == "box":
-            if region.lo.shape != (n,) or region.hi.shape != (n,):
-                raise InputError("box bounds must match the space dimension")
             if region.lo[0] != 0.0:
                 raise InputError("half-space boxes must start at the boundary (lo[0] = 0)")
             cross = float(np.prod(region.hi[1:] - region.lo[1:]))
@@ -667,9 +666,9 @@ class CloudMeta:
 
 
 def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> FiniteMMSpace:
-    """The cloud as a finite space: the full distance matrix, filled row
-    block by row block on threads, or with cut the CSR table of every pair
-    at distance <= cut (``_cut_table``), built without an n x n matrix.
+    """The cloud as a finite space: the full distance matrix (one kernel
+    call), or with cut the CSR table of every pair at distance <= cut
+    (``_cut_table``), built on threads without an n x n matrix.
 
     Before it allocates or scans anything, it refuses a table over the
     memory budget (``mmspace.check_memory``).  A cut table takes 12 bytes
@@ -695,13 +694,7 @@ def _cloud_space(space: ModelSpace, pts, mass, threads: int, cut=None) -> Finite
         size, table = 12 * n * min(n, math.ceil(vol / np.min(mass))), "neighbour table"
     check_memory(size, f"a cloud of n={n} points", table)
     if cut is None:
-        dist = np.empty((n, n))
-
-        def rows(s, e):
-            dist[s:e] = space.distance_matrix(pts[s:e], pts)
-
-        _kernels.pool_map(rows, _kernels.row_blocks(n, n), threads)
-        return FiniteMMSpace(dist, mass)
+        return FiniteMMSpace(space.distance_matrix(pts), mass)
     dist, cols, offsets = _cut_table(space, pts, cut, threads)
     return FiniteMMSpace(dist, mass, cols=cols, offsets=offsets, cut=cut)
 

@@ -102,7 +102,7 @@ def test_pair_distance_is_the_matrix_entry(name):
     # (on a cone, one shared law of cosines), so broadcast pairs reproduce
     # the matrix bit for bit
     space, draw = PAIR_SPACES[name]
-    pts = draw(np.random.default_rng(10), 300)
+    pts = draw(np.random.default_rng(10), 600)
     assert np.array_equal(space.distance(pts[:, None, :], pts[None, :, :]), space.distance_matrix(pts))
 
 

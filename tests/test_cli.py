@@ -311,9 +311,14 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
         (["bpz-demo", "heisenberg:1", "koranyi", "--tolerance", "-1"],
          "--tolerance must be finite and >= 0, got -1.0"),
         (["mm-boundary", "half:2", "--region", "ball:0,0,0:1.0"],
-         "a ball centre needs 2 coordinates, got [0.0, 0.0, 0.0]"),
-        (["mm-boundary", "cone:1.5", "--region", "ball:0:1.0"], "a ball centre needs 2 coordinates, got [0.0]"),
-        (["mm-boundary", "euclidean:2", "--region", "ball:0:1"], "a ball centre needs 2 coordinates, got [0.0]"),
+         "a ball region needs points of 2 coordinates, got [0.0, 0.0, 0.0]"),
+        (["mm-boundary", "cone:1.5", "--region", "ball:0:1.0"],
+         "a ball region needs points of 2 coordinates, got [0.0]"),
+        (["mm-boundary", "euclidean:2", "--region", "ball:0:1"],
+         "a ball region needs points of 2 coordinates, got [0.0]"),
+        (["mm-boundary", "euclidean:2", "--region", "box:0,0,0:1,1,1"],
+         "a box region needs points of 2 coordinates, got [0.0, 0.0, 0.0]"),
+        (["mm-boundary", "half:2", "--region", "box:0:1"], "a box region needs points of 2 coordinates, got [0.0]"),
         (["mm-boundary", "half:2", "--region", "box:0,0:1"],
          "'box:0,0:1': a box needs as many lo as hi bounds, got 2 and 1"),
     ],
@@ -329,7 +334,8 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, exc, message):
          "isotropy-beta-inf", "bpz-beta-inf", "space-beta-inf", "tolerance-nan", "tolerance-and-reference-inf",
          "reference-inf", "strong-reference-negative-inf", "weak-reference-nan", "sym-tolerance-negative",
          "mm-boundary-tolerance-inf", "isotropy-tolerance-nan", "bpz-tolerance-negative", "half-ball-centre-long",
-         "cone-ball-centre-short", "euclid-ball-centre-short", "box-lo-hi-mismatch"],
+         "cone-ball-centre-short", "euclid-ball-centre-short", "euclid-box-long",
+         "half-box-short", "box-lo-hi-mismatch"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, args, typed):
     rc = main([*args, "--out", str(tmp_path / "r.json")])

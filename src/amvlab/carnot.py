@@ -11,8 +11,8 @@ and the horizontal field X_j generates the right-translation curve
 t -> x * (t e_j, 0).  The left-invariance tests pin this convention.
 
 A group (CarnotStep2) is its layer dimensions and brackets, with the
-product, inverse, dilation and text form; points are plain arrays, split
-into layers by slicing.  A gauge gives values and the bounding box of its
+product, inverse and dilation; points are plain arrays, split into layers
+by slicing.  A gauge gives values and the bounding box of its
 balls (``envelope``), on which the samplers and clouds of ``models`` rest.
 This module holds the group law, the gauges and horizontal calculus; the
 distance d(x, y) = gauge(y^-1 * x) belongs to the metric measure space,
@@ -21,14 +21,13 @@ distance d(x, y) = gauge(y^-1 * x) belongs to the metric measure space,
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
 
 from . import _kernels
 from .fields import AnalyticField, GaugePower, ShiftedSquareNorm, coordinate
-from .mmspace import InputError, content_lines, line_fields
+from .mmspace import InputError
 
 
 class CarnotStep2:
@@ -89,34 +88,6 @@ class CarnotStep2:
         out[..., : self.v1] = t * x[..., : self.v1]
         out[..., self.v1 :] = (t * t) * x[..., self.v1 :]
         return out
-
-    # -- serialization: "v1 v2" then one "k i j value" line per nonzero
-    #    bracket entry with i < j (1-based indices) --
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"{self.v1} {self.v2}\n")
-        for k, i, j in zip(*np.nonzero(np.triu(self.bracket, 1))):
-            buf.write(f"{k + 1} {i + 1} {j + 1} {float(self.bracket[k, i, j])!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text: str) -> "CarnotStep2":
-        lines = content_lines(text)
-        if not lines:
-            raise InputError("empty group description")
-        v1, v2 = line_fields(lines[0], (int, int), "first line must be 'v1 v2'")
-        if v1 < 1 or v2 < 0:  # before np.zeros, which raises a bare ValueError
-            raise InputError(f"need v1 >= 1 and v2 >= 0, got {lines[0]!r}")
-        bracket = np.zeros((v2, v1, v1))
-        for ln in lines[1:]:
-            k, i, j, c = line_fields(ln, (int, int, int, float), "bracket line must be 'k i j value'")
-            k, i, j = k - 1, i - 1, j - 1
-            if not (0 <= k < v2 and 0 <= i < v1 and 0 <= j < v1) or i == j:
-                raise InputError(f"bracket indices out of range in {ln!r}")
-            bracket[k, i, j] = c
-            bracket[k, j, i] = -c
-        return cls(v1, v2, bracket)
 
 
 def heisenberg(n: int = 1) -> CarnotStep2:

@@ -243,12 +243,12 @@ def cmd_weak_sweep(args) -> int:
 
 def cmd_mm_boundary(args) -> int:
     space = models.parse_space(args.space)
-    region = models.parse_region(args.region)
+    region = models.unit_region(space) if args.region == "unit" else models.parse_region(args.region)
     reference = args.reference
     if reference is None:
         if isinstance(space, (Euclidean, FlatCone)):
             reference = 0.0
-        elif isinstance(space, HalfSpace) and region.kind == "unit":
+        elif isinstance(space, HalfSpace) and region.spec() == models.unit_region(space).spec():
             reference = models.half_space_unit_limit(space.dim)
     report = experiments.mm_boundary_sweep(
         space, region, parse_radii(args.radii), reference=reference, tolerance=args.tolerance

@@ -32,9 +32,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels, mmspace
-from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, sample_ball, scheme_spec
+from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
-from .models import CloudMeta, ModelSpace, NumericError, Region, _default_region, fill_by_rejection, mm_boundary_mass
+from .models import CloudMeta, ModelSpace, NumericError, Region, fill_by_rejection, mm_boundary_mass
 
 
 @dataclass
@@ -341,8 +341,6 @@ def mm_boundary_sweep(
 ) -> ExperimentReport:
     """Total variation of the scaled density-deficit measure per radius."""
     radii = check_radii(radii)
-    if region.kind == "unit":
-        region = _default_region(space)
     estimates = [
         Estimate(mm_boundary_mass(space, region, r), 0.0, 0, "quadrature") for r in radii
     ]
@@ -371,7 +369,7 @@ def gauge_annulus_grid(space, rho_min: float, rho_max: float, count: int, seed: 
     origin = np.zeros(space.dim)
 
     def propose(need):
-        pts = sample_ball(space, origin, rho_max, 4 * count, SeedSpec(seed).child(next(streams)))
+        pts = space.sample_ball(origin, rho_max, 4 * count, SeedSpec(seed).child(next(streams)).generator())
         return pts[space.gauge.value(space.group, pts) >= rho_min]
 
     return fill_by_rejection(count, space.dim, propose)

@@ -86,10 +86,6 @@ class Estimate:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Estimate":
-        return cls(**json.loads(text))
-
 
 @dataclass(frozen=True)
 class MCScheme:
@@ -212,15 +208,6 @@ def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, res: int):
 # ---------------------------------------------------------------------------
 # sampling and means
 # ---------------------------------------------------------------------------
-
-
-def sample_ball(space: ModelSpace, x, r, n: int, seed: SeedSpec) -> np.ndarray:
-    """n points uniform for the space's measure on B_r(x); deterministic in
-    (inputs, seed)."""
-    n = int(n)
-    if n < 1:
-        raise InputError("sample count must be >= 1")
-    return space.sample_ball(x, float(r), n, seed.generator())
 
 
 def _mc_moments(draw, f, scheme: MCScheme):

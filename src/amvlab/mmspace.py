@@ -506,10 +506,6 @@ def space_to_text(space: FiniteMMSpace) -> str:
     return buf.getvalue()
 
 
-def space_from_text(text: str) -> FiniteMMSpace:
-    return load_space(io.StringIO(text))
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ the points outside the closed ball B_R(0) dropped.  The cone cloud is a
 polar grid drawn in one call, ring by ring.  A cloud holds the full
 distance matrix, one kernel call, or with cut= only the pairs within that
 radius as a CSR table (see mmspace), whose row blocks map on threads over
-a band of first coordinates (``_cut_table``); either way a table larger
-than the memory budget (``mmspace.check_memory``) is refused before
-anything is allocated.
+a band of first coordinates (``_cut_table``).  A grid whose build, or a
+table that, exceeds the memory budget (``mmspace.check_memory``) is
+refused before it is allocated.
 
 Volume densities theta_r = vol(B_r(x)) / (omega_N r^N) use the topological
 dimension N: one formula on ModelSpace, offered for the Euclidean,
@@ -524,7 +524,7 @@ def parse_space(spec: str) -> ModelSpace:
 
 
 class Region:
-    """Integration region for mm-boundary masses."""
+    """Integration region for mm-boundary masses: a ball or a box."""
 
     def __init__(self, kind: str, center=None, radius=None, lo=None, hi=None):
         self.kind = kind
@@ -548,21 +548,32 @@ class Region:
         return region
 
     def spec(self) -> str:
+        """The region as a spec that parse_region reads back."""
         if self.kind == "ball":
-            return f"ball:{','.join(repr(v) for v in self.center)}:{self.radius!r}"
-        return f"box:{','.join(repr(v) for v in self.lo)}:{','.join(repr(v) for v in self.hi)}"
+            return f"ball:{','.join(map(repr, self.center.tolist()))}:{self.radius!r}"
+        return f"box:{','.join(map(repr, self.lo.tolist()))}:{','.join(map(repr, self.hi.tolist()))}"
 
 
 def parse_region(spec: str) -> Region:
+    """ball:c1,c2,...:R or box:lo1,lo2,...:hi1,hi2,... (``unit_region`` is the
+    canned region of a space)."""
     tok = spec.strip().split(":")
     with malformed("region", spec):
         if tok[0] == "ball" and len(tok) == 3:
             return Region.ball([float(v) for v in tok[1].split(",")], float(tok[2]))
         if tok[0] == "box" and len(tok) == 3:
             return Region.box([float(v) for v in tok[1].split(",")], [float(v) for v in tok[2].split(",")])
-        if tok[0] == "unit" and len(tok) == 1:
-            return Region("unit")
     raise InputError(f"malformed region spec {spec!r}")
+
+
+def unit_region(space: ModelSpace) -> Region:
+    """The canned mm-boundary region: the unit ball about the origin (the
+    apex on a cone), or the box [0, 1]^n on a half-space."""
+    if isinstance(space, (Euclidean, FlatCone)):
+        return Region.ball(np.zeros(space.dim), 1.0)
+    if isinstance(space, HalfSpace):
+        return Region.box(np.zeros(space.dim), np.ones(space.dim))
+    raise InputError(f"no default region for the {space.kind} kind")
 
 
 _GL_RULES: dict = {}  # order -> read-only Gauss-Legendre (nodes, weights) on [-1, 1]
@@ -594,8 +605,6 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
     """Total variation of the scaled density deficit (1 - theta_r)/r on the
     region: integral of |1 - theta_r(x)| / r over the region."""
     r = check_radius(r)
-    if region.kind == "unit":
-        region = _default_region(space)
     where = region.center if region.kind == "ball" else region.lo
     if where.shape != (space.dim,):
         raise InputError(f"a {region.kind} region needs points of {space.dim} coordinates, got {where.tolist()!r}")
@@ -608,14 +617,12 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
                 raise InputError("half-space boxes must start at the boundary (lo[0] = 0)")
             cross = float(np.prod(region.hi[1:] - region.lo[1:]))
             return cross * _deficit_integral(n, r, float(region.hi[0]), lambda h: 1.0)
-        if region.kind == "ball":
-            if n != 2:
-                raise InputError("ball regions on the half-space are supported in dimension 2")
-            c, R = region.center, region.radius
-            if abs(float(c[0])) > 1e-12:
-                raise InputError("half-space ball regions must be centered on the boundary")
-            return _deficit_integral(n, r, R, lambda h: 2.0 * np.sqrt(np.maximum(R * R - h * h, 0.0)))
-        raise InputError(f"unsupported region kind {region.kind!r}")
+        if n != 2:
+            raise InputError("ball regions on the half-space are supported in dimension 2")
+        c, R = region.center, region.radius
+        if abs(float(c[0])) > 1e-12:
+            raise InputError("half-space ball regions must be centered on the boundary")
+        return _deficit_integral(n, r, R, lambda h: 2.0 * np.sqrt(np.maximum(R * R - h * h, 0.0)))
     if isinstance(space, FlatCone):
         if region.kind != "ball" or float(region.center[0]) != 0.0:
             raise InputError("cone mm-boundary regions must be apex-centered balls")
@@ -633,14 +640,6 @@ def mm_boundary_mass(space: ModelSpace, region: Region, r) -> float:
             total += float(np.sum(weights * dev * nodes))
         return space.theta_c * total / r
     raise InputError(f"mm-boundary masses are not defined for the {space.kind} kind")
-
-
-def _default_region(space: ModelSpace) -> Region:
-    if isinstance(space, (Euclidean, FlatCone)):
-        return Region.ball(np.zeros(space.dim), 1.0)
-    if isinstance(space, HalfSpace):
-        return Region.box(np.zeros(space.dim), np.ones(space.dim))
-    raise InputError(f"no default region for the {space.kind} kind")
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +733,20 @@ def _cut_table(space: ModelSpace, pts, cut: float, threads: int):
     return dist, cols, np.concatenate(([0], np.cumsum(counts)))
 
 
+# peak bytes of a cloud grid's build (cells, jitter, points; a Carnot cloud's
+# gauge values and mask) per cell and coordinate: peak RSS grows by 32.0 on
+# euclidean:2 and half:2, 28.0 on cone:4.5 and 34.7 on H1 (0.5M to 2M cells)
+_CELL_BYTES = 35
+
+
+def _check_cells(cells) -> None:
+    """Refuse a grid with the given cell count per axis whose build exceeds
+    the memory budget, before any of it is allocated; the count is a Python
+    int, so it cannot wrap."""
+    count = math.prod(int(c) for c in cells)
+    check_memory(_CELL_BYTES * len(cells) * count, f"a cloud grid of {count} cells", "grid build")
+
+
 def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, boundary_distance,
                keep=None):
     """Jittered grid over the box [lo, hi] with cells per axis (one count or
@@ -741,6 +754,7 @@ def _box_cloud(space: ModelSpace, lo, hi, cells, seed: int, threads: int, cut, b
     the points where the mask keep(pts) holds stay, each still carrying its
     full cell volume."""
     cells = np.broadcast_to(np.asarray(cells, dtype=int), lo.shape)
+    _check_cells(cells)
     widths = (hi - lo) / cells
     mesh = np.meshgrid(*[lo[d] + widths[d] * np.arange(cells[d]) for d in range(len(cells))], indexing="ij")
     corners = np.stack([m.ravel() for m in mesh], axis=1)
@@ -788,6 +802,7 @@ def cone_cloud(space: FlatCone, rho_max: float, n_rho: int, n_phi: int, seed: in
     Ring by ring, the stream gives n_phi radial then n_phi angular jitters;
     rho is uniform with respect to area inside each cell."""
     rho_max = float(rho_max)
+    _check_cells((n_rho, n_phi))
     rho_edges = np.linspace(0.0, rho_max, n_rho + 1)[:, None]
     r0, r1 = rho_edges[:-1], rho_edges[1:]
     phi_edges = np.linspace(0.0, space.theta_c, n_phi + 1)

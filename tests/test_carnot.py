@@ -203,22 +203,6 @@ def test_heisenberg_presets():
         ca.heisenberg(0)
 
 
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(2)
-    b = rng.uniform(-1, 1, size=(2, 3, 3))
-    b = b - np.swapaxes(b, 1, 2)
-    g = ca.CarnotStep2(3, 2, b)
-    back = ca.CarnotStep2.from_text(g.to_text())
-    assert np.array_equal(g.bracket, back.bracket)
-    assert back.v1 == 3 and back.v2 == 2
-    commented = "# H^1: [e1, e2] = e3\n\n  2 1\n1 1 2 1.0\n"
-    assert np.array_equal(ca.CarnotStep2.from_text(commented).bracket, ca.heisenberg(1).bracket)
-    for bad, line in [("a b", "'a b'"), ("2 1\n1 1 2 x\n", "'1 1 2 x'"), ("2 1\n1 1 2\n", "'1 1 2'"),
-                      ("-1 2\n", "'-1 2'")]:
-        with pytest.raises(InputError, match=line):
-            ca.CarnotStep2.from_text(bad)
-
-
 def test_bracket_validation():
     with pytest.raises(InputError):
         ca.CarnotStep2(2, 1, np.ones((1, 2, 2)))  # not antisymmetric

@@ -87,6 +87,28 @@ def test_mm_boundary_unit_regions(tmp_path, space, limit):
     assert rep.reference == pytest.approx(limit, rel=1e-15)
 
 
+@pytest.mark.parametrize("space", ["euclidean:2", "euclidean:3", "half:1", "half:2", "half:3", "cone:1.5"])
+def test_mm_boundary_report_region_parses_back(tmp_path, space):
+    # the unit region is recorded as a spec that --region reads back
+    assert main(["mm-boundary", space, "--out", str(tmp_path / "mm.json")]) == 0
+    recorded = json.loads((tmp_path / "mm.json").read_text())["metadata"]["region"]
+    assert recorded == mo.unit_region(mo.parse_space(space)).spec()
+    assert mo.parse_region(recorded).spec() == recorded
+
+
+def test_mm_boundary_unit_box_however_written(tmp_path, capsys):
+    # half:2's unit region is the box [0, 1]^2: either spelling gets the
+    # closed-form reference and the same report, up to the typed --region
+    out, written = tmp_path / "mm.json", []
+    for region in ["unit", "box:0,0:1,1", "box:0.0,0:1,1.0"]:
+        assert main(["mm-boundary", "half:2", "--region", region, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["metadata"]["config"].pop("region") == region
+        written.append((report, out.with_suffix(".csv").read_text(), capsys.readouterr().out))
+    assert written[0][0]["reference"] == pytest.approx(2 / (3 * np.pi), rel=1e-15)
+    assert written[1:] == written[:1] * 2
+
+
 def test_dirichlet_files(tmp_path):
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     mm.save_space(mm.FiniteMMSpace(d, np.ones(3)), tmp_path / "line.txt")
@@ -730,9 +752,19 @@ def _never(*args, **kwargs):
     (["identities", "--size-max", "10000000"], [(mm, "random_space")],
      "an identity-suite instance of up to n=10000000 points needs a 4800000.0 GB working set"),
     (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "folland", "--grid-size", "10000000000000"],
-     [(ex, "sample_ball")],
+     [(mo.CarnotSpace, "sample_ball")],
      "a gauge annulus grid of 10000000000000 points needs a 5120000.0 GB sample batch"),
-], ids=["grid-carnot", "grid-euclidean", "grid-res", "size-max", "grid-size"])
+    (["weak-sweep", "euclidean:2", "--field", "sq1", "--phi", "tent:0,0:0.3:0.6", "--cloud-cells", "100000"],
+     [(np, "meshgrid"), (np.random, "default_rng")],
+     "a cloud grid of 10000000000 cells needs a 700.0 GB grid build"),
+    (["weak-sweep", "cone:4.5", "--field", "coord:1", "--phi", "conetent:0.3:0.6", "--cloud-cells", "100000"],
+     [(np, "meshgrid"), (np.random, "default_rng")],
+     "a cloud grid of 5000000000 cells needs a 350.0 GB grid build"),
+    (["bpz-demo", "heisenberg:1", "koranyi", "--resolutions", "100000", "--level-radii", "0.5"],
+     [(np, "meshgrid"), (np.random, "default_rng")],
+     "a cloud grid of 1000000000000000 cells needs a 105000000.0 GB grid build"),
+], ids=["grid-carnot", "grid-euclidean", "grid-res", "size-max", "grid-size", "cloud-euclidean", "cloud-cone",
+        "cloud-carnot"])
 def test_allocating_size_flags_are_refused_before_they_allocate(tmp_path, capsys, monkeypatch, argv, patches,
                                                                  owner):
     for module, name in patches:

@@ -8,7 +8,7 @@ from amvlab import carnot as ca
 from amvlab import dirichlet as di
 from amvlab import mmspace as mm
 from amvlab import models as mo
-from amvlab.integrate import SeedSpec, sample_ball
+from amvlab.integrate import SeedSpec
 from amvlab.mmspace import InputError
 from amvlab.models import NumericError
 
@@ -216,7 +216,7 @@ def test_barrier_field_properties():
     np.testing.assert_allclose(ca.sub_laplacian(h1, bar, pts), -2.0, rtol=1e-12)
     # nonnegative on the closed gauge ball (koranyi)
     space = mo.CarnotSpace(h1, ca.Gauge("koranyi"))
-    smp = sample_ball(space, np.zeros(3), 1.0, 50_000, SeedSpec(3))
+    smp = space.sample_ball(np.zeros(3), 1.0, 50_000, SeedSpec(3).generator())
     assert bar.value(smp).min() >= 0.0
     # the prefactor-free factor is <= 0 there
     core = (bar.value(smp) / (-1.0 / 2.0)) * 1.0  # (|h|^2 - R^2)/R^2

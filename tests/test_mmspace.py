@@ -251,23 +251,23 @@ def test_serialization_roundtrip_exact():
     rng = np.random.default_rng(5)
     space = mm.random_space(rng, 17)
     text = mm.space_to_text(space)
-    back = mm.space_from_text(text)
+    back = mm.load_space(io.StringIO(text))
     assert np.array_equal(space.dist, back.dist)
     assert np.array_equal(space.mass, back.mass)
 
 
 def test_serialization_grammar():
     text = "# comment\n3\n1.0\n2.0 1.0\n\n1.0 1.0 1.0\n"
-    sp = mm.space_from_text(text)
+    sp = mm.load_space(io.StringIO(text))
     assert sp.n == 3 and sp.dist[2, 0] == 2.0 and sp.dist[0, 2] == 2.0
     with pytest.raises(mm.InputError):
-        mm.space_from_text("2\n1.0\n")  # missing mass line
+        mm.load_space(io.StringIO("2\n1.0\n"))  # missing mass line
     with pytest.raises(mm.InputError):
-        mm.space_from_text("2\n1.0 3.0\n1 1\n")  # too many row entries
+        mm.load_space(io.StringIO("2\n1.0 3.0\n1 1\n"))  # too many row entries
     with pytest.raises(mm.InputError, match="'x 1.0'"):
-        mm.space_from_text("3\n1.0\nx 1.0\n1 1 1\n")  # a non-numeric entry
+        mm.load_space(io.StringIO("3\n1.0\nx 1.0\n1 1 1\n"))  # a non-numeric entry
     with pytest.raises(mm.InputError, match="'three'"):
-        mm.space_from_text("  # indented comment\nthree\n")
+        mm.load_space(io.StringIO("  # indented comment\nthree\n"))
 
 
 def test_writers_golden_bytes(tmp_path):

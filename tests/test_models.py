@@ -296,9 +296,12 @@ def test_parse_region():
     assert r.kind == "ball" and r.radius == 2.0
     b = mo.parse_region("box:0,0:1,2")
     assert b.kind == "box" and b.hi.tolist() == [1.0, 2.0]
-    assert mo.parse_region("unit").kind == "unit"
-    for bad in ("triangle:1", "box:0,1:1,0", "box:0,0:-1,1", "box:0:1,1", "box:0,0:1,inf", "ball:0,0:-1", "ball:0,0:0",
-                "ball:0,0:nan"):
+    assert mo.unit_region(mo.HalfSpace(2)).spec() == "box:0.0,0.0:1.0,1.0"
+    assert mo.unit_region(mo.FlatCone(1.5)).spec() == "ball:0.0,0.0:1.0"
+    with pytest.raises(InputError, match="no default region for the carnot kind"):
+        mo.unit_region(mo.parse_space("carnot:heisenberg:1:koranyi"))
+    for bad in ("unit", "triangle:1", "box:0,1:1,0", "box:0,0:-1,1", "box:0:1,1", "box:0,0:1,inf", "ball:0,0:-1",
+                "ball:0,0:0", "ball:0,0:nan"):
         with pytest.raises(InputError):
             mo.parse_region(bad)
 

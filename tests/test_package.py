@@ -1,8 +1,11 @@
 """The package's export list: every documented name resolves."""
 
+import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import amvlab
 
@@ -30,3 +33,21 @@ def test_no_module_imports_scipy_integrate(cli_env):
     out = subprocess.run([sys.executable, "-c", code], env=cli_env, capture_output=True, text=True, check=True)
     assert len(names) > 5
     assert out.stdout.strip() == "[]"
+
+
+def test_every_dotted_name_the_readme_quotes_resolves():
+    # a dotted name in backticks is an amvlab module, or a name one of them
+    # defines, and each attribute after it exists; numpy and scipy names
+    # (np., scipy., sparse.) are not amvlab's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", readme)))
+    modules = {m.name: importlib.import_module(f"amvlab.{m.name}") for m in pkgutil.iter_modules(amvlab.__path__)}
+    ours = [n for n in names if n.split(".")[0] not in ("np", "scipy", "sparse")]
+    assert "amvlab.mmspace.save_space" in ours and "ModelSpace.distance" in ours
+    for name in ours:
+        root, *attrs = name.removeprefix("amvlab.").split(".")
+        obj = modules.get(root) or next((getattr(m, root) for m in (amvlab, *modules.values()) if hasattr(m, root)), None)
+        assert obj is not None, f"README quotes `{name}`, but no amvlab module defines {root}"
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README quotes `{name}`, which has no {attr}"
+            obj = getattr(obj, attr)

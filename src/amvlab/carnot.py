@@ -79,14 +79,15 @@ class CarnotStep2:
     def inverse(self, x) -> np.ndarray:
         return -self._check(x)
 
-    def dilate(self, t, x) -> np.ndarray:
+    def dilate(self, t, x, out=None) -> np.ndarray:
+        """delta_t(x) = (t x1, t^2 x2), into out when given (out=x dilates in place)."""
         t = float(t)
         if not (t > 0):
             raise InputError("dilation parameter must be positive")
         x = self._check(x)
-        out = np.empty_like(x)
-        out[..., : self.v1] = t * x[..., : self.v1]
-        out[..., self.v1 :] = (t * t) * x[..., self.v1 :]
+        out = np.empty_like(x) if out is None else out
+        np.multiply(x[..., : self.v1], t, out=out[..., : self.v1])
+        np.multiply(x[..., self.v1 :], t * t, out=out[..., self.v1 :])
         return out
 
 

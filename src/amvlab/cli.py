@@ -2,8 +2,9 @@
 
 Every run is a pure function of its parsed configuration: reports carry no
 timestamps, so identical invocations produce byte-identical JSON/CSV, and
---threads, the width of one thread pool over a cloud build's row blocks or
-a sweep's whole Monte Carlo estimates, never changes an output bit.
+--threads, the width of one thread pool over a cloud build's row blocks, a
+sweep's whole Monte Carlo estimates or the batches of its shared draws,
+never changes an output bit.
 stdout carries a single verdict line plus the report path; everything else
 goes to the declared output path.
 
@@ -248,8 +249,8 @@ def cmd_mm_boundary(args) -> int:
     if reference is None:
         if isinstance(space, (Euclidean, FlatCone)):
             reference = 0.0
-        elif isinstance(space, HalfSpace) and region.spec() == models.unit_region(space).spec():
-            reference = models.half_space_unit_limit(space.dim)
+        elif isinstance(space, HalfSpace):
+            reference = models.half_space_limit(space.dim, region)
     report = experiments.mm_boundary_sweep(
         space, region, parse_radii(args.radii), reference=reference, tolerance=args.tolerance
     )
@@ -337,7 +338,8 @@ def _common(p, scheme_default=None, seed=True, threads=True):
     p.add_argument("--tolerance", type=float, default=1e-3)
     if threads:
         p.add_argument("--threads", type=int, default=1,
-                       help="pool width over cloud row blocks or Monte Carlo estimates; never changes output bits")
+                       help="pool width over cloud row blocks or Monte Carlo estimates or batches; "
+                            "never changes output bits")
     p.add_argument("--reference", type=float, default=None)
 
 

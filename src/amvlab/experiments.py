@@ -15,9 +15,10 @@ optional reference.  Verdicts:
 Reports carry no wall-clock data, so identical inputs give byte-identical
 files.
 
-threads is decided here and nowhere below: the Monte Carlo sweeps map
-whole estimates, each a pure function of its child stream, over one pool
-(``_kernels.pool_map``).  Grid estimates run in order, as
+threads is decided here: the Monte Carlo sweeps map whole estimates, each
+a pure function of its child stream, over one pool (``_kernels.pool_map``),
+except an amv_sweep on shared draws, which hands the width to the one pool
+that maps its batches.  Grid estimates run in order, as
 ``integrate._check_grid`` budgets one node set; so do cloud radii, as a
 finite space compacts a smaller ball from its last one.
 """
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels, mmspace
-from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, scheme_spec
+from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, paired_r_laplacians, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
 from .models import CloudMeta, ModelSpace, NumericError, Region, fill_by_rejection, mm_boundary_mass
 
@@ -106,10 +107,62 @@ def _weighted_affine_fit(r_p, values, sigmas):
     return float(coef[0]), float(coef[1]), max(sigma_resid, sigma_prop)
 
 
-def fit_tail(radii, values, std_errors):
+# noise variances below this share of the largest count as exactly zero: a
+# combination of shared-draw values whose noise is under 1/1000 of a value's
+# is swamped by the model error of a + b r^p, which GLS weights would amplify
+# (on H1 folland at (1, 0.5, 0.7), mc:200000, a cutoff of 1e-12 left weights
+# of 6e3 and bars of 2.6e-3; 1e-8 to 1e-2 gave the same fits, 39 of 40 seeds
+# within 2 sigma of the limit)
+_VARIANCE_CUTOFF = 1e-6
+
+
+def _blue_weights(design, cov):
+    """Best linear unbiased weights under noise of covariance cov: row k
+    minimizes w cov w^T subject to w @ design = e_k, so coef = weights @ v.
+
+    cov may be singular (radii that share one draw set can carry the same
+    noise): a weight change along which the variance moves by less than
+    _VARIANCE_CUTOFF of the largest variance counts as free, and among equal
+    choices the least-norm weights, ordinary least squares, are kept.
+    """
+    base = np.linalg.pinv(design)  # least-norm solutions of w @ design = I
+    q = design.shape[1]
+    null = np.linalg.svd(design.T)[2][q:].T  # directions that keep w @ design
+    if null.shape[1] == 0:
+        return base
+    lam, vec = np.linalg.eigh(null.T @ cov @ null)
+    keep = lam > _VARIANCE_CUTOFF * np.max(np.diag(cov))
+    pinv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+    return base - base @ cov @ null @ pinv @ null.T
+
+
+def _gls_affine_fit(r_p, values, cov, unit):
+    """value ~ a + b * r_p by generalized least squares, with noise of
+    covariance unit^2 cov; returns a, sigma_a.  As in _weighted_affine_fit,
+    sigma_a is the propagated noise or, where it dominates, the residual
+    scatter of the fit read as model error."""
+    design = np.stack([np.ones_like(r_p), r_p], axis=1)
+    weights = _blue_weights(design, cov)
+    resid = values - design @ (weights @ values)
+    dof = max(len(values) - 2, 1)
+    sigma_resid = math.sqrt(np.linalg.inv(design.T @ design)[0, 0] * float(resid @ resid) / dof)
+    w = weights[0]
+    return float(w @ values), max(sigma_resid, unit * math.sqrt(max(float(w @ cov @ w), 0.0)))
+
+
+def fit_tail(radii, values, std_errors, corr=None):
     """Fit value ~ a + b r^p over the smallest radii.
 
-    The rate p comes from the log-log slope of consecutive differences.
+    The rate p comes from the log-log slope of consecutive differences that
+    exceed 3x their noise; with fewer than two such differences the tail is
+    read as constant within noise.  Where the values carry noise, p's own
+    error, propagated through the fit, widens limit_err.  corr, the
+    correlation matrix of the values, is given where the radii share one
+    draw set: the fit is then generalized least squares on the tail
+    covariance C, a difference's noise is sqrt(C_ii + C_jj - 2 C_ij), and a
+    singular C (every radius with the same noise) gives limit_err the
+    per-radius sigma, not sigma/sqrt(k).  Without corr, or with a diagonal
+    one, the values are independent and weighted by 1/sigma.
     Returns (limit, rate_or_None, limit_err, refit_drift).
     """
     radii = np.asarray(radii, dtype=np.float64)
@@ -118,14 +171,30 @@ def fit_tail(radii, values, std_errors):
     m = len(radii)
     tail = min(m, max(4, (m + 1) // 2))
     r_t, v_t, s_t = radii[-tail:], values[-tail:], sig[-tail:]
+    # the covariance in units of the largest sigma, so no product of sigmas underflows
+    unit = float(np.max(s_t))
+    cov = None
+    if corr is not None and unit > 0:
+        corr = np.asarray(corr, dtype=np.float64)[-tail:, -tail:]
+        if np.any(corr - np.diag(np.diag(corr))):
+            cov = corr * np.multiply.outer(s_t / unit, s_t / unit)
     scale = max(float(np.max(np.abs(values))), 1e-300)
-    noise = np.maximum(s_t[:-1] + s_t[1:], 1e-13 * scale)
+    if cov is None:
+        spread = s_t[:-1] + s_t[1:]
+    else:
+        d = np.diag(cov)
+        spread = unit * np.sqrt(np.maximum(d[:-1] + d[1:] - 2.0 * np.diagonal(cov, 1), 0.0))
+    noise = np.maximum(spread, 1e-13 * scale)
     diffs = v_t[:-1] - v_t[1:]
     good = np.abs(diffs) > 3.0 * noise
 
     if int(np.sum(good)) < 2:
         # no resolvable radius dependence: constant within noise
-        if np.any(s_t > 0):
+        if cov is not None:
+            w = _blue_weights(np.ones((tail, 1)), cov)[0]
+            limit = float(w @ v_t)
+            err = unit * math.sqrt(max(float(w @ cov @ w), 0.0))
+        elif np.any(s_t > 0):
             w = 1.0 / np.maximum(s_t, 1e-300) ** 2
             limit = float(np.sum(w * v_t) / np.sum(w))
             err = math.sqrt(1.0 / float(np.sum(w)))
@@ -136,11 +205,29 @@ def fit_tail(radii, values, std_errors):
         drift = abs(float(np.mean(half)) - limit)
         return limit, None, err, drift
 
-    p_slope, _ = np.polyfit(np.log(r_t[:-1][good]), np.log(np.abs(diffs[good])), 1)
+    log_r, log_d = np.log(r_t[:-1][good]), np.log(np.abs(diffs[good]))
+    p_slope, _ = np.polyfit(log_r, log_d, 1)
     p = float(np.clip(p_slope, 0.2, 6.0))
-    a, _, sigma_a = _weighted_affine_fit(r_t**p, v_t, s_t)
-    half_n = max(3, tail // 2)
-    a2, _, _ = _weighted_affine_fit(r_t[-half_n:] ** p, v_t[-half_n:], s_t[-half_n:])
+
+    def fit(p, keep=slice(None)):
+        if cov is None:
+            a, _, sigma_a = _weighted_affine_fit(r_t[keep] ** p, v_t[keep], s_t[keep])
+            return a, sigma_a
+        return _gls_affine_fit(r_t[keep] ** p, v_t[keep], cov[keep, keep], unit)
+
+    a, sigma_a = fit(p)
+    a2, _ = fit(p, slice(-max(3, tail // 2), None))
+    if unit > 0:
+        # p is read off the same noisy values, so its error moves a as well:
+        # the slope's variance is g^T Cov(log |d|) g, by the delta method
+        noise_cov = np.diag((s_t / unit) ** 2) if cov is None else cov
+        diff_op = (np.eye(tail)[:-1] - np.eye(tail)[1:])[good]
+        d_unit = diffs[good] / unit
+        cov_log_d = diff_op @ noise_cov @ diff_op.T / np.multiply.outer(d_unit, d_unit)
+        g = (log_r - np.mean(log_r)) / np.sum((log_r - np.mean(log_r)) ** 2)
+        sigma_p = math.sqrt(max(float(g @ cov_log_d @ g), 0.0))
+        h = 1e-4 * p
+        sigma_a = math.hypot(sigma_a, (fit(p + h)[0] - fit(p - h)[0]) / (2.0 * h) * sigma_p)
     return a, p, sigma_a, abs(a2 - a)
 
 
@@ -155,16 +242,21 @@ def _verdict(limit, limit_err, drift, reference, tolerance):
     return "fail" if gap > 3.0 * limit_err else "inconclusive"
 
 
-def build_report(radii, estimates, reference, tolerance, metadata) -> ExperimentReport:
+def build_report(radii, estimates, reference, tolerance, metadata, corr=None) -> ExperimentReport:
+    """The report of a sweep's estimates; corr, the correlation matrix of
+    estimates that share one draw set, goes to the fit and to the report's
+    metadata as "correlation", where revalidate reads it back."""
     for r, e in zip(radii, estimates):
         if not (math.isfinite(e.value) and math.isfinite(e.std_error)):
             raise NumericError(f"the estimate at radius {r!r} is not finite "
                                f"(value {e.value!r}, std error {e.std_error!r})")
     values = [e.value for e in estimates]
     sigmas = [e.std_error for e in estimates]
-    limit, rate, limit_err, drift = fit_tail(radii, values, sigmas)
-    verdict = _verdict(limit, limit_err, drift, reference, tolerance)
     meta = dict(metadata)
+    if corr is not None:
+        meta["correlation"] = np.asarray(corr, dtype=np.float64).tolist()
+    limit, rate, limit_err, drift = fit_tail(radii, values, sigmas, meta.get("correlation"))
+    verdict = _verdict(limit, limit_err, drift, reference, tolerance)
     meta["limit_err"] = limit_err
     meta["refit_drift"] = drift
     return ExperimentReport(
@@ -182,7 +274,8 @@ def build_report(radii, estimates, reference, tolerance, metadata) -> Experiment
 
 def revalidate(report: ExperimentReport) -> str:
     """Recompute the verdict from the stored values alone."""
-    limit, rate, limit_err, drift = fit_tail(report.radii, report.values, report.std_errors)
+    limit, rate, limit_err, drift = fit_tail(report.radii, report.values, report.std_errors,
+                                             report.metadata.get("correlation"))
     return _verdict(limit, limit_err, drift, report.reference, report.tolerance)
 
 
@@ -219,17 +312,26 @@ def amv_sweep(
     tolerance: float = 1e-3,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Scale-to-zero behaviour of the finite-scale laplacian at one point."""
+    """Scale-to-zero behaviour of the finite-scale laplacian at one point.
+
+    Monte Carlo on a space with antithetic pairs (Euclidean, Carnot) draws
+    one set of unit pairs for every radius (``paired_r_laplacians``), and
+    the fit reads their correlation; other spaces, whose balls change shape
+    with r, and grid rules estimate each radius on its own."""
     radii = check_radii(radii)
     x = np.asarray(x, dtype=np.float64)
-    estimates = _laplacians(space, u, [(i, x, r) for i, r in enumerate(radii)], scheme, threads)
+    corr = None
+    if isinstance(scheme, MCScheme) and space.antithetic(x) is not None:
+        estimates, corr = paired_r_laplacians(space, u, x, radii, scheme, threads)
+    else:
+        estimates = _laplacians(space, u, [(i, x, r) for i, r in enumerate(radii)], scheme, threads)
     meta = {
         "experiment": "amv_sweep",
         "space": space.spec(),
         "point": x.tolist(),
         "scheme": scheme_spec(scheme),
     }
-    return build_report(radii, estimates, reference, tolerance, meta)
+    return build_report(radii, estimates, reference, tolerance, meta, corr)
 
 
 def strong_amv_scan(

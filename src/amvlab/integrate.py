@@ -3,13 +3,14 @@ seeded Monte Carlo.
 
 Every ball mean, second moment and constant goes through one estimator
 core, _ball_moments, and every Monte Carlo estimate, the Haar-volume oracle
-included, through one streaming accumulator, _mc_moments.  Monte Carlo
-streams are counter-based (Philox keyed by master seed and stream id),
-generated sequentially in fixed-size batches of _BATCH = 65,536 draws, so
-every estimate is a pure function of (inputs, seed) no matter how
-evaluation is laid out, and its working set is one batch however large
-mc:n is.  An estimate needs at least two independent draws for its error
-bar.
+included, through one streaming accumulator, _mc_moments, which merges
+centred co-moments batch by batch and so also gives the correlation of a
+row-valued integrand's columns.  Monte Carlo streams are counter-based
+(Philox keyed by master seed and stream id), generated in fixed-size
+batches of _BATCH = 65,536 draws, so every estimate is a pure function of
+(inputs, seed) no matter how evaluation is laid out, and its working set
+is one batch however large mc:n is.  An estimate needs at least two
+independent draws for its error bar.
 Grid rules live on unit balls: Euclidean balls take a Gauss-Jacobi radial
 rule times a product sphere rule (exact for polynomials), gauge balls
 slice-adapted coordinates where the slice measure is smooth.  A grid mean
@@ -22,7 +23,9 @@ The Monte Carlo r-laplacian draws antithetic pairs (x·z, x·z⁻¹) on the
 spaces whose balls are symmetric under z -> z⁻¹ (Euclidean and Carnot
 spaces): the symmetry cancels the first-order term of
 u(y) - u(x) inside each pair, so the error bar no longer grows with
-|grad u(x)| r / r^2.  A pair is one draw.
+|grad u(x)| r / r^2.  A pair is one draw.  Those balls are also dilates
+of the unit ball, so a radius sweep draws one set of unit pairs and
+dilates it to every radius (``paired_r_laplacians``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special as _special
 
+from . import _kernels
 from .carnot import CarnotStep2, Gauge
 from .mmspace import InputError, check_memory, malformed
 from .models import CarnotSpace, Euclidean, ModelSpace, NumericError
@@ -210,116 +214,189 @@ def carnot_ball_quadrature(group: CarnotStep2, gauge: Gauge, res: int):
 # ---------------------------------------------------------------------------
 
 
-def _mc_moments(draw, f, scheme: MCScheme):
-    """Streaming Monte Carlo mean and standard error of f over the draws.
+def _batches(n: int) -> list[tuple[int, int]]:
+    """(index, size) of the batches of n draws: _BATCH each, the last one short."""
+    return [(k, min(_BATCH, n - s)) for k, s in enumerate(range(0, n, _BATCH))]
+
+
+def _centred_batch(vals):
+    """One batch's size, mean, and co-moments of its deviations from that
+    mean, taken after each column's deviations are multiplied by a power of
+    two that lifts the column's largest into [1/2, 1) (never below 1), and
+    that scale.  A single column gives its sum of squares."""
+    vals = np.asarray(vals, dtype=np.float64)
+    mean = np.mean(vals, axis=0)
+    dev = vals - mean
+    # a peak in [2^(e-1), 2^e) times 2^-e lies in [1/2, 1); 2^1023 is the top double power
+    scale = np.ldexp(1.0, np.clip(-np.frexp(np.max(np.abs(dev), axis=0))[1], 0, 1023))
+    dev *= scale
+    co = np.einsum("ni,nj->ij", dev, dev) if dev.ndim == 2 else np.sum(dev * dev)
+    return vals.shape[0], mean, co, scale
+
+
+def _mc_moments(draw, f, scheme: MCScheme, threads: int | None = None):
+    """Streaming Monte Carlo mean, standard error and, for f with a row of
+    values per point, the correlation of the column means (None for one
+    column).
 
     draw(m, rng) returns a batch of m points; f maps it to one value per
-    point, or to a row of values per point.  Batches are merged by their
-    centred moments (Chan, Golub and LeVeque), never by E[v^2] - E[v]^2,
-    which cancels to a zero variance once the mean dwarfs the spread.  One
-    draw gives no spread at all, so fewer than two are refused.
+    point, or to a row of values per point.  With threads None the batches
+    draw in turn from one stream, scheme.seed; with threads, batch k draws
+    from scheme.seed.child(k) and the batches map on a pool of that width
+    (``_kernels.pool_map``).  Either way the merge runs in batch order, so
+    the result is a pure function of (inputs, seed).  Batches are merged by
+    their centred co-moments (Chan, Golub and LeVeque), never by
+    E[v^2] - E[v]^2, which cancels to a zero variance once the mean dwarfs
+    the spread.  One draw gives no spread at all, so fewer than two are
+    refused.
 
-    Before they are squared, deviations are multiplied by a power of two,
-    fixed by the first batch, that lifts the largest of each column into
-    [1/2, 1); so deviations of about r^2 at a radius of 1e-100 no longer
-    square to a zero error bar.  The scale is exact and never below 1: no
-    bit moves where nothing underflowed, and an overflow still overflows.
+    Each batch scales its deviations by a power of two per column before
+    they are multiplied (``_centred_batch``), and the merge holds them at the
+    first batch's scale; so deviations of about r^2 at a radius of 1e-100 no
+    longer square to a zero error bar.  The scales are exact: no bit moves
+    where nothing underflowed, and an overflow still overflows.  A column
+    without spread is uncorrelated with every other.
     """
     if scheme.n < 2:
         raise InputError("a Monte Carlo error bar needs at least 2 independent draws "
                          f"(an antithetic pair is one), got {scheme.n}")
-    rng = scheme.seed.generator()
-    mean = 0.0
-    m2 = 0.0
-    scale = None
-    done = 0
-    while done < scheme.n:
-        m = min(_BATCH, scheme.n - done)
-        vals = np.asarray(f(draw(m, rng)), dtype=np.float64)
-        batch_mean = np.mean(vals, axis=0)
-        sq_dev = vals - batch_mean
-        if scale is None:
-            # a peak in [2^(e-1), 2^e) times 2^-e lies in [1/2, 1); 2^1023 is the top double power
-            scale = np.ldexp(1.0, np.clip(-np.frexp(np.max(np.abs(sq_dev), axis=0))[1], 0, 1023))
-        sq_dev *= scale
-        sq_dev *= sq_dev
+    if threads is None:
+        rng = scheme.seed.generator()
+        parts = [_centred_batch(f(draw(m, rng))) for _, m in _batches(scheme.n)]
+    else:
+        parts = _kernels.pool_map(lambda k, m: _centred_batch(f(draw(m, scheme.seed.child(k).generator()))),
+                                  _batches(scheme.n), threads)
+    done, mean, co, scale = parts[0]
+    for m, batch_mean, batch_co, batch_scale in parts[1:]:
+        ratio = scale / batch_scale
         delta = batch_mean - mean
         scaled_delta = delta * scale
         total = done + m
         mean = mean + delta * (m / total)
-        m2 = m2 + np.sum(sq_dev, axis=0)
-        if done:  # on the first batch an overflowing delta^2 times 0 would be NaN
-            m2 = m2 + (scaled_delta * scaled_delta) * (done * m / total)
+        co = co + batch_co * np.multiply.outer(ratio, ratio)
+        co = co + np.multiply.outer(scaled_delta, scaled_delta) * (done * m / total)
         done = total
-    return mean, np.sqrt(m2 / scheme.n) / math.sqrt(scheme.n) / scale
+    var = np.diagonal(co) if np.ndim(co) == 2 else co
+    std_error = np.sqrt(var / scheme.n) / math.sqrt(scheme.n) / scale
+    if np.ndim(co) < 2:
+        return mean, std_error, None
+    norm = np.sqrt(np.multiply.outer(var, var))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(norm > 0, co / norm, 0.0)
+    np.fill_diagonal(corr, 1.0)
+    return mean, std_error, corr
 
 
 def _ball_moments(space: ModelSpace, f, x, r, scheme):
-    """Mean of f over B_r(x), its standard error, the node or draw count and
-    the method, for f with one value or one row of values per point."""
+    """Mean of f over B_r(x), its standard error, the correlation of its
+    columns (None for one value per point or a grid rule), the node or draw
+    count and the method, for f with one value or one row of values per
+    point."""
     r = float(r)
     if isinstance(scheme, GridScheme):
-        # unit rules dilated in place (r*z, or CarnotStep2.dilate without its copy)
         if isinstance(space, Euclidean):
             nodes, weights = euclid_ball_quadrature(space.dim, scheme.res)
-            nodes *= r
         elif isinstance(space, CarnotSpace):
             nodes, weights = carnot_ball_quadrature(space.group, space.gauge, scheme.res)
-            nodes[:, : space.group.v1] *= r
-            nodes[:, space.group.v1 :] *= r * r
         else:
             raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
-        vals = np.asarray(f(space.translate(x, nodes)), dtype=np.float64)
+        vals = np.asarray(f(space.translate(x, space.dilate(r, nodes, out=nodes))), dtype=np.float64)
         mean = np.sum(vals.T * weights, axis=-1) / np.sum(weights)
-        return mean, np.zeros_like(mean), weights.size, "grid"
+        return mean, np.zeros_like(mean), None, weights.size, "grid"
     if isinstance(scheme, MCScheme):
-        mean, std_error = _mc_moments(lambda m, rng: space.sample_ball(x, r, m, rng), f, scheme)
-        return mean, std_error, scheme.n, "mc"
+        mean, std_error, corr = _mc_moments(lambda m, rng: space.sample_ball(x, r, m, rng), f, scheme)
+        return mean, std_error, corr, scheme.n, "mc"
     raise InputError(f"unknown scheme {scheme!r}")
 
 
 def mean_over_ball(space: ModelSpace, u, x, r, scheme) -> Estimate:
     """Mean value of u over B_r(x) with error accounting."""
-    mean, std_error, n, method = _ball_moments(space, u, x, r, scheme)
+    mean, std_error, _, n, method = _ball_moments(space, u, x, r, scheme)
     return Estimate(float(mean), float(std_error), n, method)
+
+
+def _squared_radius(r: float) -> float:
+    """r**2, the difference quotient's divisor, refused where it overflows:
+    a finite mean over an infinite r**2 would read as an exact 0."""
+    r2 = float(np.float64(r) ** 2)
+    if not math.isfinite(r2):
+        raise NumericError(f"the radius {r!r} is too large: its square overflows")
+    return r2
+
+
+def _refuse_subnormal_square(r: float, r2: float) -> None:
+    if r2 < np.finfo(np.float64).tiny:  # zero or subnormal
+        raise NumericError(f"the radius {r!r} is too small: its square underflows")
 
 
 def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme) -> Estimate:
     """Mean of u(y) - u(x) over y in B_r(x), divided by r^2.
 
     Averaging the difference centres the samples on u(x), so the mean keeps
-    its digits when |u(x)| dwarfs the spread of u over the ball.
+    its digits when |u(x)| dwarfs the spread of u over the ball.  Monte
+    Carlo on a space with antithetic pairs (Euclidean, Carnot) draws pairs
+    (``paired_r_laplacians``, from one stream); other spaces and grid rules
+    average u(y) - u(x) plainly.
+    """
+    if isinstance(scheme, MCScheme) and space.antithetic(x) is not None:
+        return paired_r_laplacians(space, u, x, [r], scheme)[0][0]
+    r = float(r)
+    r2 = _squared_radius(r)
+    x = np.asarray(x, dtype=np.float64)
+    ux = float(u(x[None, :])[0])
+    est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme)
+    _refuse_subnormal_square(r, r2)  # checked last, so a sampler's refusal comes first
+    return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
 
-    Monte Carlo on a space with antithetic pairs (Euclidean, Carnot)
-    averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in
-    B_r(0).  The ball is symmetric under z -> z⁻¹, so g has the same mean,
+
+def paired_r_laplacians(space: ModelSpace, u, x, radii, scheme: MCScheme, threads: int | None = None):
+    """The Monte Carlo r-laplacian at every radius from one draw set of
+    antithetic pairs, and the correlation matrix of the estimates.
+
+    On a space with antithetic pairs (Euclidean, Carnot) the estimate
+    averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in B_r(0).
+    The ball is symmetric under z -> z⁻¹, so g has the mean of u(y) - u(x),
     and its first-order term cancels: for a quadratic u, g is the integrand
     at the origin wherever x is.  Each evaluation is centred before the pair
     is averaged; ½(u(a) + u(b)) - u(x) would lose the digits at large
-    |u(x)|.  mc:n still means n field evaluations, drawn as ⌈n/2⌉ pairs,
-    and Estimate.n counts the pairs.  Other spaces sample plainly.
+    |u(x)|.  mc:n still means n field evaluations per radius, drawn as
+    ⌈n/2⌉ pairs, and Estimate.n counts the pairs.
+
+    These balls are dilates of the unit ball, B_r(0) = delta_r(B_1(0)), so
+    the unit offsets are drawn once and each batch is dilated to every
+    radius, one column per radius.  Every radius is unbiased, and the radii
+    share their noise (common random numbers; Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2003, §4.2), which the correlation
+    matrix records for the fit.  threads is _mc_moments': None draws from
+    one stream; a width draws batch k from scheme.seed.child(k) on a pool,
+    the same bits at any width.  Every radius is refused, in order, before
+    any draw or field value where its square overflows, the space cannot
+    hold its draws (``check_dilation``) or its square underflows.
     """
-    r = float(r)
-    r2 = float(np.float64(r) ** 2)
-    if not math.isfinite(r2):
-        # a finite mean over an infinite r**2 would read as an exact 0
-        raise NumericError(f"the radius {r!r} is too large: its square overflows")
+    radii = [float(r) for r in radii]
+    squares = []
+    for r in radii:
+        r2 = _squared_radius(r)
+        space.check_dilation(r)
+        _refuse_subnormal_square(r, r2)
+        squares.append(r2)
     x = np.asarray(x, dtype=np.float64)
+    pair = space.antithetic(x)
     ux = float(u(x[None, :])[0])
-    pair = space.antithetic(x) if isinstance(scheme, MCScheme) else None
-    if pair is None:
-        est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme)
-    else:
 
-        def centred_pair_mean(z):
-            a, b = pair(z)
-            return 0.5 * ((u(a) - ux) + (u(b) - ux))
+    def centred_pair_means(z):
+        out = np.empty((z.shape[0], len(radii)))
+        for j, r in enumerate(radii):
+            a, b = pair(space.dilate(r, z))
+            out[:, j] = 0.5 * ((u(a) - ux) + (u(b) - ux))
+        return out
 
-        pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
-        est = mean_over_ball(space, centred_pair_mean, np.zeros_like(x), r, pairs)
-    if r2 < np.finfo(np.float64).tiny:  # zero or subnormal; checked last, so a sampler's refusal comes first
-        raise NumericError(f"the radius {r!r} is too small: its square underflows")
-    return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
+    origin = np.zeros_like(x)
+    pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
+    mean, std_error, corr = _mc_moments(lambda m, rng: space.sample_ball(origin, 1.0, m, rng),
+                                        centred_pair_means, pairs, threads)
+    estimates = [Estimate(float(v / r2), float(s / r2), pairs.n, "mc") for v, s, r2 in zip(mean, std_error, squares)]
+    return estimates, corr
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +441,12 @@ def carnot_constant_checked(
 def isotropy_check(group: CarnotStep2, gauge: Gauge, directions, scheme) -> list[Estimate]:
     """Second moment of <a, z1> over the unit gauge ball per direction a.
 
-    All directions share one sample stream (or one node set), which keeps
-    their comparison free of independent-noise inflation.
+    One estimate of the horizontal moment matrix M = E[z1 z1^T] and the
+    covariance of its entries (the co-moments of ``_mc_moments``) serves
+    every direction: a^T M a with standard error sqrt(c^T Sigma c), c the
+    coefficients of a^T M a in M's entries.  All directions share one
+    sample stream (or one node set), which keeps their comparison free of
+    independent-noise inflation.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if directions.shape[1] != group.v1:
@@ -374,13 +455,18 @@ def isotropy_check(group: CarnotStep2, gauge: Gauge, directions, scheme) -> list
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise InputError("directions must be unit vectors")
 
-    def squared_projections(pts):
-        proj = pts[:, : group.v1] @ directions.T
-        return proj * proj
+    # a^T M a with M = E[z1 z1^T] over the ball: one column per entry M_ij, i <= j
+    i, j = np.triu_indices(group.v1)
+    coef = directions[:, i] * directions[:, j] * np.where(i == j, 1.0, 2.0)
+
+    def products(pts):
+        return pts[:, i] * pts[:, j]
 
     space = CarnotSpace(group, gauge)
-    mean, std_error, n, method = _ball_moments(space, squared_projections, np.zeros(group.dim), 1.0, scheme)
-    return [Estimate(float(v), float(s), n, method) for v, s in zip(mean, std_error)]
+    mean, std_error, corr, n, method = _ball_moments(space, products, np.zeros(group.dim), 1.0, scheme)
+    cov = np.multiply.outer(std_error, std_error) * (1.0 if corr is None else corr)
+    sigma = np.sqrt(np.maximum(np.einsum("di,ij,dj->d", coef, cov, coef), 0.0))
+    return [Estimate(float(v), float(s), n, method) for v, s in zip(np.einsum("di,i->d", coef, mean), sigma)]
 
 
 def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> Estimate:
@@ -405,6 +491,6 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
         lo[g.v1 + k] = x[g.v1 + k] - slack
         hi[g.v1 + k] = x[g.v1 + k] + slack
     box_vol = float(np.prod(hi - lo))
-    p, p_err = _mc_moments(lambda m, rng: rng.uniform(lo, hi, (m, g.dim)),
-                           lambda cand: space.distance(cand, x[None, :]) < r, MCScheme(n, seed))
+    p, p_err, _ = _mc_moments(lambda m, rng: rng.uniform(lo, hi, (m, g.dim)),
+                              lambda cand: space.distance(cand, x[None, :]) < r, MCScheme(n, seed))
     return Estimate(box_vol * float(p), box_vol * float(p_err), n, "monte_carlo")

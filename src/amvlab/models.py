@@ -12,7 +12,11 @@ z -> z⁻¹, also hand out antithetic pairs (x·z, x·z⁻¹).
 Samplers, antithetic pairs and grid quadrature move offsets z in B_r(0)
 to B_r(x) by one method, ``translate(x, z)``.  sample_ball, ball_volume
 and translate refuse a centre outside the space (a non-finite coordinate;
-on a cone, an angle outside [0, theta_c)).
+on a cone, an angle outside [0, theta_c)).  The antithetic kinds' balls
+are dilates of the unit ball, B_r(0) = delta_r(B_1(0)): ``dilate(r, z)``
+is that one map (r z, or the group's (r z1, r^2 z2)) for the Carnot
+sampler, grid rules and shared-draw sweeps alike, and ``check_dilation(r)``
+refuses a radius whose draws the arithmetic cannot hold.
 
 The three samplers that test their draws (half-space, cone, Carnot) share
 one loop, ``fill_by_rejection``; each keeps only its proposal.  A Carnot
@@ -160,6 +164,12 @@ class Euclidean(_Flat):
         x = self._centre(x)
         return lambda z: (self.translate(x, z), self.translate(x, -z))
 
+    def check_dilation(self, r) -> float:
+        return check_radius(r)
+
+    def dilate(self, r, z, out=None) -> np.ndarray:
+        return np.multiply(z, r, out=out)
+
 
 def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
     """n points uniform in the centered Euclidean r-ball (polar method)."""
@@ -197,14 +207,20 @@ def _halfspace_deficit(s, n: int):
     return 0.5 * _special.betainc((n + 1) / 2.0, 0.5, 1.0 - s * s)
 
 
-def half_space_unit_limit(n: int) -> float:
-    """Small-r limit of the mm-boundary mass of the unit region on half:n.
+def half_space_limit(n: int, region: "Region") -> float:
+    """Small-r limit of the mm-boundary mass of a boundary region on half:n:
+    a box [0, h] x C, or a 2-d ball centred on the boundary (the regions
+    mm_boundary_mass accepts there).
 
-    Integrating the deficit over s in [0, 1] gives the integral of x_1
-    over the half unit ball {x_1 > 0}, divided by omega_n:
-    omega_(n-1) / ((n + 1) omega_n).
+    The scaled deficit (1 - theta_r)/r lives within r of the boundary, where
+    at height r s it is the deficit at s over r; so each unit of boundary
+    face carries the integral of the deficit over s in [0, 1], which is the
+    integral of x_1 over the half unit ball {x_1 > 0} divided by omega_n:
+    omega_(n-1) / ((n + 1) omega_n).  The limit is that times the region's
+    face on the boundary: |C| for the box, 2R for the ball of radius R.
     """
-    return unit_ball_volume(n - 1) / ((n + 1) * unit_ball_volume(n))
+    face = 2.0 * region.radius if region.kind == "ball" else float(np.prod(region.hi[1:] - region.lo[1:]))
+    return face * unit_ball_volume(n - 1) / ((n + 1) * unit_ball_volume(n))
 
 
 class HalfSpace(_Flat):
@@ -424,22 +440,9 @@ class CarnotSpace(ModelSpace):
         r, and an acceptance-rate guard bounds the loop should that check
         fail on almost every draw.
         """
-        r = check_radius(r)
+        r = self.check_dilation(r)
         g = self.group
         x = self._centre(x)
-        h_bound, v_bound = self.gauge.envelope(r)
-        if not math.isfinite(v_bound):
-            raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
-        if min(h_bound, v_bound) < np.finfo(np.float64).tiny:
-            # subnormal half-widths lose the digits that place a draw
-            raise NumericError(f"the radius {r!r} is too small: its gauge-ball envelope underflows")
-        # where the gauge at the envelope corner overflows, no candidate could be accepted
-        corner = np.zeros(g.dim)
-        corner[0], corner[g.v1 :] = h_bound, v_bound
-        with np.errstate(over="ignore"):
-            corner_gauge = self.gauge.value(g, corner)
-        if not np.isfinite(corner_gauge):
-            raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
         half, odd = divmod(g.v1, 2)
         attempts = accepted = 0
 
@@ -457,8 +460,7 @@ class CarnotSpace(ModelSpace):
             z[:, g.v1 :] *= (t / math.sqrt(self.gauge.beta))[:, None]
             ok = self.gauge.value(g, z) < 1.0
             keep = z if ok.all() else z[ok]
-            keep[:, : g.v1] *= r  # CarnotStep2.dilate(r, keep), in place
-            keep[:, g.v1 :] *= r * r
+            self.dilate(r, keep, out=keep)
             attempts += need
             accepted += keep.shape[0]
             if attempts >= 20000 and accepted < 1e-3 * attempts:
@@ -478,6 +480,28 @@ class CarnotSpace(ModelSpace):
         x = self._centre(x)
         inverse = self.group.inverse
         return lambda z: (self.translate(x, z), self.translate(x, inverse(z)))
+
+    def check_dilation(self, r) -> float:
+        """r, refused where the arithmetic cannot hold a draw of B_r(0): an
+        envelope that overflows or is subnormal, or a gauge that overflows at
+        the envelope corner, where no candidate could be accepted."""
+        r = check_radius(r)
+        h_bound, v_bound = self.gauge.envelope(r)
+        if not math.isfinite(v_bound):
+            raise NumericError(f"the radius {r!r} is too large: its gauge-ball envelope overflows")
+        if min(h_bound, v_bound) < np.finfo(np.float64).tiny:
+            # subnormal half-widths lose the digits that place a draw
+            raise NumericError(f"the radius {r!r} is too small: its gauge-ball envelope underflows")
+        corner = np.zeros(self.dim)
+        corner[0], corner[self.group.v1 :] = h_bound, v_bound
+        with np.errstate(over="ignore"):
+            corner_gauge = self.gauge.value(self.group, corner)
+        if not np.isfinite(corner_gauge):
+            raise NumericError(f"the radius {r!r} is too large: its gauge overflows")
+        return r
+
+    def dilate(self, r, z, out=None) -> np.ndarray:
+        return self.group.dilate(r, z, out=out)
 
 
 # ---------------------------------------------------------------------------

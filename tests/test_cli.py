@@ -109,6 +109,18 @@ def test_mm_boundary_unit_box_however_written(tmp_path, capsys):
     assert written[1:] == written[:1] * 2
 
 
+@pytest.mark.parametrize("region, face", [("box:0,0:2,1", 1.0), ("box:0,-1:0.5,2", 3.0), ("ball:0,0:1.0", 2.0)])
+def test_mm_boundary_boundary_regions_get_the_closed_form(tmp_path, capsys, region, face):
+    # every boundary box [0,h] x C has the limit |C| 2/(3 pi) on half:2, and
+    # a boundary-centred disc of radius R the limit 2R 2/(3 pi)
+    out = tmp_path / "mm.json"
+    assert main(["mm-boundary", "half:2", "--region", region, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS mm-boundary")
+    report = json.loads(out.read_text())
+    assert report["reference"] == pytest.approx(face * 2 / (3 * np.pi), rel=1e-15)
+    assert report["fitted_limit"] == pytest.approx(report["reference"], rel=1e-6)
+
+
 def test_dirichlet_files(tmp_path):
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     mm.save_space(mm.FiniteMMSpace(d, np.ones(3)), tmp_path / "line.txt")
@@ -492,6 +504,10 @@ def test_bpz_demo_runs_where_the_dense_route_is_refused(tmp_path, cli_env):
         pytest.param(["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--point", "0,0,0",
                       "--radii", "0.5:4:0.5", "--scheme", "mc:100000:9", "--tolerance", "0.01"], "4", 0,
                      id="amv-sweep"),
+        # 150,000 shared pairs: three batches, each from its own child stream, on the pool
+        pytest.param(["amv-sweep", "euclidean:3", "--field", "harmonic3", "--point", "0.3,-0.2,0.1",
+                      "--radii", "0.4:4:0.5", "--scheme", "mc:300000:5", "--tolerance", "0.01"], "3", 0,
+                     id="amv-sweep-shared-batches"),
         # the last two have no reference: the verdict is inconclusive
         pytest.param(["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "3",
                       "--scheme", "mc:2000:4", "--radii", "0.5,0.25"], "3", 1, id="strong-scan"),
@@ -510,6 +526,19 @@ def test_threads_do_not_change_bits(tmp_path, cli_env, base, many, code):
         d["metadata"]["config"]["out"] = None
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert (tmp_path / "t1.csv").read_text() == (tmp_path / f"t{many}.csv").read_text()
+
+
+@pytest.mark.slow
+def test_folland_sweep_with_shared_draws_resolves_its_trend(tmp_path, capsys):
+    # at 1M pairs independent draws left the r^2 trend unresolved and read a
+    # biased constant, 3.2e-4 against a limit of 0: FAIL at --tolerance 3e-4
+    out = tmp_path / "r.json"
+    rc = main(["amv-sweep", "carnot:heisenberg:1:koranyi", "--field", "folland", "--point", "1,0.5,0.7",
+               "--scheme", "mc:2000000:1", "--tolerance", "3e-4", "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().out.startswith("PASS amv-sweep")
+    rep = ex.ExperimentReport.from_json(out.read_text())
+    assert rep.fitted_rate == pytest.approx(2.0, abs=0.05)
+    assert abs(rep.fitted_limit) <= 2.0 * rep.metadata["limit_err"] <= 3e-4
 
 
 def test_repeat_runs_byte_identical(tmp_path, cli_env):

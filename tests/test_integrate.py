@@ -276,10 +276,11 @@ def test_mc_std_error_scale_is_per_column():
     def draw(m, rng):
         return eu.sample_ball(np.zeros(2), 0.8, m, rng)
 
-    mean, err = it._mc_moments(draw, sq1, scheme)
-    means, errs = it._mc_moments(draw, lambda pts: np.stack([sq1(pts), tiny * sq1(pts)], axis=1), scheme)
-    assert errs[0] > 0
+    mean, err, none = it._mc_moments(draw, sq1, scheme)
+    means, errs, corr = it._mc_moments(draw, lambda pts: np.stack([sq1(pts), tiny * sq1(pts)], axis=1), scheme)
+    assert none is None and errs[0] > 0
     assert (means[1], errs[1]) == (tiny * means[0], tiny * errs[0])
+    np.testing.assert_allclose(corr, 1.0, rtol=1e-15)  # one column is the other times 2^-600
     # a column mean sums in another order than a flat one, so the last bits may differ
     assert (means[0], errs[0]) == (pytest.approx(mean, rel=1e-12), pytest.approx(err, rel=1e-12))
 
@@ -407,6 +408,46 @@ def test_isotropy_grid_symmetry(h1, koranyi):
     np.testing.assert_allclose(vals, 2 / (3 * math.pi), rtol=1e-10)
     with pytest.raises(InputError):
         it.isotropy_check(h1, koranyi, [[2.0, 0.0]], it.GridScheme(8))
+
+
+@pytest.mark.parametrize("group", [ca.heisenberg(1), ca.heisenberg(2)], ids=["H1", "H2"])
+def test_isotropy_co_moments_match_the_per_direction_route(group, koranyi, monkeypatch):
+    # one fixed draw array of two batches: a^T M a and sqrt(c^T Sigma c)
+    # from the moment matrix's co-moments against the mean and error bar of
+    # <a, z1>^2 itself, direction by direction
+    space = mo.CarnotSpace(group, koranyi)
+    n = it._BATCH + 12_345
+    pts = space.sample_ball(np.zeros(group.dim), 1.0, n, it.SeedSpec(8).generator())
+    served = iter([pts[: it._BATCH], pts[it._BATCH :]])
+    monkeypatch.setattr(mo.CarnotSpace, "sample_ball", lambda self, x, r, m, rng: next(served))
+    dirs = np.random.default_rng(4).standard_normal((20, group.v1))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    ests = it.isotropy_check(group, koranyi, dirs, it.MCScheme(n, it.SeedSpec(17)))
+    batches = iter([pts[: it._BATCH], pts[it._BATCH :]])
+    mean, err, _ = it._mc_moments(lambda m, rng: next(batches), lambda z: (z[:, : group.v1] @ dirs.T) ** 2,
+                                  it.MCScheme(n, it.SeedSpec(17)))
+    np.testing.assert_allclose([e.value for e in ests], mean, rtol=1e-13, atol=0)
+    np.testing.assert_allclose([e.std_error for e in ests], err, rtol=1e-13, atol=0)
+
+
+def test_mc_moments_keep_their_bits_on_a_pool():
+    # batch k draws from seed.child(k), and the merge runs in batch order
+    eu = mo.Euclidean(2)
+    scheme = it.MCScheme(2 * it._BATCH + 7, it.SeedSpec(6))
+
+    def draw(m, rng):
+        return eu.sample_ball(np.zeros(2), 0.5, m, rng)
+
+    def f(z):
+        return np.stack([z[:, 0] ** 2, z[:, 0] * z[:, 1], 1e-300 * z[:, 1]], axis=1)
+
+    runs = [it._mc_moments(draw, f, scheme, threads) for threads in (1, 3, 3)]
+    for mean, err, corr in runs[1:]:
+        assert np.array_equal(mean, runs[0][0]) and np.array_equal(err, runs[0][1])
+        assert np.array_equal(corr, runs[0][2])
+    mean, err, corr = runs[0]
+    np.testing.assert_allclose(mean, [0.0625, 0.0, 0.0], atol=5 * err.max())
+    assert err[2] > 0 and abs(corr[0, 1]) < 0.05
 
 
 def test_mc_convergence_rate():

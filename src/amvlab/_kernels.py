@@ -37,10 +37,12 @@ def row_blocks(n_rows: int, row_len: int):
     return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
-def row_runs(offsets):
+def row_runs(offsets, depth: int = 1):
     """Fixed (start, stop) spans of whole CSR rows, one from the first row at
-    or after each multiple of _BLOCK_ENTRIES entries."""
-    starts = np.unique(np.searchsorted(offsets[:-1], np.arange(0, offsets[-1], _BLOCK_ENTRIES))).tolist()
+    or after each multiple of max(1, _BLOCK_ENTRIES // depth) entries, for
+    depth values per entry."""
+    step = max(1, _BLOCK_ENTRIES // depth)
+    starts = np.unique(np.searchsorted(offsets[:-1], np.arange(0, offsets[-1], step))).tolist()
     return list(zip(starts, starts[1:] + [len(offsets) - 1]))
 
 

@@ -14,8 +14,11 @@ discontinuity; callers should perturb such radii (see
 ``is_collision_radius``).
 
 Scalar fields are plain one-dimensional float arrays indexed in point
-order.  All operations are pure functions; summations run in fixed
-index-ascending order so results do not depend on evaluation layout.
+order.  ``average``, ``adjoint_average`` and ``sym_r_laplacian`` (and the
+r-laplacian wrappers) also take a stack of k fields, shape (k, n), in one
+pass; a stacked row has the bits of the single call.  All operations are
+pure functions; summations run in fixed index-ascending order so results
+do not depend on evaluation layout or on the stack.
 
 Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
@@ -221,10 +224,13 @@ def _check_table(dist, cols, offsets, n: int, cut: float) -> None:
         raise InputError("dist must be symmetric")
 
 
-def as_field(space: FiniteMMSpace, values) -> np.ndarray:
+def as_field(space: FiniteMMSpace, values, stack: bool = False) -> np.ndarray:
+    """values as a finite field of space, shape (n,); with stack also a
+    stack of k >= 1 fields, shape (k, n)."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (space.n,):
-        raise InputError(f"field must have length {space.n}, got shape {values.shape}")
+    if values.shape != (space.n,) and not (stack and values.ndim == 2 and values.shape[0] and values.shape[1] == space.n):
+        raise InputError(f"field must have length {space.n}{' (a stack: k >= 1 rows of it)' if stack else ''}, "
+                         f"got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InputError("field entries must be finite")
     return values
@@ -276,44 +282,52 @@ class _Balls:
         self.inv = 1.0 / self.masses
 
     def take(self, v, span) -> np.ndarray:
-        """Per-point vector v at the columns of a block's entries (see
-        row_sums); on a full table that is v itself, which broadcasts."""
-        return v if self.cols is None else np.take(v, self.cols[span[0]])
+        """Per-point values v, shape (..., n), at the columns of a block's
+        entries (see row_sums); on a full table that is v itself with a
+        row axis, which broadcasts."""
+        return v[..., None, :] if self.cols is None else np.take(v, self.cols[span[0]], axis=-1)
 
     def own(self, v, span) -> np.ndarray:
-        """Per-point vector v at each entry's own row, for a block's entries."""
+        """Per-point values v, shape (..., n), at each entry's own row, for a
+        block's entries."""
         rows, counts = span[1:]
-        return v[rows, None] if counts is None else np.repeat(v[rows], counts)
+        return v[..., rows, None] if counts is None else np.repeat(v[..., rows], counts, axis=-1)
 
     def sums(self, v) -> np.ndarray:
-        """Row sums of w * v_y: the sum of the per-point vector v over each ball."""
-        return self.row_sums(lambda span, w, a, b: np.multiply(w, self.take(v, span), out=a))
+        """Row sums of w * v_y: the sum of the per-point vector v (or of each
+        row of a stack of them) over each ball."""
+        return self.row_sums(lambda span, w, a, b: np.multiply(w, self.take(v, span), out=a), v.shape[:-1])
 
-    def row_sums(self, fill) -> np.ndarray:
+    def row_sums(self, fill, lead: tuple = ()) -> np.ndarray:
         """Row sums of the summands fill(span, w, a, b) leaves in a, block by
-        block, with w = (dist < r) on the block's entries and a, b scratch
-        of their shape; fills read per-point vectors at the entries'
-        columns as take(v, span) and at their own rows as own(v, span).  A
-        full table's block is 2-D, rows s .. e-1 by all n columns, summed
-        along axis 1 (the identity suite's residuals are recorded to their
-        bits); a cut table's is flat, summed per row by reduceat.  Scratch
-        is per pass, so passes on one object stay independent."""
-        n, o, full = self.n, self.offsets, self.cols is None
-        spans = row_blocks(n, n) if full else row_runs(o)
+        block, for each of the prod(lead) fields of a stack: w = (dist < r)
+        on the block's entries, and a, b scratch of shape lead + theirs.
+        Fills read per-point values at the entries' columns as take(v, span)
+        and at their own rows as own(v, span).  A full table's block is rows
+        s .. e-1 by all n columns, a cut table's the flat entries of its
+        rows; both are summed along their last, contiguous axis, the first
+        by numpy's pairwise sum per row and the second per row by
+        reduceat, whatever lead is.  So a stacked field's row sums keep
+        the bits of its own pass.  Blocks hold about _BLOCK_ENTRIES summands
+        for the whole stack.  Scratch is per pass, so passes on one object
+        stay independent."""
+        n, o, full, k = self.n, self.offsets, self.cols is None, math.prod(lead)
+        spans = row_blocks(n, k * n) if full else row_runs(o, k)
         size = max(((e - s) * n if full else o[e] - o[s] for s, e in spans), default=0)
-        w_buf, a_buf, b_buf = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
-        out = np.empty(n)
+        w_buf, a_buf, b_buf = np.empty(size, dtype=bool), np.empty(k * size), np.empty(k * size)
+        out = np.empty(lead + (n,))
         for s, e in spans:
             # (the table's index of the entries, their rows, each row's count)
             span = (slice(s, e), slice(s, e), None) if full else (slice(o[s], o[e]), slice(s, e), np.diff(o[s : e + 1]))
             shape = (e - s, n) if full else (o[e] - o[s],)
-            w, a, b = (buf[: math.prod(shape)].reshape(shape) for buf in (w_buf, a_buf, b_buf))
+            w = w_buf[: math.prod(shape)].reshape(shape)
+            a, b = (buf[: k * math.prod(shape)].reshape(lead + shape) for buf in (a_buf, b_buf))
             np.less(self.dist[span[0]], self.r, out=w)
             fill(span, w, a, b)
             if full:
-                a.sum(axis=1, out=out[s:e])
+                a.sum(axis=-1, out=out[..., s:e])
             else:
-                np.add.reduceat(a, o[s:e] - o[s], out=out[s:e])
+                np.add.reduceat(a, o[s:e] - o[s], axis=-1, out=out[..., s:e])
         return out
 
 
@@ -323,15 +337,17 @@ def ball_masses(space: FiniteMMSpace, r) -> np.ndarray:
 
 
 def average(space: FiniteMMSpace, u, r) -> np.ndarray:
-    """Ball average A_r u(x) = mean of u over B_r(x) against the masses."""
-    u = as_field(space, u)
+    """Ball average A_r u(x) = mean of u over B_r(x) against the masses, of a
+    field or of each row of a stack (k, n)."""
+    u = as_field(space, u, stack=True)
     balls = space._balls(r)
     return balls.sums(u * space.mass) / balls.masses
 
 
 def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
-    """Formal adjoint A_r* u(x) = sum over the ball of u(y) m(y)/mu(B_r(y))."""
-    u = as_field(space, u)
+    """Formal adjoint A_r* u(x) = sum over the ball of u(y) m(y)/mu(B_r(y)), of
+    a field or of each row of a stack (k, n)."""
+    u = as_field(space, u, stack=True)
     balls = space._balls(r)
     return balls.sums(u * space.mass / balls.masses)
 
@@ -343,13 +359,13 @@ def a_r(space: FiniteMMSpace, r) -> np.ndarray:
 
 def r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
-    u = as_field(space, u)
+    u = as_field(space, u, stack=True)
     return (average(space, u, r) - u) / r**2
 
 
 def adjoint_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
-    u = as_field(space, u)
+    u = as_field(space, u, stack=True)
     return (adjoint_average(space, u, r) - u) / r**2
 
 
@@ -384,13 +400,14 @@ def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
 
 
 def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
-    """Symmetrized r-laplacian, computed from the kernel itself.
+    """Symmetrized r-laplacian, computed from the kernel itself, of a field or
+    of each row of a stack (k, n).
 
     This is intentionally a different route than the expansion
     (r_laplacian + adjoint - u * adjoint of 1)/2, which tests assert
     against it.
     """
-    u = as_field(space, u)
+    u = as_field(space, u, stack=True)
     balls = space._balls(r)
     inv, m = balls.inv, space.mass
 
@@ -400,7 +417,7 @@ def sym_r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
         a *= np.subtract(balls.take(u, span), balls.own(u, span), out=b)
         a *= balls.take(m, span)
 
-    return balls.row_sums(fill) / balls.r**2
+    return balls.row_sums(fill, u.shape[:-1]) / balls.r**2
 
 
 def delta_r(space: FiniteMMSpace, x, y, r) -> float:
@@ -532,14 +549,8 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     v = as_field(space, v)
     r = check_radius(r)
     m = space.mass
-    lap_u = r_laplacian(space, u, r)
-    lap_v = r_laplacian(space, v, r)
-    adj_u = adjoint_r_laplacian(space, u, r)
-    adj_v = adjoint_r_laplacian(space, v, r)
-    a_one = a_r(space, r)
-    adj_one = (a_one - 1.0) / r**2
-    sym_u = sym_r_laplacian(space, u, r)
-    sym_v = sym_r_laplacian(space, v, r)
+    abs_u, abs_v, uv = np.abs(u), np.abs(v), u * v
+    c = np.full(space.n, 3.25)  # constants are annihilated (adjoint only up to c * adj(1))
 
     def rel(lhs, rhs, scale):
         return float(abs(lhs - rhs) / max(scale, 1e-300))
@@ -547,16 +558,20 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     def rel_pointwise(lhs, rhs, scale):
         return float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-300)))
 
-    # magnitude of the sums inside each operator evaluation: the roundoff a
-    # residual inherits is relative to these, not to the (possibly
-    # cancelling) outputs
-    abs_u, abs_v = np.abs(u), np.abs(v)
-    s_u = (average(space, abs_u, r) + abs_u) / r**2
-    s_v = (average(space, abs_v, r) + abs_v) / r**2
-    s_uv = (average(space, np.abs(u * v), r) + np.abs(u * v)) / r**2
-    s_adj_u = (adjoint_average(space, abs_u, r) + abs_u) / r**2
-    s_adj_v = (adjoint_average(space, abs_v, r) + abs_v) / r**2
-    s_one = (a_one + 1.0) / r**2
+    # one pass per operator over a stack of fields, each row with the bits of
+    # its own call.  A field f gives its laplacian (A f - f)/r^2, and |f| the
+    # magnitude (A |f| + |f|)/r^2 of the sums inside an operator evaluation:
+    # the roundoff a residual inherits is relative to these, not to the
+    # (possibly cancelling) outputs
+    fields = np.stack([u, v, abs_u, abs_v, np.abs(uv), uv, c])
+    avg = average(space, fields, r)
+    lap_u, lap_v, _, _, _, lap_uv, lap_c = (avg - fields) / r**2
+    _, _, s_u, s_v, s_uv, _, _ = (avg + fields) / r**2
+    fields = np.stack([u, v, abs_u, abs_v, np.ones(space.n), c])
+    adj = adjoint_average(space, fields, r)
+    adj_u, adj_v, _, _, adj_one, adj_c = (adj - fields) / r**2
+    _, _, s_adj_u, s_adj_v, s_one, _ = (adj + fields) / r**2
+    sym_u, sym_v, sym_c = sym_r_laplacian(space, np.stack([u, v, c]), r)
 
     out = {}
 
@@ -573,10 +588,9 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
 
     # product rule: lap(uv) = u lap v + 2 e_r(u,v) + v lap u
     e_uv = energy_density(space, u, v, r)
-    lhs_pw = r_laplacian(space, u * v, r)
     rhs_pw = u * lap_v + 2.0 * e_uv + v * lap_u
     scale_pw = abs_u * s_v + abs_v * s_u + s_uv
-    out["product_rule"] = rel_pointwise(lhs_pw, rhs_pw, scale_pw)
+    out["product_rule"] = rel_pointwise(lap_uv, rhs_pw, scale_pw)
 
     # pairing vs energy: int v sym(u) = -E_r(u,v)
     lhs = float(np.sum(v * sym_u * m))
@@ -615,16 +629,11 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     out["kernel_symmetry"] = float(np.max(np.abs(k - k.T)) / max(np.max(np.abs(k)), 1e-300))
     out["kernel_support"] = float(np.max(np.abs(k[space.as_matrix(space.dist, fill=np.inf) >= r]), initial=0.0))
 
-    # constants are annihilated (adjoint only up to c * adj(1));
-    # normalize by the c/r^2 magnitude of the averaging sums
-    c = np.full(space.n, 3.25)
-    kill = max(
-        float(np.max(np.abs(r_laplacian(space, c, r)))),
-        float(np.max(np.abs(sym_r_laplacian(space, c, r)))),
-    )
+    # constants, normalized by the c/r^2 magnitude of the averaging sums
+    kill = max(float(np.max(np.abs(lap_c))), float(np.max(np.abs(sym_c))))
     out["constant_kill"] = kill / (3.25 * (1.0 + 1.0 / r**2))
     out["adjoint_constant"] = rel_pointwise(
-        adjoint_r_laplacian(space, c, r),
+        adj_c,
         3.25 * adj_one,
         np.abs(3.25 * adj_one) + 3.25,
     )

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from amvlab import _kernels
 from amvlab import mmspace as mm
+from amvlab import models as mo
 
 
 @pytest.fixture
@@ -151,10 +153,25 @@ def test_monotone_ball_growth():
     assert np.all(np.diff(masses, axis=0) >= 0)
 
 
+# the worst residuals of run_identity_suite(60, 40, seed=123) to their bits: a
+# stacked operator pass must sum every field as its own pass does
+SUITE_WORST_123 = {
+    "green": 6.863518579199052e-17,
+    "symmetrization": 1.7037686703534768e-16,
+    "product_rule": 2.2796395043455393e-16,
+    "energy_pairing": 2.9129233345738215e-17,
+    "sym_self_adjoint": 3.915693009305345e-17,
+    "deviation": 2.330050335020048e-17,
+    "adjoint_constant": 1.3572193652341135e-15,
+    "constant_kill": 2.51654951095884e-16,
+}
+
+
 def test_identity_suite_random_instances():
     summary = mm.run_identity_suite(60, 40, seed=123)
     assert summary["ok"], summary["worst"]
     assert max(summary["worst"].values()) < 1e-12
+    assert summary["worst"] == SUITE_WORST_123
 
 
 def test_identity_suite_fault_injection_trips():
@@ -361,3 +378,40 @@ def test_cut_table_needs_its_cut():
     for cut in (None, 0.0, np.inf):
         with pytest.raises(mm.InputError, match="cut"):
             mm.FiniteMMSpace(dist, np.ones(3), cols=cols, offsets=offsets, cut=cut)
+
+
+STACKED_OPS = (mm.average, mm.adjoint_average, mm.sym_r_laplacian, mm.r_laplacian, mm.adjoint_r_laplacian)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("cut, r", [(None, 0.5), (0.5, 0.5), (0.5, 0.3)], ids=["full", "at-cut", "below-cut"])
+def test_a_stacked_call_keeps_each_fields_bits(monkeypatch, cut, r, k, budget):
+    if budget is not None:  # several row blocks or runs per pass, more for the stack
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", budget)
+    space = mo.euclidean_cloud(mo.Euclidean(2), [-1.0, -1.0], [1.0, 1.0], 21, 5, cut=cut)[0]
+    assert space.n == 441 and (space.cols is None) == (cut is None)
+    if cut is None:  # more than one row block at the default size, even for one field
+        assert k * space.n**2 > _kernels._BLOCK_ENTRIES
+    stack = np.random.default_rng(k).uniform(-3.0, 3.0, size=(k, space.n))
+    for op in STACKED_OPS:
+        got = op(space, stack, r)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.stack([op(space, u, r) for u in stack])), op.__name__
+
+
+def test_a_stack_of_fields_is_checked(line3):
+    np.testing.assert_array_equal(mm.as_field(line3, [[1, 2, 3]], stack=True), [[1.0, 2.0, 3.0]])
+    for bad in (np.ones((2, 4)), np.ones((3, 2)), np.ones((0, 3)), np.ones((1, 2, 3)), np.ones(4)):
+        with pytest.raises(mm.InputError, match="^field must have length 3 \\(a stack"):
+            mm.as_field(line3, bad, stack=True)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(mm.InputError, match="^field entries must be finite$"):
+            mm.as_field(line3, [[1.0, 2.0, 3.0], [0.0, bad, 0.0]], stack=True)
+        with pytest.raises(mm.InputError, match="finite"):
+            mm.average(line3, [[1.0, 2.0, 3.0], [0.0, bad, 0.0]], 1.5)
+    # a stack is refused where only a field is meant
+    with pytest.raises(mm.InputError, match="^field must have length 3, got shape \\(2, 3\\)$"):
+        mm.as_field(line3, np.ones((2, 3)))
+    with pytest.raises(mm.InputError):
+        mm.energy_density(line3, np.ones((2, 3)), np.ones(3), 1.5)

@@ -415,14 +415,125 @@ def test_cut_table_agrees_with_the_full_one(kind):
             assert balls.offsets[-1] == balls.dist.size == balls.cols.size
 
 
+# the residuals at the cut and at 0.6 cut, to their bits: a stacked operator
+# pass must sum every field as its own pass does
+CUT_RESIDUALS = {
+    "carnot": [
+        {
+            "green": 0.0,
+            "symmetrization": 1.746899752201069e-16,
+            "product_rule": 2.347768568380331e-16,
+            "energy_pairing": 7.255791822230262e-18,
+            "sym_self_adjoint": 7.25192228040301e-18,
+            "deviation": 7.25192228040301e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 4.018906876471155e-16,
+            "adjoint_constant": 9.720385049507108e-16,
+        },
+        {
+            "green": 5.196704336681169e-18,
+            "symmetrization": 9.143497324000762e-17,
+            "product_rule": 2.415935653675791e-16,
+            "energy_pairing": 1.3024015395007068e-18,
+            "sym_self_adjoint": 1.7365042051864935e-18,
+            "deviation": 2.170630256483117e-19,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 1.20965681480187e-16,
+            "adjoint_constant": 1.4790293368999845e-15,
+        },
+    ],
+    "cone": [
+        {
+            "green": 3.637455374391202e-18,
+            "symmetrization": 8.127771380445114e-17,
+            "product_rule": 1.94829864294629e-16,
+            "energy_pairing": 1.8297938622011615e-18,
+            "sym_self_adjoint": 4.8738357782360706e-18,
+            "deviation": 3.046147361397544e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 3.5338663913798085e-16,
+            "adjoint_constant": 1.665479236757519e-15,
+        },
+        {
+            "green": 0.0,
+            "symmetrization": 6.807435595565557e-17,
+            "product_rule": 1.6062305694625936e-16,
+            "energy_pairing": 2.6383511250058686e-18,
+            "sym_self_adjoint": 1.7567778733664555e-18,
+            "deviation": 1.7567778733664555e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 3.8760259209536485e-16,
+            "adjoint_constant": 3.244409351782085e-15,
+        },
+    ],
+    "euclidean": [
+        {
+            "green": 6.0559607944523315e-18,
+            "symmetrization": 1.2125479054277353e-16,
+            "product_rule": 1.6400562411852771e-16,
+            "energy_pairing": 3.0142859800561408e-18,
+            "sym_self_adjoint": 1.0048772247037022e-18,
+            "deviation": 1.0048772247037022e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 3.2794280112004626e-16,
+            "adjoint_constant": 1.834304843229411e-15,
+        },
+        {
+            "green": 4.361123687288536e-18,
+            "symmetrization": 8.457610321790204e-17,
+            "product_rule": 1.6453231791638809e-16,
+            "energy_pairing": 4.343405296919422e-18,
+            "sym_self_adjoint": 2.897042281818996e-18,
+            "deviation": 2.1727817113642473e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 1.2536039798166906e-16,
+            "adjoint_constant": 3.056213218303523e-15,
+        },
+    ],
+    "half": [
+        {
+            "green": 0.0,
+            "symmetrization": 1.0288861382853956e-16,
+            "product_rule": 1.6995174259101762e-16,
+            "energy_pairing": 5.190067925407956e-18,
+            "sym_self_adjoint": 1.7287156607495648e-18,
+            "deviation": 9.724025591716302e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 3.408968826611707e-16,
+            "adjoint_constant": 1.4519365289697852e-15,
+        },
+        {
+            "green": 0.0,
+            "symmetrization": 1.1979267421338233e-16,
+            "product_rule": 1.7018468734441563e-16,
+            "energy_pairing": 1.883241668841612e-18,
+            "sym_self_adjoint": 0.0,
+            "deviation": 2.507290744773046e-18,
+            "kernel_symmetry": 0.0,
+            "kernel_support": 0.0,
+            "constant_kill": 1.273584060024413e-16,
+            "adjoint_constant": 1.9549424290063056e-15,
+        },
+    ],
+}
+
+
 @pytest.mark.parametrize("kind", sorted(CUT_CLOUDS))
 def test_identities_hold_on_a_cut_cloud(kind):
     cut, build = CUT_CLOUDS[kind]
     table = build(4, cut)
     u, v = np.random.default_rng(4).uniform(-3.0, 3.0, size=(2, table.n))
-    for r in (cut, 0.6 * cut):
+    for r, want in zip((cut, 0.6 * cut), CUT_RESIDUALS[kind], strict=True):
         res = mm.identity_residuals(table, u, v, r)
         assert max(res.values()) < 1e-12, res
+        assert res == want
 
 
 def test_radius_above_the_cut_is_refused():

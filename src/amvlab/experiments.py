@@ -15,12 +15,14 @@ optional reference.  Verdicts:
 Reports carry no wall-clock data, so identical inputs give byte-identical
 files.
 
-threads is decided here: the Monte Carlo sweeps map whole estimates, each
-a pure function of its child stream, over one pool (``_kernels.pool_map``),
-except an amv_sweep on shared draws, which hands the width to the one pool
-that maps its batches.  Grid estimates run in order, as
-``integrate._check_grid`` budgets one node set; so do cloud radii, as a
-finite space compacts a smaller ball from its last one.
+Every continuum r-laplacian comes from ``integrate.r_laplacians``.  threads
+is decided here: amv_sweep hands the width to r_laplacians, whose one pool
+maps the batches of a shared draw set or the radii of a half-space or cone;
+strong_amv_scan maps its Monte Carlo (radius, point) estimates, each a pure
+function of its own stream, over one pool (``_kernels.pool_map``).  Grid
+estimates run in order, as ``integrate._check_grid`` budgets one node set;
+so do cloud radii, as a finite space compacts a smaller ball from its last
+one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels, mmspace
-from .integrate import Estimate, MCScheme, SeedSpec, continuum_r_laplacian, paired_r_laplacians, scheme_spec
+from .integrate import Estimate, MCScheme, SeedSpec, r_laplacians, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
 from .models import CloudMeta, ModelSpace, NumericError, Region, fill_by_rejection, mm_boundary_mass
 
@@ -284,24 +286,6 @@ def revalidate(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_for(scheme, index: int):
-    """Per-evaluation child stream so MC estimates are independent and
-    reproducible regardless of evaluation order."""
-    if isinstance(scheme, MCScheme):
-        return MCScheme(scheme.n, scheme.seed.child(index))
-    return scheme
-
-
-def _laplacians(space: ModelSpace, u, jobs, scheme, threads: int) -> list[Estimate]:
-    """continuum_r_laplacian at each (stream index, point, radius) job, in
-    job order.  Monte Carlo jobs run on a pool of threads; grid jobs run in
-    order, as integrate._check_grid budgets one node set at a time."""
-    return _kernels.pool_map(
-        lambda k, x, r: continuum_r_laplacian(space, u, x, r, _scheme_for(scheme, k)),
-        jobs, threads if isinstance(scheme, MCScheme) else 1,
-    )
-
-
 def amv_sweep(
     space: ModelSpace,
     u,
@@ -315,16 +299,12 @@ def amv_sweep(
     """Scale-to-zero behaviour of the finite-scale laplacian at one point.
 
     Monte Carlo on a space with antithetic pairs (Euclidean, Carnot) draws
-    one set of unit pairs for every radius (``paired_r_laplacians``), and
+    one set of unit pairs for every radius (``integrate.r_laplacians``), and
     the fit reads their correlation; other spaces, whose balls change shape
     with r, and grid rules estimate each radius on its own."""
     radii = check_radii(radii)
     x = np.asarray(x, dtype=np.float64)
-    corr = None
-    if isinstance(scheme, MCScheme) and space.antithetic(x) is not None:
-        estimates, corr = paired_r_laplacians(space, u, x, radii, scheme, threads)
-    else:
-        estimates = _laplacians(space, u, [(i, x, r) for i, r in enumerate(radii)], scheme, threads)
+    estimates, corr = r_laplacians(space, u, x, radii, scheme, threads)
     meta = {
         "experiment": "amv_sweep",
         "space": space.spec(),
@@ -347,13 +327,24 @@ def strong_amv_scan(
     """Sup over a finite point grid of |finite-scale laplacian| per radius.
 
     The grid stands in for a compact set; refinement of the grid is the
-    caller's reported convergence axis.
+    caller's reported convergence axis.  Each (radius, point) pair is its
+    own estimate, so the radii draw independently.  Under Monte Carlo, job
+    k = i * len(grid_points) + j (radius i, point j) draws from
+    scheme.seed.child(-1 - k): the streams count down from 2^64 - 1, where
+    gauge_annulus_grid counts up from stream 0, so a scan never reuses the
+    draws that placed its points.  Monte Carlo jobs map on a pool of width
+    threads; grid jobs run in order.
     """
     radii = check_radii(radii)
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=np.float64))
     m = len(grid_points)
+    mc = isinstance(scheme, MCScheme)
+
+    def job(k, p, r):
+        return r_laplacians(space, u, p, [r], MCScheme(scheme.n, scheme.seed.child(-1 - k)) if mc else scheme)[0][0]
+
     jobs = [(i * m + j, p, r) for i, r in enumerate(radii) for j, p in enumerate(grid_points)]
-    flat = _laplacians(space, u, jobs, scheme, threads)
+    flat = _kernels.pool_map(job, jobs, threads if mc else 1)
     sups = [max(flat[k : k + m], key=lambda e: abs(e.value)) for k in range(0, len(flat), m)]  # first of ties
     estimates = [Estimate(abs(e.value), e.std_error, e.n, e.method) for e in sups]
     meta = {

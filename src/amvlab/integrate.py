@@ -25,14 +25,13 @@ spaces): the symmetry cancels the first-order term of
 u(y) - u(x) inside each pair, so the error bar no longer grows with
 |grad u(x)| r / r^2.  A pair is one draw.  Those balls are also dilates
 of the unit ball, so a radius sweep draws one set of unit pairs and
-dilates it to every radius (``paired_r_laplacians``).
+dilates it to every radius (``r_laplacians``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
@@ -49,8 +48,9 @@ _MASK64 = (1 << 64) - 1
 _BATCH = 65_536
 CONSTANT_REL_TOL = 1e-3  # grid-versus-MC agreement of carnot_constant_checked, relative
 # peak bytes of a grid ball mean per node and coordinate (the weight counts as one):
-# amv-sweep's peak RSS grows by 88.1 bytes per node on H1 (grid:60 to 100, 4 values
-# per node), 72.2 on euclidean:3 (60 to 120) and 55.7 on euclidean:2 (400 to 800)
+# amv-sweep's peak RSS grows by 88.0 bytes per node on H1 at the origin and 95.9 off
+# it (grid:40 to 70, 4 values per node), 87.9 on euclidean:3 (60 to 100) and 64.3 on
+# euclidean:2 (400 to 800)
 _GRID_BYTES = 25
 
 
@@ -86,9 +86,6 @@ class Estimate:
     std_error: float
     n: int
     method: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -287,6 +284,15 @@ def _mc_moments(draw, f, scheme: MCScheme, threads: int | None = None):
     return mean, std_error, corr
 
 
+def _unit_rule(space: ModelSpace, res: int):
+    """Nodes and weights of the grid:res rule over the unit ball of space."""
+    if isinstance(space, Euclidean):
+        return euclid_ball_quadrature(space.dim, res)
+    if isinstance(space, CarnotSpace):
+        return carnot_ball_quadrature(space.group, space.gauge, res)
+    raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
+
+
 def _ball_moments(space: ModelSpace, f, x, r, scheme):
     """Mean of f over B_r(x), its standard error, the correlation of its
     columns (None for one value per point or a grid rule), the node or draw
@@ -294,12 +300,7 @@ def _ball_moments(space: ModelSpace, f, x, r, scheme):
     point."""
     r = float(r)
     if isinstance(scheme, GridScheme):
-        if isinstance(space, Euclidean):
-            nodes, weights = euclid_ball_quadrature(space.dim, scheme.res)
-        elif isinstance(space, CarnotSpace):
-            nodes, weights = carnot_ball_quadrature(space.group, space.gauge, scheme.res)
-        else:
-            raise GridUnavailable(f"no grid rule for the {space.kind} kind; use mc")
+        nodes, weights = _unit_rule(space, scheme.res)
         vals = np.asarray(f(space.translate(x, space.dilate(r, nodes, out=nodes))), dtype=np.float64)
         mean = np.sum(vals.T * weights, axis=-1) / np.sum(weights)
         return mean, np.zeros_like(mean), None, weights.size, "grid"
@@ -329,74 +330,76 @@ def _refuse_subnormal_square(r: float, r2: float) -> None:
         raise NumericError(f"the radius {r!r} is too small: its square underflows")
 
 
-def continuum_r_laplacian(space: ModelSpace, u, x, r, scheme) -> Estimate:
-    """Mean of u(y) - u(x) over y in B_r(x), divided by r^2.
+def r_laplacians(space: ModelSpace, u, x, radii, scheme, threads: int | None = None):
+    """The r-laplacian at every radius, the mean of u(y) - u(x) over y in
+    B_r(x) divided by r^2, and the correlation matrix of the estimates, None
+    unless the radii share draws.  Averaging the difference keeps the
+    mean's digits when |u(x)| dwarfs the spread of u over the ball.
 
-    Averaging the difference centres the samples on u(x), so the mean keeps
-    its digits when |u(x)| dwarfs the spread of u over the ball.  Monte
-    Carlo on a space with antithetic pairs (Euclidean, Carnot) draws pairs
-    (``paired_r_laplacians``, from one stream); other spaces and grid rules
-    average u(y) - u(x) plainly.
-    """
-    if isinstance(scheme, MCScheme) and space.antithetic(x) is not None:
-        return paired_r_laplacians(space, u, x, [r], scheme)[0][0]
-    r = float(r)
-    r2 = _squared_radius(r)
-    x = np.asarray(x, dtype=np.float64)
-    ux = float(u(x[None, :])[0])
-    est = mean_over_ball(space, lambda pts: u(pts) - ux, x, r, scheme)
-    _refuse_subnormal_square(r, r2)  # checked last, so a sampler's refusal comes first
-    return Estimate(est.value / r2, est.std_error / r2, est.n, est.method)
-
-
-def paired_r_laplacians(space: ModelSpace, u, x, radii, scheme: MCScheme, threads: int | None = None):
-    """The Monte Carlo r-laplacian at every radius from one draw set of
-    antithetic pairs, and the correlation matrix of the estimates.
-
-    On a space with antithetic pairs (Euclidean, Carnot) the estimate
+    Monte Carlo on a space with antithetic pairs (Euclidean, Carnot)
     averages g(z) = ½[(u(x·z) - u(x)) + (u(x·z⁻¹) - u(x))] over z in B_r(0).
     The ball is symmetric under z -> z⁻¹, so g has the mean of u(y) - u(x),
     and its first-order term cancels: for a quadratic u, g is the integrand
     at the origin wherever x is.  Each evaluation is centred before the pair
     is averaged; ½(u(a) + u(b)) - u(x) would lose the digits at large
     |u(x)|.  mc:n still means n field evaluations per radius, drawn as
-    ⌈n/2⌉ pairs, and Estimate.n counts the pairs.
+    ⌈n/2⌉ pairs, and Estimate.n counts the pairs.  These balls are dilates
+    of the unit ball, B_r(0) = delta_r(B_1(0)), so the unit offsets are
+    drawn once and each batch is dilated to every radius: the radii share
+    their noise (common random numbers; Glasserman, Monte Carlo Methods in
+    Financial Engineering, 2003, §4.2), which the correlation matrix
+    records for the fit.  threads is _mc_moments': None draws from one
+    stream; a width draws batch k from scheme.seed.child(k) on a pool, the
+    same bits at any width.
 
-    These balls are dilates of the unit ball, B_r(0) = delta_r(B_1(0)), so
-    the unit offsets are drawn once and each batch is dilated to every
-    radius, one column per radius.  Every radius is unbiased, and the radii
-    share their noise (common random numbers; Glasserman, Monte Carlo
-    Methods in Financial Engineering, 2003, §4.2), which the correlation
-    matrix records for the fit.  threads is _mc_moments': None draws from
-    one stream; a width draws batch k from scheme.seed.child(k) on a pool,
-    the same bits at any width.  Every radius is refused, in order, before
-    any draw or field value where its square overflows, the space cannot
-    hold its draws (``check_dilation``) or its square underflows.
+    A grid rule is built once on the unit ball (``_unit_rule``); each
+    radius dilates its nodes and takes its weighted mean before the next,
+    so a call holds the unit nodes and one radius's points and values.
+    Monte Carlo on half-spaces and cones, whose balls change shape with r,
+    takes one ``mean_over_ball`` per radius, radius i from
+    scheme.seed.child(i), mapped on a pool of width threads.
+
+    Every radius is refused, in order, before any field value where its
+    square overflows, the space cannot hold its shared draws
+    (``check_dilation``) or its square underflows.
     """
+    x = np.asarray(x, dtype=np.float64)
+    pair = space.antithetic(x) if isinstance(scheme, MCScheme) else None
     radii = [float(r) for r in radii]
     squares = []
     for r in radii:
         r2 = _squared_radius(r)
-        space.check_dilation(r)
+        if pair is not None:
+            space.check_dilation(r)
         _refuse_subnormal_square(r, r2)
         squares.append(r2)
-    x = np.asarray(x, dtype=np.float64)
-    pair = space.antithetic(x)
     ux = float(u(x[None, :])[0])
+    corr = None
+    if pair is not None:
 
-    def centred_pair_means(z):
-        out = np.empty((z.shape[0], len(radii)))
-        for j, r in enumerate(radii):
-            a, b = pair(space.dilate(r, z))
-            out[:, j] = 0.5 * ((u(a) - ux) + (u(b) - ux))
-        return out
+        def centred_pair_means(z):
+            out = np.empty((z.shape[0], len(radii)))
+            for j, r in enumerate(radii):
+                a, b = pair(space.dilate(r, z))
+                out[:, j] = 0.5 * ((u(a) - ux) + (u(b) - ux))
+            return out
 
-    origin = np.zeros_like(x)
-    pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
-    mean, std_error, corr = _mc_moments(lambda m, rng: space.sample_ball(origin, 1.0, m, rng),
-                                        centred_pair_means, pairs, threads)
-    estimates = [Estimate(float(v / r2), float(s / r2), pairs.n, "mc") for v, s, r2 in zip(mean, std_error, squares)]
-    return estimates, corr
+        origin = np.zeros_like(x)
+        pairs = MCScheme((scheme.n + 1) // 2, scheme.seed)
+        mean, std_error, corr = _mc_moments(lambda m, rng: space.sample_ball(origin, 1.0, m, rng),
+                                            centred_pair_means, pairs, threads)
+        estimates = [Estimate(float(v), float(s), pairs.n, "mc") for v, s in zip(mean, std_error)]
+    elif isinstance(scheme, MCScheme):
+        estimates = _kernels.pool_map(
+            lambda i, r: mean_over_ball(space, lambda pts: u(pts) - ux, x, r, MCScheme(scheme.n, scheme.seed.child(i))),
+            enumerate(radii), threads or 1,
+        )
+    else:
+        nodes, weights = _unit_rule(space, scheme.res)
+        total = np.sum(weights)
+        estimates = [Estimate(float(np.sum((u(space.translate(x, space.dilate(r, nodes))) - ux) * weights) / total),
+                              0.0, weights.size, "grid") for r in radii]
+    return [Estimate(e.value / r2, e.std_error / r2, e.n, e.method) for e, r2 in zip(estimates, squares)], corr
 
 
 # ---------------------------------------------------------------------------

@@ -352,11 +352,6 @@ def adjoint_average(space: FiniteMMSpace, u, r) -> np.ndarray:
     return balls.sums(u * space.mass / balls.masses)
 
 
-def a_r(space: FiniteMMSpace, r) -> np.ndarray:
-    """A_r* applied to the constant 1."""
-    return adjoint_average(space, np.ones(space.n), r)
-
-
 def r_laplacian(space: FiniteMMSpace, u, r) -> np.ndarray:
     r = check_radius(r)
     u = as_field(space, u, stack=True)

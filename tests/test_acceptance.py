@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ _artifacts: dict = {}
 
 def _record(name: str, payload: str) -> None:
     _artifacts[name] = payload
+
+
+def _estimate_json(e: it.Estimate) -> str:
+    return json.dumps(asdict(e), sort_keys=True)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -71,15 +76,15 @@ def produce_euclidean_constant():
         x = np.full(n, 0.31)
         ref = lap / (2.0 * (n + 2))
         for r in (0.3, 0.7, 1.1):
-            est = it.continuum_r_laplacian(space, field, x, r, it.GridScheme(8))
+            est = it.r_laplacians(space, field, x, [r], it.GridScheme(8))[0][0]
             rel = abs(est.value - ref) / abs(ref)
             lines.append((n, r, est.value, rel))
             assert rel < 1e-6, (n, r, rel)
     # Monte Carlo route within 3 standard errors
-    mc = it.continuum_r_laplacian(
-        mo.Euclidean(2), Monomial(2, (2, 0)), np.full(2, 0.31), 0.7,
+    mc = it.r_laplacians(
+        mo.Euclidean(2), Monomial(2, (2, 0)), np.full(2, 0.31), [0.7],
         it.MCScheme(300_000, it.SeedSpec(2026)),
-    )
+    )[0][0]
     assert abs(mc.value - 0.25) <= 3.0 * mc.std_error
     return lines, mc
 
@@ -111,7 +116,7 @@ def produce_carnot_constant():
 def test_criterion_3_carnot_constant():
     target = 1.0 / (3.0 * math.pi)
     grid, mc, sweep = produce_carnot_constant()
-    _record("carnot_constant", grid.to_json() + mc.to_json() + sweep.to_json())
+    _record("carnot_constant", _estimate_json(grid) + _estimate_json(mc) + sweep.to_json())
     rel_grid = abs(grid.value - target) / target
     rel_mc = abs(mc.value - target) / target
     sweep_rel = max(abs(v - sweep.reference) / sweep.reference for v in sweep.values)
@@ -309,7 +314,7 @@ def produce_isotropy():
 @pytest.mark.slow
 def test_criterion_8_isotropy():
     ests = produce_isotropy()
-    _record("isotropy", "".join(e.to_json() for e in ests))
+    _record("isotropy", "".join(_estimate_json(e) for e in ests))
     vals = [e.value for e in ests]
     ratio = max(vals) / min(vals)
     target = 2.0 / (3.0 * math.pi)
@@ -405,14 +410,14 @@ def test_criterion_9_group_gauge_axioms():
 PRODUCERS = {
     "identities": lambda: json.dumps(produce_identities(), sort_keys=True),
     "euclid_constant": lambda: json.dumps(produce_euclidean_constant()[0]),
-    "carnot_constant": lambda: (lambda g, m, s: g.to_json() + m.to_json() + s.to_json())(
+    "carnot_constant": lambda: (lambda g, m, s: _estimate_json(g) + _estimate_json(m) + s.to_json())(
         *produce_carnot_constant()
     ),
     "strong_scan": lambda: "".join(r.to_json() for r in produce_strong_scan()),
     "sym_vs_plain": lambda: "".join(r.to_json() for r in produce_sym_vs_plain()),
     "mm_boundary": lambda: "".join(r.to_json() for r in produce_mm_boundary()),
     "dirichlet": lambda: json.dumps(produce_dirichlet()),
-    "isotropy": lambda: "".join(e.to_json() for e in produce_isotropy()),
+    "isotropy": lambda: "".join(_estimate_json(e) for e in produce_isotropy()),
     "axioms": lambda: json.dumps(
         {k: (v if not isinstance(v, bool) else int(v)) for k, v in produce_axioms()[1].items()},
         sort_keys=True,

@@ -511,6 +511,9 @@ def test_bpz_demo_runs_where_the_dense_route_is_refused(tmp_path, cli_env):
         # the last two have no reference: the verdict is inconclusive
         pytest.param(["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "3",
                       "--scheme", "mc:2000:4", "--radii", "0.5,0.25"], "3", 1, id="strong-scan"),
+        # 150,000 pairs per estimate: three batches, all from the estimate's own stream
+        pytest.param(["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "hsq", "--grid-size", "2",
+                      "--scheme", "mc:300000:4", "--radii", "0.5"], "2", 1, id="strong-scan-batches"),
         pytest.param(["amv-sweep", "cone:4.5", "--field", "harmonic3", "--point", "0.5,0.3",
                       "--scheme", "mc:4000:2", "--radii", "0.3,0.2,0.1"], "3", 1, id="amv-sweep-cone"),
     ],

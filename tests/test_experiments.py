@@ -268,10 +268,68 @@ def test_shared_draws_refuse_every_radius_before_any_field_value(h1_space):
         return np.sum(pts * pts, axis=-1)
 
     with pytest.raises(mo.NumericError, match="the radius 1e\\+100 is too large: its gauge overflows"):
-        it.paired_r_laplacians(h1_space, field, np.zeros(3), [0.5, 1e100], it.MCScheme(1000, it.SeedSpec(1)))
+        it.r_laplacians(h1_space, field, np.zeros(3), [0.5, 1e100], it.MCScheme(1000, it.SeedSpec(1)))
     with pytest.raises(mo.NumericError, match="the radius 1e-200 is too small: its square underflows"):
-        it.paired_r_laplacians(mo.Euclidean(2), field, np.zeros(2), [0.5, 1e-200], it.MCScheme(1000, it.SeedSpec(1)))
+        it.r_laplacians(mo.Euclidean(2), field, np.zeros(2), [0.5, 1e-200], it.MCScheme(1000, it.SeedSpec(1)))
     assert calls == []
+
+
+# -- golden bits: values recorded before the r-laplacian routes became one ----
+
+
+def test_grid_sweep_keeps_its_bits(h1_space):
+    rep = ex.amv_sweep(h1_space, ca.fundamental_power(h1_space.group), np.array([1.0, 0.5, 0.7]),
+                       ex.default_radii(0.4, 4, 0.5), it.GridScheme(8))
+    assert rep.values == [0.016273576062004264, 0.0040380546140879135, 0.0010090321003634994,
+                          0.0002522504940099219]
+    assert rep.std_errors == [0.0] * 4
+    assert rep.fitted_limit == -9.116683263082697e-07
+
+
+def test_shared_draws_sweep_keeps_its_bits():
+    rep = ex.amv_sweep(mo.Euclidean(2), Monomial(2, (2, 0)), np.array([0.3, 0.2]), ex.default_radii(0.4, 4, 0.5),
+                       it.MCScheme(20_000, it.SeedSpec(3)))
+    assert rep.values == [0.25441735885012157, 0.25441735885012134, 0.2544173588501213, 0.25441735885012023]
+    assert rep.std_errors == [0.002539662552966925, 0.002539662552966925, 0.0025396625529669247,
+                              0.002539662552966924]
+    assert rep.metadata["correlation"] == [
+        [1.0, 0.9999999999999998, 1.0, 1.0],
+        [0.9999999999999998, 1.0, 0.9999999999999998, 0.9999999999999998],
+        [1.0, 0.9999999999999998, 1.0, 1.0000000000000002],
+        [1.0, 0.9999999999999998, 1.0000000000000002, 1.0],
+    ]
+    assert rep.fitted_limit == 0.2544173588501211
+
+
+def test_grid_strong_scan_keeps_its_bits(h1_space):
+    pts = ex.gauge_annulus_grid(h1_space, 1.0, 2.0, 5, seed=4)
+    rep = ex.strong_amv_scan(h1_space, ca.fundamental_power(h1_space.group), pts, ex.default_radii(0.4, 3, 0.5),
+                             it.GridScheme(6))
+    assert rep.values == [0.0010381330562220749, 0.0002588669723301322, 6.470636716810923e-05]
+    assert rep.std_errors == [0.0] * 3
+    assert rep.fitted_limit == 2.7637639325891397e-07
+
+
+def test_strong_scan_estimates_never_reuse_the_annulus_streams(h1_space, monkeypatch):
+    """The annulus draws proposal t from stream t of its seed, and scan job k
+    from stream 2^64 - 1 - k of the scheme's seed: at equal seeds no
+    estimate reads the draws that placed its points, and no two jobs share
+    a stream."""
+    keys = []
+    generator = it.SeedSpec.generator
+
+    def recording(seed):
+        keys.append((seed.master & it._MASK64, seed.stream & it._MASK64))
+        return generator(seed)
+
+    monkeypatch.setattr(it.SeedSpec, "generator", recording)
+    pts = ex.gauge_annulus_grid(h1_space, 1.0, 2.0, 4, seed=0)
+    annulus = set(keys)
+    keys.clear()
+    ex.strong_amv_scan(h1_space, ca.horizontal_sqnorm(h1_space.group), pts, [0.5, 0.25],
+                       it.MCScheme(200, it.SeedSpec(0)), threads=2)
+    assert annulus and len(keys) == len(set(keys)) == 8
+    assert not annulus & set(keys)
 
 
 @pytest.mark.slow

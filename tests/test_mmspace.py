@@ -64,7 +64,7 @@ def test_average(two_point, line3):
 
 def test_adjoint_average(two_point, line3):
     np.testing.assert_allclose(mm.adjoint_average(two_point, [0.0, 3.0], 2.0), [2.0, 2.0])
-    np.testing.assert_allclose(mm.a_r(line3, 1.5), [5 / 6, 4 / 3, 5 / 6], rtol=1e-15)
+    np.testing.assert_allclose(mm.adjoint_average(line3, np.ones(3), 1.5), [5 / 6, 4 / 3, 5 / 6], rtol=1e-15)
     # singleton balls: adjoint average reduces to the identity
     u = np.array([1.3, -0.4, 2.2])
     np.testing.assert_allclose(mm.adjoint_average(line3, u, 0.5), u, rtol=1e-15)

@@ -27,6 +27,7 @@ one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels, mmspace
-from .integrate import Estimate, MCScheme, SeedSpec, r_laplacians, scheme_spec
+from .integrate import Estimate, MCScheme, SeedSpec, _unit_rule, r_laplacians, scheme_spec
 from .mmspace import FiniteMMSpace, InputError, check_memory
 from .models import CloudMeta, ModelSpace, NumericError, Region, fill_by_rejection, mm_boundary_mass
 
@@ -333,15 +334,18 @@ def strong_amv_scan(
     scheme.seed.child(-1 - k): the streams count down from 2^64 - 1, where
     gauge_annulus_grid counts up from stream 0, so a scan never reuses the
     draws that placed its points.  Monte Carlo jobs map on a pool of width
-    threads; grid jobs run in order.
+    threads; grid jobs run in order, and share one unit rule, which the
+    first builds where a lone call would.
     """
     radii = check_radii(radii)
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=np.float64))
     m = len(grid_points)
     mc = isinstance(scheme, MCScheme)
+    unit_rule = functools.cache(_unit_rule)
 
     def job(k, p, r):
-        return r_laplacians(space, u, p, [r], MCScheme(scheme.n, scheme.seed.child(-1 - k)) if mc else scheme)[0][0]
+        return r_laplacians(space, u, p, [r], MCScheme(scheme.n, scheme.seed.child(-1 - k)) if mc else scheme,
+                            unit_rule=unit_rule)[0][0]
 
     jobs = [(i * m + j, p, r) for i, r in enumerate(radii) for j, p in enumerate(grid_points)]
     flat = _kernels.pool_map(job, jobs, threads if mc else 1)

@@ -330,7 +330,7 @@ def _refuse_subnormal_square(r: float, r2: float) -> None:
         raise NumericError(f"the radius {r!r} is too small: its square underflows")
 
 
-def r_laplacians(space: ModelSpace, u, x, radii, scheme, threads: int | None = None):
+def r_laplacians(space: ModelSpace, u, x, radii, scheme, threads: int | None = None, unit_rule=_unit_rule):
     """The r-laplacian at every radius, the mean of u(y) - u(x) over y in
     B_r(x) divided by r^2, and the correlation matrix of the estimates, None
     unless the radii share draws.  Averaging the difference keeps the
@@ -352,9 +352,10 @@ def r_laplacians(space: ModelSpace, u, x, radii, scheme, threads: int | None = N
     stream; a width draws batch k from scheme.seed.child(k) on a pool, the
     same bits at any width.
 
-    A grid rule is built once on the unit ball (``_unit_rule``); each
-    radius dilates its nodes and takes its weighted mean before the next,
-    so a call holds the unit nodes and one radius's points and values.
+    A grid rule is built once on the unit ball by unit_rule(space, res),
+    which callers of many calls may share; each radius dilates its nodes
+    and takes its weighted mean before the next, so a call holds the unit
+    nodes and one radius's points and values.
     Monte Carlo on half-spaces and cones, whose balls change shape with r,
     takes one ``mean_over_ball`` per radius, radius i from
     scheme.seed.child(i), mapped on a pool of width threads.
@@ -395,7 +396,7 @@ def r_laplacians(space: ModelSpace, u, x, radii, scheme, threads: int | None = N
             enumerate(radii), threads or 1,
         )
     else:
-        nodes, weights = _unit_rule(space, scheme.res)
+        nodes, weights = unit_rule(space, scheme.res)
         total = np.sum(weights)
         estimates = [Estimate(float(np.sum((u(space.translate(x, space.dilate(r, nodes))) - ux) * weights) / total),
                               0.0, weights.size, "grid") for r in radii]

@@ -16,9 +16,13 @@ discontinuity; callers should perturb such radii (see
 Scalar fields are plain one-dimensional float arrays indexed in point
 order.  ``average``, ``adjoint_average`` and ``sym_r_laplacian`` (and the
 r-laplacian wrappers) also take a stack of k fields, shape (k, n), in one
-pass; a stacked row has the bits of the single call.  All operations are
+pass.  A full table may be a batch of m spaces, dist (m, n, n) and mass
+(m, n), whose fields have mass's shape; the operators and kernel_matrix
+serve it in one pass.  A stacked or batched row is still n contiguous
+entries summed on its own, so it has the bits of the single call (the
+identity suite batches its same-size instances).  All operations are
 pure functions; summations run in fixed index-ascending order so results
-do not depend on evaluation layout or on the stack.
+do not depend on evaluation layout, the stack or the batch.
 
 Every operator divides by the ball masses mu(B_r(x)).  A space keeps one
 ball object (``_Balls``) for the last radius used: it computes the masses
@@ -30,7 +34,8 @@ radius) or the space's; a full table is never compacted.  The ball
 masses, A_r and A_r* are one ball sum, ``_Balls.sums``.  The mean value
 kernel k_r has one definition, ``_kernel_rows``: the requested rows as
 CSR on the ball pattern, read off the ball's table; ``kernel_matrix`` is
-its dense form, and ``ball`` one row's pattern.
+its dense form (on a full table, or a batch, the same values built
+densely), and ``ball`` one row's pattern.
 
 Text input has one edge, next to ``InputError``: ``opened`` (path or file
 object), ``content_lines`` (no blank or '#' lines), ``line_fields`` (one
@@ -106,20 +111,20 @@ class FiniteMMSpace:
     """Finite point set with symmetric distances and point masses.
 
     Points are their indices 0 .. n-1, the order of mass.  dist is the full
-    n x n distance matrix, or with cols, offsets and cut a cut table in CSR
-    (see the module docstring): entry e of row i holds the point cols[e]
-    with d(i, cols[e]) = dist[e] <= cut.  The triangle inequality is
-    deliberately not validated: none of the averaging operators use it,
-    and the identity tests cover arbitrary symmetric "distances".  A space
-    is immutable once built.
+    n x n distance matrix (or a batch of them), or with cols, offsets and
+    cut a cut table in CSR (see the module docstring): entry e of row i
+    holds the point cols[e] with d(i, cols[e]) = dist[e] <= cut.  The
+    triangle inequality is deliberately not validated: none of the
+    averaging operators use it, and the identity tests cover arbitrary
+    symmetric "distances".  A space is immutable once built.
     """
 
     def __init__(self, dist, mass, cols=None, offsets=None, cut=None):
         dist = np.asarray(dist, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        if cols is None and (dist.ndim != 2 or dist.shape[0] != dist.shape[1]):
+        if cols is None and (dist.ndim < 2 or dist.shape[-2] != dist.shape[-1]):
             raise InputError("dist must be a square matrix")
-        if mass.ndim != 1 or cols is None and mass.size != dist.shape[0]:
+        if mass.shape != (dist.shape[:-1] if cols is None else (mass.size,)):
             raise InputError("mass must be a vector matching the point count")
         if not np.all(np.isfinite(mass)):
             raise InputError("dist and mass must be finite")
@@ -134,7 +139,7 @@ class FiniteMMSpace:
             _check_table(dist, cols, offsets, mass.size, self.cut)
         if np.any(mass <= 0):
             raise InputError("mass must be positive")
-        self.dist, self.cols, self.offsets, self.mass, self.n = dist, cols, offsets, mass, mass.size
+        self.dist, self.cols, self.offsets, self.mass, self.n = dist, cols, offsets, mass, mass.shape[-1]
         self._last_balls = None
 
     def index_of(self, point) -> int:
@@ -187,12 +192,12 @@ def _check_values(dist) -> float:
 def _check_matrix(dist) -> None:
     """Refuse a full table that is not a distance matrix."""
     _check_values(dist)
-    if np.any(np.diag(dist) != 0):
+    if np.any(np.diagonal(dist, axis1=-2, axis2=-1) != 0):
         raise InputError("dist must have a zero diagonal")
     # cache-sized tiles of the upper triangle vs their mirrors (dist.T strides columns)
-    n, t = dist.shape[0], 64
+    n, t = dist.shape[-1], 64
     if not all(
-        np.array_equal(dist[i : i + t, j : j + t], dist[j : j + t, i : i + t].T)
+        np.array_equal(dist[..., i : i + t, j : j + t], dist[..., j : j + t, i : i + t].swapaxes(-2, -1))
         for i in range(0, n, t) for j in range(i, n, t)
     ):
         raise InputError("dist must be symmetric")
@@ -225,10 +230,10 @@ def _check_table(dist, cols, offsets, n: int, cut: float) -> None:
 
 
 def as_field(space: FiniteMMSpace, values, stack: bool = False) -> np.ndarray:
-    """values as a finite field of space, shape (n,); with stack also a
-    stack of k >= 1 fields, shape (k, n)."""
+    """values as a finite field of space, shape (n,) (a batch's: mass.shape);
+    with stack also a stack of k >= 1 fields, shape (k,) + that."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (space.n,) and not (stack and values.ndim == 2 and values.shape[0] and values.shape[1] == space.n):
+    if values.shape != space.mass.shape and not (stack and values.shape[1:] == space.mass.shape and values.shape[0]):
         raise InputError(f"field must have length {space.n}{' (a stack: k >= 1 rows of it)' if stack else ''}, "
                          f"got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -300,8 +305,9 @@ class _Balls:
 
     def row_sums(self, fill, lead: tuple = ()) -> np.ndarray:
         """Row sums of the summands fill(span, w, a, b) leaves in a, block by
-        block, for each of the prod(lead) fields of a stack: w = (dist < r)
-        on the block's entries, and a, b scratch of shape lead + theirs.
+        block, for each of the prod(lead) fields of a stack (lead ends with
+        a batch's shape): w = (dist < r) on the block's entries (per space),
+        and a, b scratch of shape lead + theirs.
         Fills read per-point values at the entries' columns as take(v, span)
         and at their own rows as own(v, span).  A full table's block is rows
         s .. e-1 by all n columns, a cut table's the flat entries of its
@@ -312,15 +318,17 @@ class _Balls:
         for the whole stack.  Scratch is per pass, so passes on one object
         stay independent."""
         n, o, full, k = self.n, self.offsets, self.cols is None, math.prod(lead)
+        batch = self.dist.shape[:-2] if full else ()
         spans = row_blocks(n, k * n) if full else row_runs(o, k)
         size = max(((e - s) * n if full else o[e] - o[s] for s, e in spans), default=0)
-        w_buf, a_buf, b_buf = np.empty(size, dtype=bool), np.empty(k * size), np.empty(k * size)
+        w_buf, a_buf, b_buf = np.empty(math.prod(batch) * size, dtype=bool), np.empty(k * size), np.empty(k * size)
         out = np.empty(lead + (n,))
         for s, e in spans:
             # (the table's index of the entries, their rows, each row's count)
-            span = (slice(s, e), slice(s, e), None) if full else (slice(o[s], o[e]), slice(s, e), np.diff(o[s : e + 1]))
+            rows = slice(s, e)
+            span = (np.s_[..., rows, :], rows, None) if full else (slice(o[s], o[e]), rows, np.diff(o[s : e + 1]))
             shape = (e - s, n) if full else (o[e] - o[s],)
-            w = w_buf[: math.prod(shape)].reshape(shape)
+            w = w_buf[: math.prod(batch + shape)].reshape(batch + shape)
             a, b = (buf[: k * math.prod(shape)].reshape(lead + shape) for buf in (a_buf, b_buf))
             np.less(self.dist[span[0]], self.r, out=w)
             fill(span, w, a, b)
@@ -390,7 +398,11 @@ def _kernel_rows(space: FiniteMMSpace, r, rows) -> sparse.csr_array:
 
 def kernel_matrix(space: FiniteMMSpace, r, rows=None) -> np.ndarray:
     """Symmetric mean value kernel k_r(x,y), zero off the open ball, as a
-    dense matrix; with rows given, only the rows x of those point indices."""
+    dense matrix (per space of a batch, with _kernel_rows' values); with
+    rows given, only the rows x of those point indices."""
+    if rows is None and space.cols is None:
+        balls = space._balls(r)
+        return np.where(balls.dist < balls.r, 0.5 * (balls.inv[..., :, None] + balls.inv[..., None, :]), 0.0)
     return _kernel_rows(space, r, np.arange(space.n) if rows is None else rows).toarray()
 
 
@@ -437,7 +449,7 @@ def energy_density(space: FiniteMMSpace, u, v, r) -> np.ndarray:
         a *= np.subtract(balls.take(v, span), balls.own(v, span), out=b)
         a *= balls.take(m, span)
 
-    return 0.5 * balls.row_sums(fill) / balls.masses / balls.r**2
+    return 0.5 * balls.row_sums(fill, u.shape[:-1]) / balls.masses / balls.r**2
 
 
 def total_energy(space: FiniteMMSpace, u, v, r) -> float:
@@ -523,14 +535,13 @@ def space_to_text(space: FiniteMMSpace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def random_space(rng: np.random.Generator, n_max: int = 40) -> FiniteMMSpace:
-    """Random instance: symmetric distances in (0, 2), masses in [0.1, 10]."""
+def random_table(rng: np.random.Generator, n_max: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and masses of a random instance: symmetric distances in
+    (0, 2), masses in [0.1, 10]."""
     n = int(rng.integers(2, n_max + 1))
     a = rng.uniform(0.05, 2.0, size=(n, n))
     dist = np.triu(a, 1)
-    dist = dist + dist.T
-    mass = rng.uniform(0.1, 10.0, size=n)
-    return FiniteMMSpace(dist, mass)
+    return dist + dist.T, rng.uniform(0.1, 10.0, size=n)
 
 
 def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
@@ -538,20 +549,34 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
 
     Each residual is |lhs - rhs| divided by the magnitude of the terms that
     enter it (so near-cancellation does not inflate it); the identities hold
-    to machine precision, residuals ~1e-16.
+    to machine precision, residuals ~1e-16.  A batch takes a radius per
+    space and gives each residual as a list.  The operators run at r = 1
+    on the distances over r: division is correctly rounded and monotone,
+    so fl(d/r) < 1 exactly when d < r (fl(cut/r) >= 1 when r <= cut), and
+    x/1 is exact; each laplacian is divided here by r**2, a Python float
+    square as the operators' own: a batch keeps its lone calls' bits.
     """
     u = as_field(space, u)
     v = as_field(space, v)
-    r = check_radius(r)
+    radii = np.asarray(r, dtype=np.float64)
+    if radii.shape != space.mass.shape[:-1]:
+        raise InputError(f"need one radius per space, shape {space.mass.shape[:-1]}, got shape {radii.shape}")
+    r2 = np.reshape([space.radius(x) ** 2 for x in radii.flat], radii.shape + (1,))
+    full = space.cols is None
+    space = FiniteMMSpace(space.dist / (radii[..., None, None] if full else radii), space.mass,
+                          space.cols, space.offsets, None if full else space.cut / float(radii))
     m = space.mass
     abs_u, abs_v, uv = np.abs(u), np.abs(v), u * v
-    c = np.full(space.n, 3.25)  # constants are annihilated (adjoint only up to c * adj(1))
+    c = np.full(m.shape, 3.25)  # constants are annihilated (adjoint only up to c * adj(1))
 
     def rel(lhs, rhs, scale):
-        return float(abs(lhs - rhs) / max(scale, 1e-300))
+        return np.abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
     def rel_pointwise(lhs, rhs, scale):
-        return float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-300)))
+        return np.max(rel(lhs, rhs, scale), axis=-1)
+
+    def pairing(f):  # the sum of f against the masses, per space
+        return np.sum(f * m, axis=-1)
 
     # one pass per operator over a stack of fields, each row with the bits of
     # its own call.  A field f gives its laplacian (A f - f)/r^2, and |f| the
@@ -559,22 +584,20 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     # the roundoff a residual inherits is relative to these, not to the
     # (possibly cancelling) outputs
     fields = np.stack([u, v, abs_u, abs_v, np.abs(uv), uv, c])
-    avg = average(space, fields, r)
-    lap_u, lap_v, _, _, _, lap_uv, lap_c = (avg - fields) / r**2
-    _, _, s_u, s_v, s_uv, _, _ = (avg + fields) / r**2
-    fields = np.stack([u, v, abs_u, abs_v, np.ones(space.n), c])
-    adj = adjoint_average(space, fields, r)
-    adj_u, adj_v, _, _, adj_one, adj_c = (adj - fields) / r**2
-    _, _, s_adj_u, s_adj_v, s_one, _ = (adj + fields) / r**2
-    sym_u, sym_v, sym_c = sym_r_laplacian(space, np.stack([u, v, c]), r)
+    avg = average(space, fields, 1.0)
+    lap_u, lap_v, _, _, _, lap_uv, lap_c = (avg - fields) / r2
+    _, _, s_u, s_v, s_uv, _, _ = (avg + fields) / r2
+    fields = np.stack([u, v, abs_u, abs_v, np.ones(m.shape), c])
+    adj = adjoint_average(space, fields, 1.0)
+    adj_u, adj_v, _, _, adj_one, adj_c = (adj - fields) / r2
+    _, _, s_adj_u, s_adj_v, s_one, _ = (adj + fields) / r2
+    sym_u, sym_v, sym_c = sym_r_laplacian(space, np.stack([u, v, c]), 1.0) / r2
 
     out = {}
 
     # Green: int v (lap u) = int u (adj lap v)
-    lhs = float(np.sum(v * lap_u * m))
-    rhs = float(np.sum(u * adj_v * m))
-    scale = float(np.sum((abs_v * s_u + abs_u * s_adj_v) * m))
-    out["green"] = rel(lhs, rhs, scale)
+    scale = pairing(abs_v * s_u + abs_u * s_adj_v)
+    out["green"] = rel(pairing(v * lap_u), pairing(u * adj_v), scale)
 
     # symmetrization identity: sym = (lap + adj - u * adj(1)) / 2
     rhs_pw = 0.5 * (lap_u + adj_u - u * adj_one)
@@ -582,28 +605,22 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
     out["symmetrization"] = rel_pointwise(sym_u, rhs_pw, scale_pw)
 
     # product rule: lap(uv) = u lap v + 2 e_r(u,v) + v lap u
-    e_uv = energy_density(space, u, v, r)
+    e_uv = energy_density(space, u, v, 1.0) / r2
     rhs_pw = u * lap_v + 2.0 * e_uv + v * lap_u
     scale_pw = abs_u * s_v + abs_v * s_u + s_uv
     out["product_rule"] = rel_pointwise(lap_uv, rhs_pw, scale_pw)
 
     # pairing vs energy: int v sym(u) = -E_r(u,v)
-    lhs = float(np.sum(v * sym_u * m))
-    rhs = -float(np.sum(e_uv * m))
-    scale = float(np.sum((abs_v * (s_u + s_adj_u) + abs_u * s_v + s_uv) * m))
-    out["energy_pairing"] = rel(lhs, rhs, scale)
+    scale = pairing(abs_v * (s_u + s_adj_u) + abs_u * s_v + s_uv)
+    out["energy_pairing"] = rel(pairing(v * sym_u), -pairing(e_uv), scale)
 
     # self-adjointness of the symmetrized laplacian
-    lhs = float(np.sum(v * sym_u * m))
-    rhs = float(np.sum(u * sym_v * m))
-    scale = float(
-        np.sum((abs_v * (s_u + s_adj_u + abs_u * s_one) + abs_u * (s_v + s_adj_v + abs_v * s_one)) * m)
-    )
-    out["sym_self_adjoint"] = rel(lhs, rhs, scale)
+    scale = pairing(abs_v * (s_u + s_adj_u + abs_u * s_one) + abs_u * (s_v + s_adj_v + abs_v * s_one))
+    out["sym_self_adjoint"] = rel(pairing(v * sym_u), pairing(u * sym_v), scale)
 
     # deviation identity: int v (lap - sym) u = mass-deficit pairing
-    masses = ball_masses(space, r)
-    balls = space._balls(r)
+    masses = ball_masses(space, 1.0)
+    balls = space._balls(1.0)
 
     def fill(span, w, a, b):  # w * (1 - mu_x / mu_y) * (u_y - u_x) * m_y
         np.subtract(1.0, np.divide(balls.own(masses, span), balls.take(masses, span), out=a), out=a)
@@ -611,77 +628,95 @@ def identity_residuals(space: FiniteMMSpace, u, v, r) -> dict:
         a *= np.subtract(balls.take(u, span), balls.own(u, span), out=b)
         a *= balls.take(m, span)
 
-    inner = balls.row_sums(fill) / masses
-    rhs = float(np.sum(0.5 * v * inner / r**2 * m))
-    lhs = float(np.sum(v * (lap_u - sym_u) * m))
+    inner = balls.row_sums(fill, u.shape[:-1]) / masses
     # lhs is a difference of two pairings, so its roundoff scales with the
     # sums inside the pairings, not with the (possibly tiny) difference
-    scale = float(np.sum(abs_v * (s_u + s_adj_u + abs_u * s_one) * m))
-    out["deviation"] = rel(lhs, rhs, scale)
+    scale = pairing(abs_v * (s_u + s_adj_u + abs_u * s_one))
+    out["deviation"] = rel(pairing(v * (lap_u - sym_u)), pairing(0.5 * v * inner / r2), scale)
 
     # kernel symmetry and support
-    k = kernel_matrix(space, r)
-    out["kernel_symmetry"] = float(np.max(np.abs(k - k.T)) / max(np.max(np.abs(k)), 1e-300))
-    out["kernel_support"] = float(np.max(np.abs(k[space.as_matrix(space.dist, fill=np.inf) >= r]), initial=0.0))
+    k, axes = kernel_matrix(space, 1.0), (-2, -1)
+    asym = k - k.swapaxes(*axes)
+    k = np.abs(k, out=k)
+    out["kernel_symmetry"] = np.max(np.abs(asym, out=asym), axis=axes) / np.maximum(np.max(k, axis=axes), 1e-300)
+    out["kernel_support"] = np.max(k, axis=axes, where=space.as_matrix(space.dist, fill=np.inf) >= 1.0, initial=0.0)
 
     # constants, normalized by the c/r^2 magnitude of the averaging sums
-    kill = max(float(np.max(np.abs(lap_c))), float(np.max(np.abs(sym_c))))
-    out["constant_kill"] = kill / (3.25 * (1.0 + 1.0 / r**2))
-    out["adjoint_constant"] = rel_pointwise(
-        adj_c,
-        3.25 * adj_one,
-        np.abs(3.25 * adj_one) + 3.25,
-    )
-    return out
+    kill = np.maximum(np.max(np.abs(lap_c), axis=-1), np.max(np.abs(sym_c), axis=-1))
+    out["constant_kill"] = kill / (3.25 * (1.0 + 1.0 / r2[..., 0]))
+    out["adjoint_constant"] = rel_pointwise(adj_c, 3.25 * adj_one, np.abs(3.25 * adj_one) + 3.25)
+    return {name: val.tolist() for name, val in out.items()}
+
+
+# distances per batch of same-size instances; each count below 128 points
+# keeps one batch open, of up to 128 KiB
+_SUITE_ENTRIES = 1 << 14
 
 
 def run_identity_suite(count: int, size_max: int, seed: int, fault_inject: bool = False) -> dict:
     """Run the exact-identity suite on random instances.
 
-    Returns {"ok": bool, "worst": {identity: residual}, "count": count}; a
-    violating instance is serialized under "offender" for replay.  With
-    fault_inject, one mass of the final instance is perturbed, which must
-    trip the suite (negative control).  A size_max whose largest instance
-    would exceed the memory budget is refused before anything is drawn.
+    Returns {"ok": bool, "worst": {identity: residual}, "count": count}; the
+    violating instance of smallest trial index is serialized under
+    "offender" for replay.  With fault_inject, one mass of the final
+    instance is perturbed, which must trip the suite (negative control).  A
+    size_max whose largest instance would exceed the memory budget is
+    refused before anything is drawn.
+
+    Instances are drawn in turn and evaluated in batches of one point count
+    n, of at most max(1, _SUITE_ENTRIES // n^2), each with the bits of its
+    own call.
     """
-    # peak RSS of one identity_residuals call at n = 1000 and 2000, r = 2.19
-    # (every pair in the ball): 48 bytes per pair
+    # peak RSS of a one-instance suite at n = 1000 and 2000: 41-42 bytes per
+    # pair, within 48; open batches of smaller counts add about 16 MB
     check_memory(48 * size_max**2, f"an identity-suite instance of up to n={size_max} points", "working set")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
-    offender = None
+    offender = None  # (trial, serialized instance)
     tol = 1e-12
+    buckets: dict[int, list] = {}
+
+    def note(trial, space, u, v, r, res):
+        nonlocal offender
+        for name, val in res.items():
+            if val > worst.get(name, 0.0):
+                worst[name] = val
+        if any(val > tol for val in res.values()) and (offender is None or trial < offender[0]):
+            offender = trial, {"space": space_to_text(FiniteMMSpace(*space)), "u": u.tolist(), "v": v.tolist(),
+                               "r": r, "residuals": res}
+
+    def flush(n):
+        bucket = buckets.pop(n)
+        _, spaces, us, vs, rs = zip(*bucket)
+        batch = FiniteMMSpace(*map(np.stack, zip(*spaces)))
+        res = identity_residuals(batch, np.stack(us), np.stack(vs), np.array(rs))
+        for i, instance in enumerate(bucket):
+            note(*instance, {name: vals[i] for name, vals in res.items()})
+
     for trial in range(count):
-        space = random_space(rng, size_max)
-        u = rng.uniform(-3.0, 3.0, size=space.n)
-        v = rng.uniform(-3.0, 3.0, size=space.n)
+        dist, mass = random_table(rng, size_max)
+        u = rng.uniform(-3.0, 3.0, size=mass.size)
+        v = rng.uniform(-3.0, 3.0, size=mass.size)
         r = float(rng.uniform(0.2, 2.2))
-        while is_collision_radius(space, r):  # pragma: no cover - measure-zero
+        while np.any(dist == r):  # pragma: no cover - measure-zero (is_collision_radius)
             r = float(rng.uniform(0.2, 2.2))
         if fault_inject and trial == count - 1:
             # perturb one ball mass after the fact: recompute lhs with a
             # corrupted space but rhs with the original
-            bad = FiniteMMSpace(space.dist, space.mass * np.where(np.arange(space.n) == 0, 1.01, 1.0))
+            bad = FiniteMMSpace(dist, mass * np.where(np.arange(mass.size) == 0, 1.01, 1.0))
             res = identity_residuals(bad, u, v, r)
-            lhs = float(np.sum(v * r_laplacian(space, u, r) * space.mass))
+            lhs = float(np.sum(v * r_laplacian(FiniteMMSpace(dist, mass), u, r) * mass))
             rhs = float(np.sum(u * adjoint_r_laplacian(bad, v, r) * bad.mass))
             res["green"] = max(res["green"], abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300))
-            space = bad
-        else:
-            res = identity_residuals(space, u, v, r)
-        for name, val in res.items():
-            if val > worst.get(name, 0.0):
-                worst[name] = val
-        if any(val > tol for val in res.values()) and offender is None:
-            offender = {
-                "space": space_to_text(space),
-                "u": u.tolist(),
-                "v": v.tolist(),
-                "r": r,
-                "residuals": res,
-            }
-    ok = all(val <= tol for val in worst.values()) if worst else True
-    summary = {"ok": ok, "count": count, "tolerance": tol, "worst": worst}
+            note(trial, (bad.dist, bad.mass), u, v, r, res)
+            continue
+        n = mass.size
+        buckets.setdefault(n, []).append((trial, (dist, mass), u, v, r))
+        if (len(buckets[n]) + 1) * n * n > _SUITE_ENTRIES:
+            flush(n)
+    for n in list(buckets):
+        flush(n)
+    summary = {"ok": all(val <= tol for val in worst.values()), "count": count, "tolerance": tol, "worst": worst}
     if offender is not None:
-        summary["offender"] = offender
+        summary["offender"] = offender[1]
     return summary

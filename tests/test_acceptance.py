@@ -255,9 +255,9 @@ def produce_dirichlet():
     rng = np.random.default_rng(1234)
     stats = []
     for _ in range(50):
-        space = mm.random_space(rng, 40)
+        space = mm.FiniteMMSpace(*mm.random_table(rng, 40))
         while space.n < 8:  # keep a nonempty interior after the split
-            space = mm.random_space(rng, 40)
+            space = mm.FiniteMMSpace(*mm.random_table(rng, 40))
         n = space.n
         r = float(rng.uniform(0.8, 2.0))
         while mm.is_collision_radius(space, r):  # pragma: no cover

@@ -781,7 +781,7 @@ def _never(*args, **kwargs):
     (["carnot-constant", "heisenberg:1", "koranyi", "--grid-res", "100000"],
      [(np.polynomial.legendre, "leggauss"), (it._special, "roots_jacobi"), (it, "_sphere_rule")],
      "grid:100000 (4000020000000000 nodes in 3 coordinates)"),
-    (["identities", "--size-max", "10000000"], [(mm, "random_space")],
+    (["identities", "--size-max", "10000000"], [(mm, "random_table")],
      "an identity-suite instance of up to n=10000000 points needs a 4800000.0 GB working set"),
     (["strong-scan", "carnot:heisenberg:1:koranyi", "--field", "folland", "--grid-size", "10000000000000"],
      [(mo.CarnotSpace, "sample_ball")],

@@ -20,7 +20,7 @@ def line3():
 
 
 def random_problem(rng, n_max=30):
-    space = mm.random_space(rng, n_max)
+    space = mm.FiniteMMSpace(*mm.random_table(rng, n_max))
     n = space.n
     r = float(rng.uniform(0.8, 2.0))
     while mm.is_collision_radius(space, r):  # pragma: no cover

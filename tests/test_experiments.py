@@ -310,6 +310,31 @@ def test_grid_strong_scan_keeps_its_bits(h1_space):
     assert rep.fitted_limit == 2.7637639325891397e-07
 
 
+def test_grid_strong_scan_builds_its_unit_rule_once(h1_space, monkeypatch):
+    calls = []
+
+    def counted(space, res):
+        calls.append(res)
+        return it._unit_rule(space, res)
+
+    monkeypatch.setattr(ex, "_unit_rule", counted)
+    pts = ex.gauge_annulus_grid(h1_space, 1.0, 2.0, 5, seed=4)
+    ex.strong_amv_scan(h1_space, ca.horizontal_sqnorm(h1_space.group), pts, [0.5, 0.25, 0.125], it.GridScheme(6))
+    assert calls == [6]
+
+
+def test_grid_strong_scan_refuses_in_job_order():
+    # the first job checks its radius, then builds the rule: a group with no
+    # rule is refused ahead of a later radius whose square underflows, but
+    # after a first one whose square overflows
+    h2 = mo.parse_space("carnot:heisenberg:2:koranyi")
+    u, pts = ca.horizontal_sqnorm(h2.group), ex.gauge_annulus_grid(h2, 1.0, 2.0, 3, seed=4)
+    with pytest.raises(it.GridUnavailable, match="grid rule ships for"):
+        ex.strong_amv_scan(h2, u, pts, [0.5, 1e-200], it.GridScheme(4))
+    with pytest.raises(mo.NumericError, match="too large: its square overflows"), np.errstate(over="ignore"):
+        ex.strong_amv_scan(h2, u, pts, [1e200, 0.5], it.GridScheme(4))
+
+
 def test_strong_scan_estimates_never_reuse_the_annulus_streams(h1_space, monkeypatch):
     """The annulus draws proposal t from stream t of its seed, and scan job k
     from stream 2^64 - 1 - k of the scheme's seed: at equal seeds no

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -147,7 +149,7 @@ def test_kernel_rows_accept_any_integer_indices(line3):
 
 def test_monotone_ball_growth():
     rng = np.random.default_rng(12)
-    space = mm.random_space(rng, 25)
+    space = mm.FiniteMMSpace(*mm.random_table(rng, 25))
     radii = np.sort(rng.uniform(0.05, 3.0, size=12))
     masses = np.stack([mm.ball_masses(space, r) for r in radii])
     assert np.all(np.diff(masses, axis=0) >= 0)
@@ -172,6 +174,85 @@ def test_identity_suite_random_instances():
     assert summary["ok"], summary["worst"]
     assert max(summary["worst"].values()) < 1e-12
     assert summary["worst"] == SUITE_WORST_123
+
+
+def _recorded_suite(monkeypatch, count, size_max, seed):
+    """Run the suite, recording each drawn instance's masses in trial order
+    and each batch handed to identity_residuals with its residuals."""
+    draws, batches = [], []
+    draw, residuals = mm.random_table, mm.identity_residuals
+
+    def recorded_draw(*args):
+        dist, mass = draw(*args)
+        draws.append(mass.tobytes())
+        return dist, mass
+
+    def recorded_residuals(space, u, v, r):
+        res = residuals(space, u, v, r)
+        batches.append((space, res))
+        return res
+
+    monkeypatch.setattr(mm, "random_table", recorded_draw)
+    monkeypatch.setattr(mm, "identity_residuals", recorded_residuals)
+    summary = mm.run_identity_suite(count, size_max, seed)
+    trial_of = {mass: trial for trial, mass in enumerate(draws)}
+    per_trial = [None] * count
+    for space, res in batches:
+        for i, mass in enumerate(space.mass.reshape(-1, space.n)):
+            assert per_trial[trial_of[mass.tobytes()]] is None
+            per_trial[trial_of[mass.tobytes()]] = {name: vals[i] for name, vals in res.items()}
+    return summary, batches, per_trial
+
+
+# SHA-256 of the per-instance residual dicts, json.dumps of a list per seed
+# 0-39 of a list in trial order, of run_identity_suite(300, 40, seed):
+# recorded when every instance was evaluated alone
+SUITE_RESIDUALS_SHA256 = "fb86760a46831a6791d782ac34c9838e182efe91cb0f88b42f2d7bf882bcc0ae"
+
+
+def test_batched_suite_keeps_every_residual_bit(monkeypatch):
+    seeds = [_recorded_suite(monkeypatch, 300, 40, seed)[2] for seed in range(40)]
+    assert hashlib.sha256(json.dumps(seeds).encode()).hexdigest() == SUITE_RESIDUALS_SHA256
+
+
+def test_suite_batches_each_instance_once_within_the_cap(monkeypatch):
+    _, batches, per_trial = _recorded_suite(monkeypatch, 300, 40, 3)
+    assert all(res is not None for res in per_trial)  # every trial once (asserted in the helper)
+    shapes = [space.dist.shape for space, _ in batches]
+    assert all(len(shape) == 3 and shape[0] * shape[1] ** 2 <= mm._SUITE_ENTRIES for shape in shapes)
+    assert sum(shape[0] > 1 for shape in shapes) > 1
+    assert len({shape[1] for shape in shapes}) == 39 and len(shapes) == 40  # one count filled a batch
+
+
+def test_batched_space_rows_match_lone_spaces():
+    rng = np.random.default_rng(8)
+    tables = [mm.random_table(rng, 6) for _ in range(40)]
+    tables = [t for t in tables if t[1].size == tables[0][1].size][:3]
+    batch = mm.FiniteMMSpace(*map(np.stack, zip(*tables)))
+    u = rng.uniform(-1.0, 1.0, size=(2,) + batch.mass.shape)
+    for op in (mm.average, mm.adjoint_average, mm.sym_r_laplacian):
+        out = op(batch, u, 0.9)
+        for i, (dist, mass) in enumerate(tables):
+            np.testing.assert_array_equal(out[:, i], op(mm.FiniteMMSpace(dist, mass), u[:, i], 0.9))
+    energy, kernel = mm.energy_density(batch, u[0], u[1], 0.9), mm.kernel_matrix(batch, 0.9)
+    for i, (dist, mass) in enumerate(tables):
+        lone = mm.FiniteMMSpace(dist, mass)
+        np.testing.assert_array_equal(energy[i], mm.energy_density(lone, u[0, i], u[1, i], 0.9))
+        np.testing.assert_array_equal(kernel[i], mm._kernel_rows(lone, 0.9, np.arange(lone.n)).toarray())
+
+
+def test_offender_replays_from_its_report(tmp_path, monkeypatch):
+    from amvlab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["identities", "--count", "10", "--fault-inject", "--out", "fault.json"]) == 1
+    offender = json.loads((tmp_path / "fault.json").read_text())["offender"]
+    space = mm.load_space(io.StringIO(offender["space"]))
+    replayed = mm.identity_residuals(space, offender["u"], offender["v"], offender["r"])
+    stored = offender["residuals"]
+    assert stored.keys() == replayed.keys()
+    assert {k: v for k, v in stored.items() if k != "green"} == {k: v for k, v in replayed.items() if k != "green"}
+    assert stored["green"] >= replayed["green"]
 
 
 def test_identity_suite_fault_injection_trips():
@@ -255,7 +336,7 @@ def test_validation_allocates_no_n2_temporary():
 
 def test_kept_ball_object_follows_the_radius():
     rng = np.random.default_rng(12)
-    space = mm.random_space(rng, 30)
+    space = mm.FiniteMMSpace(*mm.random_table(rng, 30))
     u = rng.uniform(-1.0, 1.0, size=space.n)
     mm.ball_masses(space, 0.7)[:] = 1.0  # a caller's copy, not the kept masses
     for r in (0.7, 1.3, 0.7):
@@ -266,7 +347,7 @@ def test_kept_ball_object_follows_the_radius():
 
 def test_serialization_roundtrip_exact():
     rng = np.random.default_rng(5)
-    space = mm.random_space(rng, 17)
+    space = mm.FiniteMMSpace(*mm.random_table(rng, 17))
     text = mm.space_to_text(space)
     back = mm.load_space(io.StringIO(text))
     assert np.array_equal(space.dist, back.dist)

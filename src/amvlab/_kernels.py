@@ -90,9 +90,17 @@ def square_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def np_square_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a * a, axis=-1), its squares laid out row-major whatever a's
+    layout: numpy adds a row of eight or more pairwise, but the rows of a
+    column-major table column by column, which moves bits."""
+    return np.sum(np.multiply(a, a, order="C"), axis=-1)
+
+
 def gauge_fourth(z1: np.ndarray, z2: np.ndarray, beta: float, threads: int = 1) -> np.ndarray:
-    """Fourth power of the gauge: (|z1|^2)^2 + beta*|z2|^2, row-wise."""
-    z1, z2, beta = _f64(z1), _f64(z2), float(beta)
+    """Fourth power of the gauge: (|z1|^2)^2 + beta*|z2|^2, row-wise, on
+    points in either layout (every step is elementwise)."""
+    z1, z2, beta = np.asarray(z1, dtype=np.float64), np.asarray(z2, dtype=np.float64), float(beta)
     out = np.empty(z1.shape[0], dtype=np.float64)
 
     def rows(start, stop):

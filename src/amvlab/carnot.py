@@ -48,6 +48,8 @@ class CarnotStep2:
         self.v1 = v1
         self.v2 = v2
         self.bracket = bracket
+        # the product's bracket terms (k, i, j, ½ b[k,i,j]) over i < j with b[k,i,j] != 0
+        self._terms = [(k, i, j, 0.5 * bracket[k, i, j]) for k, i, j in zip(*np.nonzero(np.triu(bracket, 1)))]
 
     @property
     def dim(self) -> int:
@@ -66,14 +68,9 @@ class CarnotStep2:
     def multiply(self, x, y) -> np.ndarray:
         x = self._check(x)
         y = self._check(y)
-        x1, x2 = x[..., : self.v1], x[..., self.v1 :]
-        y1, y2 = y[..., : self.v1], y[..., self.v1 :]
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-        out[..., : self.v1] = x1 + y1
-        out[..., self.v1 :] = x2 + y2
-        for k, i, j in zip(*np.nonzero(np.triu(self.bracket, 1))):
-            half_c = 0.5 * self.bracket[k, i, j]
-            out[..., self.v1 + k] += half_c * (x1[..., i] * y1[..., j] - x1[..., j] * y1[..., i])
+        out = x + y  # in the operands' layout, so a column-major batch adds column by column
+        for k, i, j, half_c in self._terms:
+            out[..., self.v1 + k] += half_c * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
         return out
 
     def inverse(self, x) -> np.ndarray:

@@ -175,10 +175,8 @@ class GaugePower(AnalyticField):
         self.power = float(power)
 
     def _g(self, pts):
-        z1 = pts[..., : self.v1]
-        z2 = pts[..., self.v1 :]
-        s = np.sum(z1 * z1, axis=-1)
-        return s * s + self.beta * np.sum(z2 * z2, axis=-1), s
+        s = _kernels.np_square_sums(pts[..., : self.v1])
+        return s * s + self.beta * _kernels.np_square_sums(pts[..., self.v1 :]), s
 
     def _g_grad(self, pts, s):
         grad = np.empty(pts.shape)
@@ -270,7 +268,7 @@ class Tent(LipschitzField):
 
     def value(self, pts):
         pts = self._check(pts)
-        return self._ramp(np.sqrt(np.sum((pts - self.center) ** 2, axis=-1)))
+        return self._ramp(np.sqrt(_kernels.np_square_sums(pts - self.center)))
 
 
 class ConeTent(Tent):

@@ -10,7 +10,13 @@ row-valued integrand's columns.  Monte Carlo streams are counter-based
 batches of _BATCH = 65,536 draws, so every estimate is a pure function of
 (inputs, seed) no matter how evaluation is laid out, and its working set
 is one batch however large mc:n is.  An estimate needs at least two
-independent draws for its error bar.
+independent draws for its error bar.  A batch of points is column-major
+(as the samplers of ``models`` draw it), so the elementwise steps over it (dilation,
+translation, field values) loop over contiguous columns and keep every
+bit.  The reductions, whose bits follow their input's layout, read the
+tables they always read: _centred_batch a shared draw set's row-major
+radius columns, the grid mean the values at the unit rule's row-major
+nodes.
 Grid rules live on unit balls: Euclidean balls take a Gauss-Jacobi radial
 rule times a product sphere rule (exact for polynomials), gauge balls
 slice-adapted coordinates where the slice measure is smooth.  A grid mean
@@ -414,8 +420,7 @@ def carnot_constant(group: CarnotStep2, gauge: Gauge, scheme) -> Estimate:
     reads u(x) + C r^2 * (horizontal Laplacian) + o(r^2))."""
 
     def hsq(pts):
-        z1 = pts[..., : group.v1]
-        return np.sum(z1 * z1, axis=-1)
+        return _kernels.np_square_sums(pts[..., : group.v1])
 
     est = mean_over_ball(CarnotSpace(group, gauge), hsq, np.zeros(group.dim), 1.0, scheme)
     c = 1.0 / (2.0 * group.v1)
@@ -495,6 +500,6 @@ def carnot_ball_volume_mc(space: CarnotSpace, x, r, n: int, seed: SeedSpec) -> E
         lo[g.v1 + k] = x[g.v1 + k] - slack
         hi[g.v1 + k] = x[g.v1 + k] + slack
     box_vol = float(np.prod(hi - lo))
-    p, p_err, _ = _mc_moments(lambda m, rng: rng.uniform(lo, hi, (m, g.dim)),
+    p, p_err, _ = _mc_moments(lambda m, rng: np.asfortranarray(rng.uniform(lo, hi, (m, g.dim))),
                               lambda cand: space.distance(cand, x[None, :]) < r, MCScheme(n, seed))
     return Estimate(box_vol * float(p), box_vol * float(p_err), n, "monte_carlo")

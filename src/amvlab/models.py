@@ -172,8 +172,9 @@ class Euclidean(_Flat):
 
 
 def ball_point_cloud(dim: int, r: float, n: int, rng) -> np.ndarray:
-    """n points uniform in the centered Euclidean r-ball (polar method)."""
-    g = rng.standard_normal((n, dim))
+    """n points uniform in the centered Euclidean r-ball (polar method), in
+    the column-major layout of a Monte Carlo batch."""
+    g = np.asfortranarray(rng.standard_normal((n, dim)))
     return _to_radii(g, r * rng.random(n) ** (1.0 / dim))
 
 
@@ -186,12 +187,13 @@ def _to_radii(g, radii) -> np.ndarray:
 
 
 def fill_by_rejection(n: int, dim: int, propose) -> np.ndarray:
-    """The first n accepted points, in draw order, as an (n, dim) array.
+    """The first n accepted points, in draw order, as a column-major (n, dim)
+    array.
 
     propose(need) draws one batch while need points are still missing and
     returns that batch's accepted candidates in draw order.
     """
-    out = np.empty((n, dim))
+    out = np.empty((n, dim), order="F")
     got = 0
     while got < n:
         keep = propose(n - got)
@@ -448,7 +450,7 @@ class CarnotSpace(ModelSpace):
 
         def propose(need):
             nonlocal attempts, accepted
-            gauss = rng.standard_normal((need, half + g.dim))  # A^2's normals, z1's direction, B
+            gauss = np.asfortranarray(rng.standard_normal((need, half + g.dim)))  # A^2's normals, z1's direction, B
             z = gauss[:, half:]
             a2 = _kernels.square_sums(gauss[:, :half])
             if odd:

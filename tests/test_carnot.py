@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from amvlab import carnot as ca
+from amvlab import fields as fi
 from amvlab.integrate import SeedSpec, carnot_ball_volume_mc
 from amvlab.mmspace import InputError
 from amvlab.models import CarnotSpace
@@ -221,3 +222,25 @@ def test_haar_ball_volume_scaling(h1, koranyi):
             est = carnot_ball_volume_mc(space, x, r, 400_000, SeedSpec(700 + 10 * i + j))
             expected = ref * r**h1.homogeneous_dim
             assert abs(est.value - expected) <= 3.0 * est.std_error + 1e-9
+
+
+def test_batch_layout_keeps_every_bit():
+    # Monte Carlo batches are column-major; every point map and field value
+    # must give the bits it gives on a row-major table.  heisenberg:4 has v1 = 8,
+    # where numpy sums a row of squares pairwise but a column-major table's
+    # rows column by column.
+    g, gauge = ca.heisenberg(4), ca.Gauge("scaled_koranyi", 16.0)
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((1000, g.dim)) * 10.0 ** rng.integers(-3, 4, (1000, 1))
+    x = rng.standard_normal(g.dim)
+    catalog = [
+        fi.Constant(g.dim, 2.5), fi.coordinate(g.dim, 3), fi.Monomial(g.dim, [2, 0, 1, 0, 0, 3, 0, 0, 1]),
+        fi.ShiftedSquareNorm(g.dim, 0, g.v1, rng.standard_normal(g.v1)), ca.fundamental_power(g),
+        ca.gauge_power(g, gauge, 1.5), fi.harmonic_cubic(g.dim) * 0.5 - 1.25, fi.Tent(g.dim, x, 0.5, 20.0),
+        fi.Callable1(g.dim, lambda p: p[..., 0] * p[..., 1]),
+    ]
+    maps = [(lambda p: g.multiply(x, p), pts), (lambda p: g.multiply(p, p[::-1]), pts),
+            (lambda p: g.dilate(0.3, p), pts), (lambda p: gauge.value(g, p), pts)]
+    maps += [(f.value, pts) for f in catalog] + [(fi.ConeTent(0.5, 2.0).value, np.abs(pts[:, :2]))]
+    for k, (fn, p) in enumerate(maps):
+        assert np.array_equal(fn(np.ascontiguousarray(p)), fn(np.asfortranarray(p))), k

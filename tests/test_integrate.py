@@ -505,3 +505,33 @@ def test_carnot_ball_volume_mc_is_the_hit_fraction(h1, koranyi):
     assert (est.n, est.method) == (n, "monte_carlo")
     with pytest.raises(InputError):
         it.carnot_ball_volume_mc(space, x, r, 1, seed)
+
+
+def test_monte_carlo_bits_are_pinned(h1, koranyi):
+    # Bits recorded before Monte Carlo batches went column-major: the layout
+    # of a batch may move no bit of a shared-draw sweep, an isotropy check or
+    # the group constant (heisenberg:2 sums four horizontal squares).
+    radii, scheme = (0.4, 0.2, 0.1), it.MCScheme(200_000, it.SeedSpec(7))
+    pinned = {
+        "hsq": [(0.4255636245592276, 0.0008365914304483999), (0.4255636245592274, 0.0008365914304484007),
+                (0.42556362455922836, 0.0008365914304484062), 0.9999999999999997],
+        "folland": [(-2.136173907887007e-07, 8.383600590061766e-08), (-1.855636583070496e-07, 8.382673014111493e-08),
+                    (-1.7880908373929047e-07, 8.38255107673865e-08), 0.9994520371989017],
+        "sq1": [(0.2512871622857128, 0.0007939745353909583), (0.2512871622874808, 0.0007939745353859923),
+                (0.2512871622765087, 0.0007939745354283271), 1.000000000000003],
+    }
+    cases = [
+        ("hsq", mo.CarnotSpace(h1, koranyi), ca.horizontal_sqnorm(h1), [10.0, 10.0, 0.0]),
+        ("folland", mo.CarnotSpace(h1, koranyi), ca.fundamental_power(h1), [10.0, 10.0, 0.0]),
+        ("sq1", mo.Euclidean(2), Monomial(2, (2, 0)), [1e3, 0.0]),
+    ]
+    for name, space, u, x in cases:
+        est, corr = it.r_laplacians(space, u, x, radii, scheme)
+        assert [(e.value, e.std_error) for e in est] + [float(corr[0, 2])] == pinned[name], name
+    h2, small = ca.heisenberg(2), it.MCScheme(100_000, it.SeedSpec(3))
+    dirs = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [0.6, 0.0, -0.8, 0.0]]
+    assert [(e.value, e.std_error) for e in it.isotropy_check(h2, koranyi, dirs, small)] == [
+        (0.1469257178814211, 0.0005311039594803132), (0.14680948019249423, 0.0005330968584364765),
+        (0.1474009012629156, 0.0005322242603203482)]
+    const = it.carnot_constant(h2, koranyi, small)
+    assert (const.value, const.std_error) == (0.0735176726834339, 9.129381818854893e-05)
